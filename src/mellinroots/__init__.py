@@ -7,8 +7,9 @@ gamma-ratio kernel.
 """
 
 from .errors import (ConvergenceConditionError, ContinuationError,
-                     DivergentIntegralError, GammaOverflowError, PoleError,
-                     QuadratureError, RootConvergenceError, StepTooSmallError)
+                     DivergentIntegralError, GammaOverflowError, NumericalError,
+                     PoleError, QuadratureError, RootConvergenceError,
+                     StepTooSmallError)
 from .gamma import gamma_ratio, log_gamma
 from .hyper import (FactorPair, LinearFactor, check_functional_equation,
                     pde_residual, series_coefficients, shift_ratio_factors)
@@ -36,7 +37,7 @@ __all__ = [
     "det_rank_one", "det_cofactor", "dirichlet_integral",
     "i0_ii_decomposition_check",
     "log_gamma", "gamma_ratio",
-    "PoleError", "GammaOverflowError", "ConvergenceConditionError",
+    "NumericalError", "PoleError", "GammaOverflowError", "ConvergenceConditionError",
     "DivergentIntegralError", "QuadratureError", "RootConvergenceError",
     "ContinuationError", "StepTooSmallError",
     "__version__",

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import time
@@ -26,9 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .errors import (ConvergenceConditionError, ContinuationError,
-                     DivergentIntegralError, GammaOverflowError, PoleError,
-                     QuadratureError, RootConvergenceError, StepTooSmallError)
+from .errors import NumericalError
 from .hyper import check_functional_equation, pde_residual, series_coefficients
 from .identities import (build_rank_one_matrix, det_cofactor, det_rank_one,
                          dirichlet_integral)
@@ -39,12 +38,6 @@ from .param import ParamPoint, jacobian_det, principal_root_param, psi_forward
 from . import sampling
 
 ENV_TOL = "MELLINROOTS_TOL"
-
-_NUMERICAL_ERRORS = (
-    PoleError, GammaOverflowError, ConvergenceConditionError,
-    DivergentIntegralError, QuadratureError, RootConvergenceError,
-    ContinuationError, StepTooSmallError,
-)
 
 
 def _num(v):
@@ -119,13 +112,13 @@ def _parse_float_list(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok.strip() != ""]
 
 
-def _default_tol(args, fallback: float) -> float:
-    if getattr(args, "tol", None) is not None:
-        return args.tol
+def _resolve_tol(flag: float | None, fallback: float) -> float:
+    """--tol if given, else $MELLINROOTS_TOL if set, else fallback; finite and >= 0."""
     env = os.environ.get(ENV_TOL)
-    if env:
-        return float(env)
-    return fallback
+    tol = flag if flag is not None else float(env) if env else fallback
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tolerance must be finite and nonnegative, got {tol}")
+    return tol
 
 
 def _problem_from_args(args) -> Problem:
@@ -134,7 +127,7 @@ def _problem_from_args(args) -> Problem:
 
 # ----------------------------- root -----------------------------------------
 
-class _MethodFailure(Exception):
+class _MethodFailure(NumericalError):
     """A solver failed on a structurally valid problem."""
 
 
@@ -173,14 +166,29 @@ def _solve_one(problem: Problem, methods: list[str], alpha: float, tol: float,
                 tol=bound, passed=diff <= bound))
 
 
+def _read_spec(path: str, alpha: float) -> list[tuple[Problem, float]]:
+    """(problem, alpha) pairs from a JSON list of {n, exps, coeffs[, alpha]} objects."""
+    with open(path) as fh:
+        instances = json.load(fh)
+    if not isinstance(instances, list):
+        raise ValueError(f"spec {path} must hold a JSON list of instances")
+    problems = []
+    for k, d in enumerate(instances):
+        if not (isinstance(d, dict) and {"n", "exps", "coeffs"} <= d.keys()):
+            raise ValueError(f"spec entry [{k}] must be an object with keys n, exps, coeffs")
+        try:
+            problems.append((Problem(d["n"], d["exps"], d["coeffs"]),
+                             float(d.get("alpha", alpha))))
+        except TypeError as exc:
+            raise ValueError(f"spec entry [{k}]: {exc}") from exc
+    return problems
+
+
 def cmd_root(args) -> int:
-    tol = _default_tol(args, 1e-9)
+    tol = _resolve_tol(args.tol, 1e-9)
     alpha = args.alpha
     if args.spec:
-        with open(args.spec) as fh:
-            instances = json.load(fh)
-        problems = [(Problem(d["n"], d["exps"], d["coeffs"]),
-                     float(d.get("alpha", alpha))) for d in instances]
+        problems = _read_spec(args.spec, alpha)
         inputs = {"spec": args.spec, "method": args.method, "tol": tol}
     else:
         problems = [(_problem_from_args(args), alpha)]
@@ -240,7 +248,6 @@ def _fd_jacobian(xi, shape):
 
 def _suite_jacobian(rng, count, tol, report, replay):
     worst = 0.0
-    bad = None
     for i in range(count):
         p = int(rng.integers(1, 5))
         shape = sampling.random_shape(rng, p, n_max=9)
@@ -249,11 +256,12 @@ def _suite_jacobian(rng, count, tol, report, replay):
         closed = jacobian_det(point, shape)
         fd = _fd_jacobian(list(xi), shape)
         rel = abs(closed - fd) / abs(closed)
-        if rel > worst:
-            worst, bad = rel, {"shape": [shape[0], list(shape[1])], "xi": list(map(float, xi))}
+        worst = max(worst, rel)
         if rel > tol:
-            report.add(_entry(f"jacobian[{i}]", "jacobian", rel, tol=tol,
-                              passed=False, instance=bad, replay=replay))
+            report.add(_entry(
+                f"jacobian[{i}]", "jacobian", rel, tol=tol, passed=False,
+                instance={"shape": [shape[0], list(shape[1])], "xi": list(map(float, xi))},
+                replay=replay))
     report.add(_entry("jacobian", "jacobian", worst, tol=tol, passed=worst <= tol))
 
 
@@ -371,13 +379,15 @@ _SUITES = {
 
 def cmd_verify(args) -> int:
     names = list(_SUITES) if args.suite == "all" else [args.suite]
+    # det is exact: $MELLINROOTS_TOL does not loosen it, only --tol does
+    tols = {name: _SUITES[name][2] if name == "det" and args.tol is None
+            else _resolve_tol(args.tol, _SUITES[name][2]) for name in names}
     inputs = {"suite": args.suite, "count": args.count, "tol": args.tol}
     report = _Report("verify", inputs, seed=args.seed)
     for name in names:
-        fn, default_count, default_tol = _SUITES[name]
+        fn, default_count, _ = _SUITES[name]
         count = args.count if args.count is not None else default_count
-        tol = args.tol if args.tol is not None else float(
-            os.environ.get(ENV_TOL, default_tol) if name != "det" else default_tol)
+        tol = tols[name]
         rng = np.random.Generator(np.random.PCG64(args.seed))
         t0 = time.perf_counter()
         fn(rng, count, tol, report, _replay(name, args.seed, count, tol))
@@ -501,18 +511,12 @@ def main(argv=None) -> int:
             parser.error("root requires --n, --exps and --coeffs (or --spec)")
     try:
         return args.fn(args)
-    except _MethodFailure as exc:
+    except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
-        if isinstance(exc, _NUMERICAL_ERRORS):
-            print(f"error: {exc}", file=sys.stderr)
-            return 3
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except _NUMERICAL_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

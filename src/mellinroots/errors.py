@@ -1,33 +1,42 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Every numerical failure derives from ``NumericalError`` (the CLI maps it to
+exit code 3) and keeps its builtin base, so ``PoleError`` is still a
+``ValueError`` and ``QuadratureError`` still a ``RuntimeError``.
+"""
 
 
-class PoleError(ValueError):
+class NumericalError(Exception):
+    """A computation failed on structurally valid input."""
+
+
+class PoleError(NumericalError, ValueError):
     """A gamma-function argument landed on (or within tolerance of) a pole."""
 
 
-class GammaOverflowError(OverflowError):
+class GammaOverflowError(NumericalError, OverflowError):
     """A gamma ratio exceeds the representable double range."""
 
 
-class ConvergenceConditionError(ValueError):
+class ConvergenceConditionError(NumericalError, ValueError):
     """Transform parameters or contour abscissas violate a convergence condition."""
 
 
-class DivergentIntegralError(ValueError):
+class DivergentIntegralError(NumericalError, ValueError):
     """Integral parameters make the integral divergent."""
 
 
-class QuadratureError(RuntimeError):
+class QuadratureError(NumericalError, RuntimeError):
     """A quadrature did not converge to the requested tolerance."""
 
 
-class RootConvergenceError(RuntimeError):
+class RootConvergenceError(NumericalError, RuntimeError):
     """Root iteration hit its cap; on the valid domain this signals a bug."""
 
 
-class ContinuationError(RuntimeError):
+class ContinuationError(NumericalError, RuntimeError):
     """Branch continuation failed (two root branches collided)."""
 
 
-class StepTooSmallError(RuntimeError):
+class StepTooSmallError(NumericalError, RuntimeError):
     """Finite-difference step is dominated by roundoff."""

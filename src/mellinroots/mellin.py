@@ -196,21 +196,6 @@ def default_contour(
     return Contour(abscissas=(a,) * len(exps), height=height, nodes_per_line=m)
 
 
-def _log_kernel_grid(shape: Shape, alpha: float, u_axes: list[np.ndarray]) -> np.ndarray:
-    """log F on a broadcast grid of line arguments."""
-    n, exps = shape
-    u = alpha / n + 0j
-    for e, ua in zip(exps, u_axes):
-        u = u - (e / n) * ua
-    omega = u + 1.0
-    for ua in u_axes:
-        omega = omega + ua
-    out = math.log(alpha / n) + log_gamma_array(u) - log_gamma_array(omega)
-    for ua in u_axes:
-        out = out + log_gamma_array(ua)
-    return out
-
-
 def _line_nodes(T: float, m: int) -> tuple[np.ndarray, np.ndarray, float]:
     """Symmetric trapezoid nodes: t_j = j*h is exactly antisymmetric."""
     h = 2.0 * T / (m - 1)
@@ -220,82 +205,68 @@ def _line_nodes(T: float, m: int) -> tuple[np.ndarray, np.ndarray, float]:
     return t, w, h
 
 
-def _mb_line_sum_1d(shape, alpha, x, a, T, m, full_grid):
-    t, w, h = _line_nodes(T, m)
-    logx = cmath.log(complex(x[0]))
-    real_x = complex(x[0]).imag == 0.0 and complex(x[0]).real > 0.0
+def _log_integrand(shape: Shape, alpha: float, x: Sequence[complex],
+                   lines: Sequence[np.ndarray], idx: Sequence[np.ndarray]) -> np.ndarray:
+    """log(F(u) * prod x_s^-u_s) at the grid points u_s = lines[s][idx[s]].
 
-    if real_x and not full_grid:
-        half = t >= 0.0
-        u1 = a[0] + 1j * t[half]
-        logI = _log_kernel_grid(shape, alpha, [u1]) - u1 * logx
-        f = np.exp(logI) * w[half]
-        s = 2.0 * np.sum(f.real) - f[0].real  # t = 0 counted once
-        return complex(s) * h / (2.0 * math.pi), int(u1.size)
-    u1 = a[0] + 1j * t
-    logI = _log_kernel_grid(shape, alpha, [u1]) - u1 * logx
-    s = np.sum(np.exp(logI) * w)
-    return complex(s) * h / (2.0 * math.pi), int(u1.size)
+    Each line factor log Gamma(u_s) - u_s log x_s depends on one coordinate
+    only, so it is evaluated once per node and gathered.
+    """
+    n, exps = shape
+    us = [v[i] for v, i in zip(lines, idx)]
+    u = alpha / n - sum(e * uv for e, uv in zip(exps, us)) / n
+    omega = sum(us, u) + 1.0
+    out = math.log(alpha / n) + log_gamma_array(u) - log_gamma_array(omega)
+    for v, i, xv in zip(lines, idx, x):
+        out = out + (log_gamma_array(v) - v * cmath.log(complex(xv)))[i]
+    return out
 
 
-def _stirling_exponent(shape, t1, t2, argx):
+def _stirling_exponent(shape, ts, argx):
     """Leading Stirling log-decay of |integrand| relative to the grid center."""
     n, exps = shape
-    im_u = -(exps[0] * t1 + exps[1] * t2) / n
-    im_om = im_u + t1 + t2
-    E = (math.pi / 2.0) * (np.abs(im_u) + np.abs(t1) + np.abs(t2) - np.abs(im_om))
-    return E - (t1 * argx[0] + t2 * argx[1])
+    im_u = -sum(e * t for e, t in zip(exps, ts)) / n
+    im_om = sum(ts, im_u)
+    E = (math.pi / 2.0) * (sum(map(np.abs, ts), np.abs(im_u)) - np.abs(im_om))
+    return E - sum(t * ax for t, ax in zip(ts, argx))
 
 
-def _mb_masked_block(shape, alpha, x, a, t1, w1, t2, w2):
-    """Weighted integrand sum over one t1 x t2 block, Stirling-masked."""
-    n, exps = shape
-    argx = [cmath.phase(complex(v)) for v in x]
-    E = _stirling_exponent(shape, t1[:, None], t2[None, :], argx)
-    keep = E <= _MASK_CUT
-    i_idx, j_idx = np.nonzero(keep)
-    if i_idx.size == 0:
-        return 0.0 + 0.0j, 0
-    # per-line factors depend on one t only: evaluate once per line, gather
-    v1 = a[0] + 1j * t1
-    v2 = a[1] + 1j * t2
-    line1 = log_gamma_array(v1) - v1 * cmath.log(complex(x[0]))
-    line2 = log_gamma_array(v2) - v2 * cmath.log(complex(x[1]))
-    u1 = v1[i_idx]
-    u2 = v2[j_idx]
-    u = alpha / n - (exps[0] * u1 + exps[1] * u2) / n
-    omega = u + u1 + u2 + 1.0
-    logI = (math.log(alpha / n) + log_gamma_array(u) - log_gamma_array(omega)
-            + line1[i_idx] + line2[j_idx])
-    vals = np.exp(logI) * (w1[i_idx] * w2[j_idx])
-    return complex(np.sum(vals)), int(i_idx.size)
+def _grid_sum(shape, alpha, x, a, T, m, full_grid=False):
+    """(h/2 pi)^p times the Stirling-masked trapezoid sum over the p-fold grid.
 
-
-def _mb_line_sum_2d(shape, alpha, x, a, T, m, full_grid):
+    Points whose Stirling bound lies below e^-_MASK_CUT of the center are
+    dropped.  For real positive x, f(-t) = conj f(t): only the points whose
+    first nonzero t_s is positive are summed, the sum is doubled, the center
+    added once and the real part kept, so the full m^p mask is never formed.
+    Returns (value, points summed).
+    """
+    p = len(x)
     t, w, h = _line_nodes(T, m)
-    mid = (m - 1) // 2
-    real_x = all(complex(v).imag == 0.0 and complex(v).real > 0.0 for v in x)
+    lines = [a_s + 1j * t for a_s in a]
+    argx = [cmath.phase(complex(v)) for v in x]
+    scale = (h / (2.0 * math.pi)) ** p
 
-    if real_x and not full_grid:
-        # f(-t1,-t2) = conj f(t1,t2): fold onto t1 > 0 plus the t1 = 0 half line
-        s_pos, n_pos = _mb_masked_block(
-            shape, alpha, x, a, t[mid + 1:], w[mid + 1:], t, w)
-        s_axis, n_axis = _mb_masked_block(
-            shape, alpha, x, a, t[mid:mid + 1], w[mid:mid + 1], t[mid + 1:], w[mid + 1:])
-        u0 = np.asarray([a[0] + 0j]), np.asarray([a[1] + 0j])
-        f00 = complex(np.exp(_log_kernel_grid(shape, alpha, [u0[0], u0[1]])[0]
-                             - (a[0]) * cmath.log(complex(x[0]))
-                             - (a[1]) * cmath.log(complex(x[1]))))
-        total = 2.0 * (s_pos + s_axis).real + f00.real
-        return complex(total) * (h / (2.0 * math.pi)) ** 2, n_pos + n_axis + 1
-    s, cnt = _mb_masked_block(shape, alpha, x, a, t, w, t, w)
-    return s * (h / (2.0 * math.pi)) ** 2, cnt
+    def block(axes):
+        # masked sum over the tensor block axes[0] x ... x axes[p-1] of node indices
+        # the exponent array is not kept alive while the integrand is evaluated
+        ts = [t[ix] for ix in np.ix_(*axes)]
+        idx = np.nonzero(_stirling_exponent(shape, ts, argx) <= _MASK_CUT)
+        logI = _log_integrand(shape, alpha, x, [v[ax] for v, ax in zip(lines, axes)], idx)
+        weight = math.prod(w[ax][i] for ax, i in zip(axes, idx))
+        return complex(np.sum(np.exp(logI) * weight)), int(idx[0].size)
 
-
-def _mb_eval(shape, alpha, x, a, T, m, full_grid):
-    if len(x) == 1:
-        return _mb_line_sum_1d(shape, alpha, x, a, T, m, full_grid)
-    return _mb_line_sum_2d(shape, alpha, x, a, T, m, full_grid)
+    every = np.arange(m)
+    if full_grid or not all(v.imag == 0.0 and v.real > 0.0 for v in map(complex, x)):
+        s, count = block([every] * p)
+        return s * scale, count
+    c = (m - 1) // 2
+    mid, positive = every[c:c + 1], every[c + 1:]
+    half, count = 0.0 + 0.0j, 1
+    for k in range(p):
+        s, n_k = block([mid] * k + [positive] + [every] * (p - k - 1))
+        half, count = half + s, count + n_k
+    center, _ = block([mid] * p)
+    return complex(2.0 * half.real + center.real) * scale, count
 
 
 def principal_root_mb(
@@ -335,9 +306,9 @@ def principal_root_mb(
 
     a = list(contour.abscissas)
     T, m = contour.height, contour.nodes_per_line
-    v_base, n1 = _mb_eval(problem.shape, alpha, x, a, T, m, _full_grid)
-    v_fine, n2 = _mb_eval(problem.shape, alpha, x, a, T, 2 * m - 1, _full_grid)
-    v_tall, n3 = _mb_eval(problem.shape, alpha, x, a, 2.0 * T, 2 * m - 1, _full_grid)
+    v_base, n1 = _grid_sum(problem.shape, alpha, x, a, T, m, _full_grid)
+    v_fine, n2 = _grid_sum(problem.shape, alpha, x, a, T, 2 * m - 1, _full_grid)
+    v_tall, n3 = _grid_sum(problem.shape, alpha, x, a, 2.0 * T, 2 * m - 1, _full_grid)
 
     value = v_fine + (v_tall - v_base)
     err = abs(v_fine - v_base) + abs(v_tall - v_base) + 1e-15 * (1.0 + abs(value))
@@ -351,11 +322,12 @@ def quadratic_mb_check(x: float, tol: float = 1e-8) -> tuple[float, float]:
     """Contour-integral value of the quadratic's root against its closed form.
 
     Evaluates (1/(4 pi i)) * integral over Re z = 1/2 of
-    Gamma(z) Gamma((1-z)/2) / Gamma((3+z)/2) * x^-z dz and compares with
-    -x/2 + sqrt(1 + (x/2)^2), the principal root of Z^2 + x Z - 1 = 0.
-    (The x^-z / Gamma((1-z)/2) combination is forced: the frequently
-    misprinted x^z / Gamma((1+z)/2) variant has a double pole at z = -1
-    and is not an algebraic function of x at all.)
+    Gamma(z) Gamma((1-z)/2) / Gamma((3+z)/2) * x^-z dz, which is the contour
+    integral of the kernel of (2, (1,)) at alpha = 1 (alpha/n = 1/2), and
+    compares with -x/2 + sqrt(1 + (x/2)^2), the principal root of
+    Z^2 + x Z - 1 = 0.  (The x^-z / Gamma((1-z)/2) combination is forced:
+    the frequently misprinted x^z / Gamma((1+z)/2) variant has a double pole
+    at z = -1 and is not an algebraic function of x at all.)
     """
     x = float(x)
     if x <= 0:
@@ -366,16 +338,7 @@ def quadratic_mb_check(x: float, tol: float = 1e-8) -> tuple[float, float]:
     m = max(9, int(math.ceil(2.0 * T / step)) | 1)
 
     def line_sum(TT, mm):
-        t = np.linspace(0.0, TT, (mm + 1) // 2)
-        w = np.ones(t.size)
-        w[-1] = 0.5
-        h = TT / (t.size - 1)
-        z = 0.5 + 1j * t
-        logI = (log_gamma_array(z) + log_gamma_array((1.0 - z) / 2.0)
-                - log_gamma_array((3.0 + z) / 2.0) - z * math.log(x))
-        f = np.exp(logI) * w
-        s = 2.0 * np.sum(f.real) - f[0].real
-        return s * h / (4.0 * math.pi)
+        return _grid_sum((2, (1,)), 1.0, [x], [0.5], TT, mm)[0].real
 
     v1 = line_sum(T, m)
     v2 = line_sum(2.0 * T, 4 * m - 3)
@@ -401,18 +364,8 @@ def contour_integrand(
     if p > 2:
         raise ValueError("contour tracing is implemented for p <= 2")
     contour.validate_for(problem.shape, alpha)
-    x = [complex(c) for c in problem.coeffs]
-    T, m = contour.height, contour.nodes_per_line
-    t, _, _ = _line_nodes(T, m)
-    a = contour.abscissas
-    if p == 1:
-        u1 = a[0] + 1j * t
-        logI = _log_kernel_grid(problem.shape, alpha, [u1]) - u1 * cmath.log(x[0])
-        return t.reshape(-1, 1), np.exp(logI)
-    tt1, tt2 = np.meshgrid(t, t, indexing="ij")
-    u1 = a[0] + 1j * tt1.ravel()
-    u2 = a[1] + 1j * tt2.ravel()
-    logI = (_log_kernel_grid(problem.shape, alpha, [u1, u2])
-            - u1 * cmath.log(x[0]) - u2 * cmath.log(x[1]))
-    pts = np.column_stack([tt1.ravel(), tt2.ravel()])
-    return pts, np.exp(logI)
+    t, _, _ = _line_nodes(contour.height, contour.nodes_per_line)
+    lines = [a + 1j * t for a in contour.abscissas]
+    idx = np.indices((t.size,) * p).reshape(p, -1)
+    logI = _log_integrand(problem.shape, alpha, problem.coeffs, lines, idx)
+    return t[idx].T, np.exp(logI)

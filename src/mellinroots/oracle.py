@@ -53,6 +53,8 @@ class Problem:
                    for i in range(p - 1)) or self.exps[-1] <= 0 or self.exps[0] >= self.n:
             raise ValueError(
                 f"exponents must satisfy 0 < n_p < ... < n_1 < n, got n={self.n}, exps={self.exps}")
+        if not all(math.isfinite(c) for c in self.coeffs):
+            raise ValueError(f"coefficients must be finite, got {self.coeffs}")
         if any(c < 0 for c in self.coeffs):
             raise ValueError(f"coefficients must be nonnegative, got {self.coeffs}")
 

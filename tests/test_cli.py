@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from mellinroots import errors
 from mellinroots.cli import main
 
 
@@ -194,3 +195,69 @@ def test_report_out_file(tmp_path, capsys):
     report = json.loads(out.read_text())
     assert report["command"] == "root"
     assert report["results"][0]["value"] == pytest.approx(0.5, abs=1e-12)
+
+
+NUMERICAL_ERRORS = [errors.PoleError, errors.GammaOverflowError,
+                    errors.ConvergenceConditionError, errors.DivergentIntegralError,
+                    errors.QuadratureError, errors.RootConvergenceError,
+                    errors.ContinuationError, errors.StepTooSmallError]
+
+
+@pytest.mark.parametrize("exc", NUMERICAL_ERRORS)
+def test_numerical_errors_exit_3(exc, capsys, monkeypatch):
+    def fail(*args):
+        raise exc("injected")
+
+    monkeypatch.setattr("mellinroots.cli.series_coefficients", fail)
+    assert main(["series", "--n", "2", "--exps", "1"]) == 3
+    monkeypatch.setattr("mellinroots.cli.principal_root", fail)
+    assert main(["root", "--n", "2", "--exps", "1", "--coeffs", "1",
+                 "--method", "oracle"]) == 3
+    assert "injected" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec", [
+    [{"n": 2, "exps": [1]}],                  # missing key
+    {"n": 2, "exps": [1], "coeffs": [1.0]},   # not a list
+    [[2, [1], [1.0]]],                        # entry not an object
+    [{"n": 2, "exps": 1, "coeffs": [1.0]}],   # exps not a list
+])
+def test_root_spec_malformed_exit_2(spec, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(spec))
+    assert main(["root", "--spec", str(path), "--method", "param"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_root_nonfinite_coefficient_exit_2(capsys):
+    assert main(["root", "--n", "2", "--exps", "1", "--coeffs", "nan",
+                 "--method", "param"]) == 2
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1e-3"])
+def test_bad_tol_flag_exit_2(tol, capsys):
+    assert main(["verify", "--suite", "funceq", "--count", "2", f"--tol={tol}"]) == 2
+    assert main(["root", "--n", "2", "--exps", "1", "--coeffs", "1",
+                 "--method", "param", f"--tol={tol}"]) == 2
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1e-3"])
+def test_bad_tol_env_exit_2(tol, capsys, monkeypatch):
+    monkeypatch.setenv("MELLINROOTS_TOL", tol)
+    assert main(["verify", "--suite", "pde", "--count", "1"]) == 2
+    assert main(["root", "--n", "2", "--exps", "1", "--coeffs", "1",
+                 "--method", "param"]) == 2
+
+
+def test_verify_zero_tol_accepted(capsys):
+    assert main(["verify", "--suite", "det", "--count", "5", "--tol", "0"]) == 0
+
+
+def test_jacobian_failures_carry_their_own_instance(capsys):
+    code, report = _run_json(
+        capsys, ["verify", "--suite", "jacobian", "--count", "40", "--tol", "1e-14"])
+    assert code == 1
+    failures = [r for r in report["results"] if r["name"].startswith("jacobian[")]
+    assert len(failures) >= 2
+    instances = {json.dumps(r["instance"]) for r in failures}
+    assert len(instances) == len(failures)

@@ -123,6 +123,9 @@ def test_mb_imaginary_part_vanishes_full_grid():
     for problem in [Problem(2, [1], [0.6]), Problem(4, [3, 1], [0.5, 1.1])]:
         res = principal_root_mb(problem, alpha=1.0, _full_grid=True)
         assert abs(res.value.imag) <= res.err_estimate
+        # the conjugate-symmetry fold (t_1 = 0 row, center term) adds nothing
+        folded = principal_root_mb(problem, alpha=1.0)
+        assert abs(folded.value.real - res.value.real) <= 1e-14 * abs(res.value.real)
 
 
 def _continued_root(n, n1, x):

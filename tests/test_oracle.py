@@ -23,6 +23,14 @@ def test_problem_validation():
         Problem(4, [2], [-1.0])         # negative coefficient
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_problem_rejects_nonfinite_coefficient(bad):
+    with pytest.raises(ValueError, match="finite"):
+        Problem(2, [1], [bad])
+    with pytest.raises(ValueError, match="finite"):
+        Problem(3, [2, 1], [0.5, bad])
+
+
 def test_principal_root_at_zero_coeffs():
     assert principal_root(Problem(5, [3, 1], [0.0, 0.0])) == 1.0
 
