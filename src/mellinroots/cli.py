@@ -402,6 +402,10 @@ def cmd_contour_trace(args) -> int:
     problem = _problem_from_args(args)
     if problem.p > 2:
         raise ValueError("contour tracing supports p <= 2")
+    if args.nodes is not None and (args.nodes < 9 or args.nodes % 2 == 0):
+        raise ValueError("nodes_per_line must be odd and >= 9")
+    if args.height is not None and not 0 < args.height < math.inf:
+        raise ValueError("height must be positive and finite")
     base = default_contour(problem, args.alpha)
     contour = Contour(
         abscissas=base.abscissas,
@@ -410,21 +414,16 @@ def cmd_contour_trace(args) -> int:
     )
     pts, vals = contour_integrand(problem, args.alpha, contour)
     try:
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            if problem.p == 1:
-                writer.writerow(["im_u1", "re_integrand", "im_integrand", "abs_integrand"])
-                for (t1,), v in zip(pts, vals):
-                    writer.writerow([repr(float(t1)), repr(float(v.real)),
-                                     repr(float(v.imag)), repr(float(abs(v)))])
-            else:
-                writer.writerow(["im_u1", "im_u2", "re_integrand", "im_integrand", "abs_integrand"])
-                for (t1, t2), v in zip(pts, vals):
-                    writer.writerow([repr(float(t1)), repr(float(t2)), repr(float(v.real)),
-                                     repr(float(v.imag)), repr(float(abs(v)))])
+        fh = open(args.out, "w", newline="")
     except OSError as exc:
-        print(f"error: cannot write trace to {args.out}: {exc}", file=sys.stderr)
-        return 3
+        raise OSError(f"cannot write trace to {args.out}: {exc.strerror}") from exc
+    with fh:
+        writer = csv.writer(fh)
+        writer.writerow([f"im_u{s + 1}" for s in range(problem.p)]
+                        + ["re_integrand", "im_integrand", "abs_integrand"])
+        for pt, v in zip(pts, vals):
+            writer.writerow([*(repr(float(t)) for t in pt), repr(float(v.real)),
+                             repr(float(v.imag)), repr(float(abs(v)))])
     if not args.json:
         print(f"wrote {len(pts)} rows to {args.out}")
     return 0

@@ -13,6 +13,12 @@ truncation height comes from the Stirling decay of the kernel: the count of
 gamma factors upstairs exceeds downstairs by p, giving exponential decay at
 rate at least pi*n_s/n per line (minus |arg x_s| for complex coefficients,
 whence the validity sector |arg x_s| < n_s*pi/(2n)).
+
+On the trapezoid grid u_s = a_s + i k_s h the derived arguments are lattice
+values too: Im u = -(sum n_s k_s) h/n and Im omega = (sum (n-n_s) k_s) h/n.
+Each gamma factor is therefore a table over the occupied range of its integer
+index, gathered at the grid points, so log-gamma is evaluated O((n_1+n_2) m)
+times rather than once per grid point.
 """
 
 from __future__ import annotations
@@ -205,20 +211,43 @@ def _line_nodes(T: float, m: int) -> tuple[np.ndarray, np.ndarray, float]:
     return t, w, h
 
 
-def _log_integrand(shape: Shape, alpha: float, x: Sequence[complex],
-                   lines: Sequence[np.ndarray], idx: Sequence[np.ndarray]) -> np.ndarray:
-    """log(F(u) * prod x_s^-u_s) at the grid points u_s = lines[s][idx[s]].
+def _lattice(coef: Sequence[int], k: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The integer index K = sum coef_s k_s at each point, as a table and a gather.
 
-    Each line factor log Gamma(u_s) - u_s log x_s depends on one coordinate
-    only, so it is evaluated once per node and gathered.
+    Returns (values, index): the multiples of g = gcd(coef) from min K to max K,
+    and the position of each point's K among them, so a table over the values
+    holds one entry per lattice value spanned.
+    """
+    g = math.gcd(*coef)
+    K = sum((c // g) * ks for c, ks in zip(coef, k))
+    lo = int(K.min()) if K.size else 0
+    return g * np.arange(lo, int(K.max(initial=lo)) + 1), K - lo
+
+
+def _log_integrand(shape: Shape, alpha: float, x: Sequence[complex], a: Sequence[float],
+                   h: float, k: Sequence[np.ndarray]) -> np.ndarray:
+    """log(F(u) * prod x_s^-u_s) at the grid points u_s = a_s + i k_s h.
+
+    On this lattice Im u = -(sum n_s k_s) h/n and Im omega = (sum (n-n_s) k_s) h/n,
+    with fixed real parts, so every gamma factor is a table over the integer
+    index it depends on (k_s for the line factor log Gamma(u_s) - u_s log x_s),
+    evaluated once per lattice value and gathered at the points.  All tables
+    go through one log-gamma call: on small grids its fixed cost dominates.
     """
     n, exps = shape
-    us = [v[i] for v, i in zip(lines, idx)]
-    u = alpha / n - sum(e * uv for e, uv in zip(exps, us)) / n
-    omega = sum(us, u) + 1.0
-    out = math.log(alpha / n) + log_gamma_array(u) - log_gamma_array(omega)
-    for v, i, xv in zip(lines, idx, x):
-        out = out + (log_gamma_array(v) - v * cmath.log(complex(xv)))[i]
+    u0 = alpha / n - sum(e * a_s for e, a_s in zip(exps, a)) / n
+    om0 = sum(a, u0) + 1.0
+    K_u, i_u = _lattice(exps, k)
+    K_om, i_om = _lattice([n - e for e in exps], k)
+    lines = [_lattice([1], [ks]) for ks in k]
+    zs = [u0 - 1j * (h / n) * K_u, om0 + 1j * (h / n) * K_om,
+          *(a_s + 1j * h * K for a_s, (K, _) in zip(a, lines))]
+    lg = np.split(log_gamma_array(np.concatenate(zs)), np.cumsum([z.size for z in zs[:-1]]))
+    out = lg[0][i_u]
+    out += math.log(alpha / n)
+    out -= lg[1][i_om]
+    for u_s, lg_s, (_, i), xv in zip(zs[2:], lg[2:], lines, x):
+        out += (lg_s - u_s * cmath.log(complex(xv)))[i]
     return out
 
 
@@ -242,7 +271,7 @@ def _grid_sum(shape, alpha, x, a, T, m, full_grid=False):
     """
     p = len(x)
     t, w, h = _line_nodes(T, m)
-    lines = [a_s + 1j * t for a_s in a]
+    c = (m - 1) // 2
     argx = [cmath.phase(complex(v)) for v in x]
     scale = (h / (2.0 * math.pi)) ** p
 
@@ -251,15 +280,14 @@ def _grid_sum(shape, alpha, x, a, T, m, full_grid=False):
         # the exponent array is not kept alive while the integrand is evaluated
         ts = [t[ix] for ix in np.ix_(*axes)]
         idx = np.nonzero(_stirling_exponent(shape, ts, argx) <= _MASK_CUT)
-        logI = _log_integrand(shape, alpha, x, [v[ax] for v, ax in zip(lines, axes)], idx)
+        logI = _log_integrand(shape, alpha, x, a, h, [ax[i] - c for ax, i in zip(axes, idx)])
         weight = math.prod(w[ax][i] for ax, i in zip(axes, idx))
         return complex(np.sum(np.exp(logI) * weight)), int(idx[0].size)
 
-    every = np.arange(m)
+    every = np.arange(m, dtype=np.int32)  # int32 halves the per-point index arrays
     if full_grid or not all(v.imag == 0.0 and v.real > 0.0 for v in map(complex, x)):
         s, count = block([every] * p)
         return s * scale, count
-    c = (m - 1) // 2
     mid, positive = every[c:c + 1], every[c + 1:]
     half, count = 0.0 + 0.0j, 1
     for k in range(p):
@@ -364,8 +392,9 @@ def contour_integrand(
     if p > 2:
         raise ValueError("contour tracing is implemented for p <= 2")
     contour.validate_for(problem.shape, alpha)
-    t, _, _ = _line_nodes(contour.height, contour.nodes_per_line)
-    lines = [a + 1j * t for a in contour.abscissas]
-    idx = np.indices((t.size,) * p).reshape(p, -1)
-    logI = _log_integrand(problem.shape, alpha, problem.coeffs, lines, idx)
+    m = contour.nodes_per_line
+    t, _, h = _line_nodes(contour.height, m)
+    idx = np.indices((m,) * p).reshape(p, -1)
+    logI = _log_integrand(problem.shape, alpha, problem.coeffs, contour.abscissas, h,
+                          idx - (m - 1) // 2)
     return t[idx].T, np.exp(logI)

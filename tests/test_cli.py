@@ -156,6 +156,31 @@ def test_contour_trace_p2_rows(tmp_path):
     assert len(rows) == 41 * 41 + 1
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--nodes", "10"], "nodes_per_line must be odd and >= 9"),
+    (["--nodes", "7"], "nodes_per_line must be odd and >= 9"),
+    (["--height", "0"], "height must be positive and finite"),
+    (["--height", "-1"], "height must be positive and finite"),
+    (["--height", "inf"], "height must be positive and finite"),
+    (["--height", "nan"], "height must be positive and finite"),
+])
+def test_contour_trace_bad_grid_exit_2(flags, message, tmp_path, capsys):
+    out = tmp_path / "trace.csv"
+    code = main(["contour-trace", "--n", "2", "--exps", "1", "--coeffs", "1",
+                 "--out", str(out), *flags])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_contour_trace_unwritable_out_exit_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "trace.csv"
+    code = main(["contour-trace", "--n", "2", "--exps", "1", "--coeffs", "1",
+                 "--height", "10", "--nodes", "41", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write trace to {out}: ")
+
+
 def test_series_stdout(capsys):
     code = main(["series", "--n", "2", "--exps", "1", "--alpha", "1",
                  "--kmax", "4"])

@@ -10,7 +10,8 @@ from mellinroots import (ConvergenceConditionError, Problem, QuadratureError,
                          default_contour, forward_mellin_check, kernel,
                          kernel_value, principal_root, principal_root_mb,
                          principal_root_param, quadratic_mb_check)
-from mellinroots.mellin import Contour, MellinParams
+from mellinroots.mellin import (Contour, MellinParams, _line_nodes, _log_integrand,
+                                contour_integrand)
 
 # frozen 40-digit reference values
 KERNEL_A1_U05 = 3.496076739056159747286452786521492551577   # (1/2)G(.25)G(.5)/G(1.75)
@@ -126,6 +127,57 @@ def test_mb_imaginary_part_vanishes_full_grid():
         # the conjugate-symmetry fold (t_1 = 0 row, center term) adds nothing
         folded = principal_root_mb(problem, alpha=1.0)
         assert abs(folded.value.real - res.value.real) <= 1e-14 * abs(res.value.real)
+
+
+def _direct_integrand(shape, alpha, x, u_list):
+    """kernel * prod x_s^-u_s from the scalar kernel, point by point."""
+    v = kernel_value(shape, alpha, u_list)
+    for xv, uv in zip(x, u_list):
+        v *= cmath.exp(-uv * cmath.log(xv))
+    return v
+
+
+@pytest.mark.parametrize("problem, alpha, height, nodes", [
+    (Problem(3, [2], [0.7]), 2.0, 12.0, 25),
+    (Problem(4, [3, 1], [0.5, 1.3]), 1.0, 8.0, 17),
+    (Problem(6, [4, 2], [0.9, 0.4]), 3.0, 8.0, 13),  # gcd 2 for both u and omega
+])
+def test_lattice_integrand_matches_kernel(problem, alpha, height, nodes):
+    a = default_contour(problem, alpha).abscissas
+    contour = Contour(abscissas=a, height=height, nodes_per_line=nodes)
+    pts, vals = contour_integrand(problem, alpha, contour)
+    assert np.max(np.abs(pts)) == pytest.approx(height, rel=1e-15)  # the ends |t| = T
+    for ts, v in zip(pts, vals):
+        ref = _direct_integrand(problem.shape, alpha, problem.coeffs,
+                                [a_s + 1j * t for a_s, t in zip(a, ts)])
+        assert abs(v - ref) <= 1e-13 * abs(ref)
+
+
+def test_lattice_integrand_matches_kernel_complex_coefficient():
+    shape, alpha, a = (3, (2,)), 1.0, [0.25]
+    x = [0.9 * cmath.exp(0.5j * 2 * math.pi / 6)]  # inside |arg x| < n_1 pi / 2n
+    t, _, h = _line_nodes(10.0, 21)
+    k = np.arange(21) - 10
+    vals = np.exp(_log_integrand(shape, alpha, x, a, h, [k]))
+    for tv, v in zip(t, vals):
+        ref = _direct_integrand(shape, alpha, x, [a[0] + 1j * tv])
+        assert abs(v - ref) <= 1e-13 * abs(ref)
+
+
+@pytest.mark.parametrize("problem, alpha, evaluations", [
+    (Problem(5, [3], [0.7]), 2.0, 403),
+    (Problem(3, [2, 1], [0.4, 0.9]), 3.0, 120848),
+])
+def test_mb_grid_pinned(problem, alpha, evaluations):
+    # points summed after the Stirling mask and the conjugate-symmetry fold
+    assert principal_root_mb(problem, alpha=alpha).evaluations == evaluations
+
+
+def test_mb_fully_masked_blocks():
+    # h = 250: every off-center node lies below the Stirling cut, so each
+    # fold block but the center is empty; each of the three grids sums one point
+    coarse = Contour(abscissas=(0.5,), height=1000.0, nodes_per_line=9)
+    assert principal_root_mb(Problem(2, [1], [1.0]), contour=coarse).evaluations == 3
 
 
 def _continued_root(n, n1, x):
