@@ -13,8 +13,6 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
 from .errors import DivergentIntegralError
 from .gamma import log_gamma
 from .quadrature import integrate_orthant_log, log_one_plus_sum_exp
@@ -85,14 +83,8 @@ def dirichlet_integral(
         raise DivergentIntegralError(
             f"Re(omega - sum u_i) = {rest.real:g} <= 0: integral diverges at infinity")
 
-    def log_integrand(L: list[np.ndarray]) -> np.ndarray:
-        acc = (-omega) * log_one_plus_sum_exp(L)
-        for uv, Li in zip(u, L):
-            acc = acc + (uv - 1.0) * Li
-        return acc
-
     numeric, _, _ = integrate_orthant_log(
-        log_integrand, p, rel_tol=tol / 3.0,
+        u, lambda L: -omega * log_one_plus_sum_exp(L), rel_tol=tol / 3.0,
         max_level={1: 7, 2: 6, 3: 5}[p])
     total = sum(log_gamma(v) for v in u) + log_gamma(rest) - log_gamma(omega)
     return numeric, cmath.exp(total)

@@ -87,11 +87,12 @@ class Contour:
     nodes_per_line: int
 
     def __post_init__(self):
-        if any(a <= 0 for a in self.abscissas):
+        if not all(0 < a < math.inf for a in self.abscissas):
             raise ConvergenceConditionError(
-                f"abscissas must be positive, got {self.abscissas}")
-        if self.height <= 0:
-            raise ConvergenceConditionError("height must be positive")
+                f"abscissas must be positive and finite, got {self.abscissas}")
+        if not 0 < self.height < math.inf:
+            raise ConvergenceConditionError(
+                f"height must be positive and finite, got {self.height}")
         if self.nodes_per_line < 9 or self.nodes_per_line % 2 == 0:
             raise ConvergenceConditionError("nodes_per_line must be odd and >= 9")
 
@@ -147,17 +148,14 @@ def forward_mellin_check(
     u_re = [uv.real for uv in params.u_list]
     log_ratios = [math.log(e / n) for e in exps]
 
-    def log_integrand(L: list[np.ndarray]) -> np.ndarray:
+    def log_f(L: list[np.ndarray]) -> np.ndarray:
         lse_w = log_one_plus_sum_exp(L)                       # ln(1 + sum xi)
         lse_c = log_one_plus_sum_exp(
             [lr + Li for lr, Li in zip(log_ratios, L)])       # ln(1 + sum (n_k/n) xi_k)
-        acc = lse_c - omega.real * lse_w
-        for uv, Li in zip(u_re, L):
-            acc = acc + (uv - 1.0) * Li
-        return acc
+        return lse_c - omega.real * lse_w
 
     lhs, _, _ = integrate_orthant_log(
-        log_integrand, p, rel_tol=tol / 3.0,
+        u_re, log_f, rel_tol=tol / 3.0,
         max_level=7 if p == 1 else 6)
     rhs = kernel(params, shape)
     return lhs, rhs

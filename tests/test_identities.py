@@ -70,6 +70,12 @@ def test_dirichlet_complex_parameters():
     assert abs(numeric - form) <= 1e-7 * abs(form)
 
 
+def test_dirichlet_three_vars_complex_parameters():
+    numeric, form = dirichlet_integral(
+        [0.4 + 0.2j, 0.6 - 0.3j, 0.5 + 0.1j], 2.8, tol=1e-7)
+    assert abs(numeric - form) <= 1e-7 * abs(form)
+
+
 def test_dirichlet_rejects_p4():
     with pytest.raises(ValueError):
         dirichlet_integral([0.5] * 4, 4.0)

@@ -232,6 +232,17 @@ def test_contour_constraint_violation():
         Contour(abscissas=(-0.5,), height=20.0, nodes_per_line=101)
 
 
+@pytest.mark.parametrize("abscissas, height", [
+    ((0.5,), float("inf")),
+    ((0.5,), float("nan")),
+    ((float("nan"),), 20.0),
+    ((float("inf"),), 20.0),
+])
+def test_contour_rejects_non_finite_values(abscissas, height):
+    with pytest.raises(ConvergenceConditionError):
+        Contour(abscissas=abscissas, height=height, nodes_per_line=9)
+
+
 def test_mb_tol_enforcement():
     problem = Problem(2, [1], [1.0])
     coarse = Contour(abscissas=(0.5,), height=3.0, nodes_per_line=11)

@@ -1,5 +1,7 @@
 """Direct tests of the half-line double-exponential rule."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ def test_rule_integrates_exponential():
 @pytest.mark.parametrize("u", [0.3, 1.0, 2.5, 0.5 + 0.4j])
 def test_rule_reproduces_gamma(u):
     value, err, evals = integrate_orthant_log(
-        lambda L: (u - 1.0) * L[0] - np.exp(L[0]), 1, rel_tol=1e-12, max_level=6)
+        [u], lambda L: -np.exp(L[0]), rel_tol=1e-12, max_level=6)
     ref = np.exp(log_gamma(u))
     assert abs(value - ref) <= 1e-11 * abs(ref)
     assert evals > 0
@@ -27,7 +29,7 @@ def test_rule_reproduces_gamma(u):
 def test_two_dimensional_product():
     # integral of e^-(xi1 + xi2) over the quarter plane = 1
     value, _, _ = integrate_orthant_log(
-        lambda L: -np.exp(L[0]) - np.exp(L[1]), 2, rel_tol=1e-10, max_level=5)
+        [1.0, 1.0], lambda L: -np.exp(L[0]) - np.exp(L[1]), rel_tol=1e-10, max_level=5)
     assert value.real == pytest.approx(1.0, rel=1e-9)
 
 
@@ -45,8 +47,53 @@ def test_log_one_plus_sum_exp_huge_arguments():
     assert got[0] == pytest.approx(700.0, abs=1e-12)
 
 
+def test_log_one_plus_sum_exp_overflow_raises():
+    with pytest.raises(QuadratureError):
+        log_one_plus_sum_exp([np.array([800.0])])
+
+
+def _dense_orthant_sum(s, log_f, level):
+    """The rule's sum at one level over the full complex L^p tensor."""
+    L, logw = halfline_rule(level)
+    p = len(s)
+    axes = [L.reshape([-1 if d == i else 1 for d in range(p)]) for i in range(p)]
+    exponent = log_f(axes) + sum(
+        (v - 1.0) * a + (logw + L).reshape(a.shape) for v, a in zip(s, axes))
+    return complex(np.sum(np.exp(exponent)))
+
+
+@pytest.mark.parametrize("s, omega, level", [
+    ([0.4 + 0.3j, 0.7 - 0.2j], 2.5, 3),                 # 385 nodes: 3 slabs
+    ([0.4 + 0.3j, 0.6 - 0.25j, 0.5 + 0.15j], 3.0, 1),  # 97 nodes: 14 slabs
+])
+def test_slab_contraction_matches_dense_sum(s, omega, level):
+    def log_f(L):
+        return -omega * log_one_plus_sum_exp(L)
+
+    value, _, evals = integrate_orthant_log(
+        s, log_f, rel_tol=1.0, min_level=level, max_level=level + 1)
+    ref = _dense_orthant_sum(s, log_f, level + 1)
+    assert abs(value - ref) <= 1e-13 * abs(ref)
+    n_coarse, n_fine = (halfline_rule(k)[0].size for k in (level, level + 1))
+    assert evals == n_coarse ** len(s) + n_fine ** len(s)
+
+
+def test_orthant_memory_does_not_scale_with_the_lattice():
+    # level 3 has 193^3 points; a dense complex tensor of them is 115 MB
+    tracemalloc.start()
+    try:
+        integrate_orthant_log(
+            [0.5 + 0.1j, 0.6, 0.7 - 0.2j],
+            lambda L: -3.0 * log_one_plus_sum_exp(L),
+            rel_tol=1.0, min_level=2, max_level=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
+
+
 def test_unreachable_tolerance_raises():
     with pytest.raises(QuadratureError):
         integrate_orthant_log(
-            lambda L: (0.5 - 1.0) * L[0] - np.exp(L[0]), 1,
+            [0.5], lambda L: -np.exp(L[0]),
             rel_tol=1e-30, max_level=3)
