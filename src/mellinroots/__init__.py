@@ -16,7 +16,7 @@ from .hyper import (FactorPair, LinearFactor, check_functional_equation,
 from .identities import (det_cofactor, det_rank_one, dirichlet_integral,
                          i0_ii_decomposition_check)
 from .mellin import (Contour, MellinParams, QuadResult, default_contour,
-                     forward_mellin_check, kernel, kernel_value,
+                     forward_mellin_check, kernel_value,
                      principal_root_mb, quadratic_mb_check)
 from .oracle import Problem, RootSet, all_roots, epsilon_family, principal_root
 from .param import (ParamPoint, jacobian_det, principal_root_param,
@@ -30,7 +30,7 @@ __all__ = [
     "principal_root", "all_roots", "epsilon_family",
     "psi_forward", "psi_forward_complex", "psi_inverse", "jacobian_det",
     "principal_root_param",
-    "kernel", "kernel_value", "forward_mellin_check", "default_contour",
+    "kernel_value", "forward_mellin_check", "default_contour",
     "principal_root_mb", "quadratic_mb_check",
     "shift_ratio_factors", "check_functional_equation", "pde_residual",
     "series_coefficients",

@@ -104,12 +104,8 @@ def _emit(report: dict, args) -> None:
     print(f"total {report['timing']['total']:.3f} s")
 
 
-def _parse_int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip() != ""]
-
-
-def _parse_float_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip() != ""]
+def _parse_list(text: str, kind: type) -> list:
+    return [kind(tok) for tok in text.split(",") if tok.strip() != ""]
 
 
 def _resolve_tol(flag: float | None, fallback: float) -> float:
@@ -122,7 +118,7 @@ def _resolve_tol(flag: float | None, fallback: float) -> float:
 
 
 def _problem_from_args(args) -> Problem:
-    return Problem(args.n, _parse_int_list(args.exps), _parse_float_list(args.coeffs))
+    return Problem(args.n, _parse_list(args.exps, int), _parse_list(args.coeffs, float))
 
 
 # ----------------------------- root -----------------------------------------
@@ -143,11 +139,9 @@ def _solve_one(problem: Problem, methods: list[str], alpha: float, tol: float,
             elif method == "oracle":
                 z = principal_root(problem)
                 value, err = z ** alpha, 1e-13  # Newton accuracy bound
-            elif method == "mb":
+            else:  # "mb"; argparse admits no other method
                 res = principal_root_mb(problem, alpha=alpha)
                 value, err = res.value.real, res.err_estimate
-            else:
-                raise ValueError(f"unknown method {method}")
         except (ValueError, ArithmeticError, RuntimeError) as exc:
             raise _MethodFailure(f"method {method} failed: {exc}") from exc
         values[method] = (value, err)
@@ -177,16 +171,20 @@ def _read_spec(path: str, alpha: float) -> list[tuple[Problem, float]]:
         if not (isinstance(d, dict) and {"n", "exps", "coeffs"} <= d.keys()):
             raise ValueError(f"spec entry [{k}] must be an object with keys n, exps, coeffs")
         try:
-            problems.append((Problem(d["n"], d["exps"], d["coeffs"]),
-                             float(d.get("alpha", alpha))))
+            a = float(d.get("alpha", alpha))
+            problems.append((Problem(d["n"], d["exps"], d["coeffs"]), a))
         except TypeError as exc:
             raise ValueError(f"spec entry [{k}]: {exc}") from exc
+        if not math.isfinite(a):
+            raise ValueError(f"spec entry [{k}]: alpha must be finite, got {a}")
     return problems
 
 
 def cmd_root(args) -> int:
     tol = _resolve_tol(args.tol, 1e-9)
     alpha = args.alpha
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
     if args.spec:
         problems = _read_spec(args.spec, alpha)
         inputs = {"spec": args.spec, "method": args.method, "tol": tol}
@@ -212,23 +210,44 @@ def cmd_root(args) -> int:
 # ----------------------------- verify ---------------------------------------
 
 def _replay(suite: str, seed: int, count: int, tol: float) -> str:
-    return f"mellinroots verify --suite {suite} --seed {seed} --count {count} --tol {tol:g}"
+    return f"mellinroots verify --suite {suite} --seed {seed} --count {count} --tol {tol!r}"
 
 
-def _suite_det(rng, count, tol, report, replay):
-    worst_ok = True
-    for i in range(count):
-        p = int(rng.integers(1, 9))
-        nums = rng.integers(-9, 10, size=p)
-        dens = rng.integers(1, 10, size=p)
-        y = [Fraction(int(a), int(b)) for a, b in zip(nums, dens)]
-        ok = det_rank_one(y) == det_cofactor(build_rank_one_matrix(y))
-        if not ok:
-            worst_ok = False
-            report.add(_entry(f"det[{i}]", "det", 1.0, tol=0.0, passed=False,
-                              instance={"y": [str(v) for v in y]}, replay=replay))
-    report.add(_entry("det", "det", 0.0 if worst_ok else 1.0, tol=0.0,
-                      passed=worst_ok))
+def _driver(name, sample, measure, describe):
+    """run(rng, count, tol, report, replay): draw each instance, measure, record misses.
+
+    A measure that is not <= tol (NaN included) is a miss with its own entry;
+    the summary entry carries the worst measure, NaN if any was NaN.
+    """
+    def run(rng, count, tol, report, replay):
+        worst = 0.0
+        for i in range(count):
+            instance = sample(rng, i)
+            m = measure(instance, tol)
+            if m > worst or math.isnan(m):
+                worst = m
+            if not m <= tol:
+                report.add(_entry(f"{name}[{i}]", name, m, tol=tol, passed=False,
+                                  instance=describe(instance), replay=replay))
+        report.add(_entry(name, name, worst, tol=tol, passed=worst <= tol))
+    return run
+
+
+def _draw_det(rng, i):
+    p = int(rng.integers(1, 9))
+    nums = rng.integers(-9, 10, size=p)
+    dens = rng.integers(1, 10, size=p)
+    return [Fraction(int(a), int(b)) for a, b in zip(nums, dens)]
+
+
+def _det_gap(y, tol):
+    return abs(float(det_rank_one(y) - det_cofactor(build_rank_one_matrix(y))))
+
+
+def _draw_jacobian(rng, i):
+    p = int(rng.integers(1, 5))
+    shape = sampling.random_shape(rng, p, n_max=9)
+    return shape, rng.uniform(0.0, 5.0, size=p)
 
 
 def _fd_jacobian(xi, shape):
@@ -246,95 +265,30 @@ def _fd_jacobian(xi, shape):
     return float(np.linalg.det(J))
 
 
-def _suite_jacobian(rng, count, tol, report, replay):
-    worst = 0.0
-    for i in range(count):
-        p = int(rng.integers(1, 5))
-        shape = sampling.random_shape(rng, p, n_max=9)
-        xi = rng.uniform(0.0, 5.0, size=p)
-        point = ParamPoint.from_xi(xi)
-        closed = jacobian_det(point, shape)
-        fd = _fd_jacobian(list(xi), shape)
-        rel = abs(closed - fd) / abs(closed)
-        worst = max(worst, rel)
-        if rel > tol:
-            report.add(_entry(
-                f"jacobian[{i}]", "jacobian", rel, tol=tol, passed=False,
-                instance={"shape": [shape[0], list(shape[1])], "xi": list(map(float, xi))},
-                replay=replay))
-    report.add(_entry("jacobian", "jacobian", worst, tol=tol, passed=worst <= tol))
+def _jacobian_gap(instance, tol):
+    shape, xi = instance
+    closed = jacobian_det(ParamPoint.from_xi(xi), shape)
+    return abs(closed - _fd_jacobian(list(xi), shape)) / abs(closed)
 
 
-def _suite_mellin(rng, count, tol, report, replay):
-    worst = 0.0
-    ok = True
-    for i in range(count):
-        p = 1 if i % 3 else 2
-        shape, alpha, u_list = sampling.random_forward_tuple(rng, p)
-        params = MellinParams.for_shape(shape, alpha, u_list)
-        lhs, rhs = forward_mellin_check(shape, params, tol=tol)
-        rel = abs(lhs - rhs) / abs(rhs)
-        worst = max(worst, rel)
-        if rel > tol:
-            ok = False
-            report.add(_entry(
-                f"mellin[{i}]", "mellin", rel, tol=tol, passed=False,
-                instance={"shape": [shape[0], list(shape[1])], "alpha": alpha,
-                          "u": list(u_list)}, replay=replay))
-    report.add(_entry("mellin", "mellin", worst, tol=tol, passed=ok))
+def _mellin_gap(instance, tol):
+    shape, alpha, u_list = instance
+    params = MellinParams.for_shape(shape, alpha, u_list)
+    lhs, rhs = forward_mellin_check(shape, params, tol=tol)
+    return abs(lhs - rhs) / abs(rhs)
 
 
-def _suite_dirichlet(rng, count, tol, report, replay):
-    worst = 0.0
-    ok = True
-    for i in range(count):
-        p = i % 3 + 1
-        u, omega = sampling.random_dirichlet_tuple(rng, p)
-        numeric, closed = dirichlet_integral(u, omega, tol=tol)
-        rel = abs(numeric - closed) / abs(closed)
-        worst = max(worst, rel)
-        if rel > tol:
-            ok = False
-            report.add(_entry(
-                f"dirichlet[{i}]", "dirichlet", rel, tol=tol, passed=False,
-                instance={"u": [_num(v) for v in u], "omega": omega}, replay=replay))
-    report.add(_entry("dirichlet", "dirichlet", worst, tol=tol, passed=ok))
+def _dirichlet_gap(instance, tol):
+    numeric, closed = dirichlet_integral(*instance, tol=tol)
+    return abs(numeric - closed) / abs(closed)
 
 
-def _suite_funceq(rng, count, tol, report, replay):
-    worst = 0.0
-    ok = True
-    for i in range(count):
-        p = int(rng.integers(1, 4))
-        shape = sampling.random_shape(rng, p)
-        alpha = float(rng.uniform(0.5, 4.0))
-        u = [complex(rng.uniform(0.3, 1.5), rng.uniform(0.2, 1.0)) for _ in range(p)]
-        err = check_functional_equation(shape, alpha, u)
-        worst = max(worst, err)
-        if err > tol:
-            ok = False
-            report.add(_entry(
-                f"funceq[{i}]", "funceq", err, tol=tol, passed=False,
-                instance={"shape": [shape[0], list(shape[1])], "alpha": alpha,
-                          "u": [_num(v) for v in u]}, replay=replay))
-    report.add(_entry("funceq", "funceq", worst, tol=tol, passed=ok))
-
-
-def _suite_pde(rng, count, tol, report, replay):
-    worst = 0.0
-    ok = True
-    for i in range(count):
-        problem, alpha = sampling.random_pde_problem(rng)
-        res = pde_residual(problem, alpha, h=1e-2)
-        worst = max(worst, res)
-        if res > tol:
-            ok = False
-            report.add(_entry(
-                f"pde[{i}]", "pde", res, tol=tol, passed=False,
-                instance={"n": problem.n, "exps": list(problem.exps),
-                          "coeffs": list(problem.coeffs), "alpha": alpha},
-                replay=replay))
-    report.add(_entry("pde", "pde", worst, tol=tol, passed=ok))
+def _draw_funceq(rng, i):
+    p = int(rng.integers(1, 4))
+    shape = sampling.random_shape(rng, p)
+    alpha = float(rng.uniform(0.5, 4.0))
+    u = [complex(rng.uniform(0.3, 1.5), rng.uniform(0.2, 1.0)) for _ in range(p)]
+    return shape, alpha, u
 
 
 def _match_multisets(a, b):
@@ -348,36 +302,40 @@ def _match_multisets(a, b):
     return worst
 
 
-def _suite_epsilon(rng, count, tol, report, replay):
-    worst = 0.0
-    ok = True
-    for i in range(count):
-        problem = sampling.random_small_problem(rng)
-        fam = epsilon_family(problem)
-        comp = all_roots(problem).roots
-        dist = _match_multisets(fam, comp)
-        worst = max(worst, dist)
-        if dist > tol:
-            ok = False
-            report.add(_entry(
-                f"epsilon[{i}]", "epsilon", dist, tol=tol, passed=False,
-                instance={"n": problem.n, "exps": list(problem.exps),
-                          "coeffs": list(problem.coeffs)}, replay=replay))
-    report.add(_entry("epsilon", "epsilon", worst, tol=tol, passed=ok))
+def _shape_list(shape):
+    return [shape[0], list(shape[1])]
 
 
-_SUITES = {
-    "det": (_suite_det, 1000, 0.0),
-    "jacobian": (_suite_jacobian, 500, 1e-6),
-    "mellin": (_suite_mellin, 20, 1e-6),
-    "dirichlet": (_suite_dirichlet, 30, 1e-6),
-    "funceq": (_suite_funceq, 50, 1e-11),
-    "pde": (_suite_pde, 10, 1e-4),
-    "epsilon": (_suite_epsilon, 100, 1e-9),
-}
+def _problem_dict(problem):
+    return {"n": problem.n, "exps": list(problem.exps), "coeffs": list(problem.coeffs)}
+
+
+# name, sample(rng, i), measure(instance, tol), describe(instance), count, tol
+_SUITES = {name: (_driver(name, sample, measure, describe), count, tol)
+           for name, sample, measure, describe, count, tol in [
+    ("det", _draw_det, _det_gap, lambda y: {"y": [str(v) for v in y]}, 1000, 0.0),
+    ("jacobian", _draw_jacobian, _jacobian_gap,
+     lambda d: {"shape": _shape_list(d[0]), "xi": list(map(float, d[1]))}, 500, 1e-6),
+    ("mellin", lambda rng, i: sampling.random_forward_tuple(rng, 1 if i % 3 else 2),
+     _mellin_gap, lambda d: {"shape": _shape_list(d[0]), "alpha": d[1], "u": list(d[2])},
+     20, 1e-6),
+    ("dirichlet", lambda rng, i: sampling.random_dirichlet_tuple(rng, i % 3 + 1),
+     _dirichlet_gap, lambda d: {"u": [_num(v) for v in d[0]], "omega": d[1]}, 30, 1e-6),
+    ("funceq", _draw_funceq, lambda d, tol: check_functional_equation(*d),
+     lambda d: {"shape": _shape_list(d[0]), "alpha": d[1], "u": [_num(v) for v in d[2]]},
+     50, 1e-11),
+    ("pde", lambda rng, i: sampling.random_pde_problem(rng),
+     lambda d, tol: pde_residual(*d, h=1e-2),
+     lambda d: {**_problem_dict(d[0]), "alpha": d[1]}, 10, 1e-4),
+    ("epsilon", lambda rng, i: sampling.random_small_problem(rng),
+     lambda q, tol: _match_multisets(epsilon_family(q), all_roots(q).roots),
+     _problem_dict, 100, 1e-9),
+]}
 
 
 def cmd_verify(args) -> int:
+    if args.count is not None and args.count < 1:
+        raise ValueError(f"count must be at least 1, got {args.count}")
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     # det is exact: $MELLINROOTS_TOL does not loosen it, only --tol does
     tols = {name: _SUITES[name][2] if name == "det" and args.tol is None
@@ -432,9 +390,11 @@ def cmd_contour_trace(args) -> int:
 # ----------------------------- series ---------------------------------------
 
 def cmd_series(args) -> int:
-    exps = _parse_int_list(args.exps)
+    exps = _parse_list(args.exps, int)
     if len(exps) != 1:
         raise ValueError("series requires exactly one exponent (p = 1)")
+    if args.kmax < 0:
+        raise ValueError(f"kmax must be nonnegative, got {args.kmax}")
     coeffs = series_coefficients((args.n, tuple(exps)), args.alpha, args.kmax)
     if args.json or args.out:
         report = _Report("series", {"n": args.n, "exps": exps,
@@ -510,12 +470,9 @@ def main(argv=None) -> int:
             parser.error("root requires --n, --exps and --coeffs (or --spec)")
     try:
         return args.fn(args)
-    except NumericalError as exc:
+    except (NumericalError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, NumericalError) else 2
 
 
 if __name__ == "__main__":

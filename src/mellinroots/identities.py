@@ -38,25 +38,32 @@ def det_rank_one(y: Sequence[Fraction]) -> Fraction:
 
 
 def det_cofactor(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Exact determinant by cofactor expansion (memoized over column subsets)."""
-    p = len(matrix)
-    cache: dict[tuple[int, tuple[int, ...]], Fraction] = {}
+    """Exact determinant by fraction-free (Bareiss) elimination, O(p^3).
 
-    def expand(row: int, cols: tuple[int, ...]) -> Fraction:
-        if not cols:
-            return Fraction(1)
-        key = (row, cols)
-        if key in cache:
-            return cache[key]
-        total = Fraction(0)
-        for k, c in enumerate(cols):
-            sub = cols[:k] + cols[k + 1:]
-            term = matrix[row][c] * expand(row + 1, sub)
-            total += term if k % 2 == 0 else -term
-        cache[key] = total
-        return total
-
-    return expand(0, tuple(range(p)))
+    Step k updates the trailing block as
+    a_ij <- (a_ij a_kk - a_ik a_kj) / (previous pivot), a division that
+    Sylvester's identity makes exact; the last pivot is the determinant.
+    A zero pivot is swapped with a lower row (flipping the sign), and a
+    column with no nonzero pivot makes the determinant 0.
+    (Bareiss, Math. Comp. 22, 1968.)
+    """
+    a = [[Fraction(v) for v in row] for row in matrix]
+    p = len(a)
+    if p == 0:
+        return Fraction(1)
+    sign, prev = 1, Fraction(1)
+    for k in range(p - 1):
+        if a[k][k] == 0:
+            swap = next((r for r in range(k + 1, p) if a[r][k] != 0), None)
+            if swap is None:
+                return Fraction(0)
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, p):
+            for j in range(k + 1, p):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) / prev
+        prev = a[k][k]
+    return sign * a[-1][-1]
 
 
 def dirichlet_integral(

@@ -36,7 +36,7 @@ from .oracle import Problem
 from .quadrature import integrate_orthant_log, log_one_plus_sum_exp
 
 __all__ = [
-    "MellinParams", "Contour", "QuadResult", "kernel", "kernel_value",
+    "MellinParams", "Contour", "QuadResult", "kernel_value",
     "forward_mellin_check", "default_contour", "principal_root_mb",
     "quadratic_mb_check", "contour_integrand",
 ]
@@ -120,11 +120,6 @@ def kernel_value(shape: Shape, alpha: float, u_list: Sequence[complex]) -> compl
     return (alpha / n) * gamma_ratio([u, *u_list], [omega])
 
 
-def kernel(params: MellinParams, shape: Shape) -> complex:
-    """Kernel at validated transform parameters, formed in log space."""
-    return kernel_value(shape, params.alpha, params.u_list)
-
-
 def forward_mellin_check(
     shape: Shape,
     params: MellinParams,
@@ -157,7 +152,7 @@ def forward_mellin_check(
     lhs, _, _ = integrate_orthant_log(
         u_re, log_f, rel_tol=tol / 3.0,
         max_level=7 if p == 1 else 6)
-    rhs = kernel(params, shape)
+    rhs = kernel_value(shape, params.alpha, params.u_list)
     return lhs, rhs
 
 
@@ -313,6 +308,8 @@ def principal_root_mb(
     inside the validity sector |arg x_s| < n_s*pi/(2n).
     """
     p = problem.p
+    if not 0 < alpha < math.inf:
+        raise ConvergenceConditionError(f"alpha must be positive and finite, got {alpha}")
     if p > 2:
         raise ValueError("contour evaluation is implemented for p <= 2 "
                          "(use the parametric solver for higher p)")

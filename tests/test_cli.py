@@ -2,13 +2,17 @@
 
 import csv
 import json
+import math
+import shlex
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 from mellinroots import errors
 from mellinroots.cli import main
+from mellinroots.identities import det_rank_one
 
 
 def _run_json(capsys, argv):
@@ -286,3 +290,90 @@ def test_jacobian_failures_carry_their_own_instance(capsys):
     assert len(failures) >= 2
     instances = {json.dumps(r["instance"]) for r in failures}
     assert len(instances) == len(failures)
+
+
+def test_verify_nan_measure_is_a_miss(capsys, monkeypatch):
+    measures = iter([1e-13, float("nan"), 1e-13])
+    monkeypatch.setattr("mellinroots.cli.check_functional_equation",
+                        lambda *args: next(measures))
+    code, report = _run_json(capsys, ["verify", "--suite", "funceq", "--count", "3"])
+    assert code == 1
+    misses = [r for r in report["results"] if r["name"].startswith("funceq[")]
+    assert [r["name"] for r in misses] == ["funceq[1]"]
+    assert math.isnan(misses[0]["value"]) and misses[0]["passed"] is False
+    assert "instance" in misses[0] and "replay" in misses[0]
+    summary = report["results"][-1]
+    assert summary["name"] == "funceq" and summary["passed"] is False
+    assert math.isnan(summary["value"])
+
+
+def test_verify_tol_applies_to_det(capsys, monkeypatch):
+    monkeypatch.setattr("mellinroots.cli.det_rank_one",
+                        lambda y: det_rank_one(y) + Fraction(1, 10**6))
+    code, report = _run_json(capsys, ["verify", "--suite", "det", "--count", "3"])
+    assert code == 1
+    assert [r["name"] for r in report["results"]] == ["det[0]", "det[1]", "det[2]", "det"]
+    assert report["results"][-1]["value"] == pytest.approx(1e-6, rel=1e-12)
+    code, report = _run_json(capsys, ["verify", "--suite", "det", "--count", "3",
+                                      "--tol", "1e-5"])
+    assert code == 0
+    assert report["results"] == [{
+        "name": "det", "method": "det", "value": pytest.approx(1e-6, rel=1e-12),
+        "error_estimate": None, "tolerance": 1e-5, "passed": True}]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--count", "0"], "count must be at least 1, got 0"),
+    (["verify", "--suite", "det", "--count", "-3"], "count must be at least 1, got -3"),
+    (["series", "--n", "2", "--exps", "1", "--kmax", "-2"],
+     "kmax must be nonnegative, got -2"),
+])
+def test_vacuous_counts_exit_2(argv, message, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("method", ["mb", "param"])
+@pytest.mark.parametrize("alpha", ["nan", "inf", "-inf"])
+def test_root_nonfinite_alpha_exit_2(alpha, method, capsys):
+    assert main(["root", "--n", "2", "--exps", "1", "--coeffs", "1",
+                 "--method", method, f"--alpha={alpha}", "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: alpha must be finite, got {float(alpha)}\n"
+    assert captured.out == ""
+
+
+def test_root_spec_nonfinite_alpha_exit_2(tmp_path, capsys):
+    path = tmp_path / "batch.json"
+    path.write_text('[{"n": 2, "exps": [1], "coeffs": [1.0]},'
+                    ' {"n": 2, "exps": [1], "coeffs": [1.0], "alpha": NaN}]')
+    assert main(["root", "--spec", str(path), "--method", "param"]) == 2
+    assert capsys.readouterr().err == "error: spec entry [1]: alpha must be finite, got nan\n"
+
+
+@pytest.mark.parametrize("alpha", ["0", "-1"])
+def test_root_mb_nonpositive_alpha_exit_3(alpha, capsys):
+    assert main(["root", "--n", "2", "--exps", "1", "--coeffs", "1",
+                 "--method", "mb", f"--alpha={alpha}"]) == 3
+    err = capsys.readouterr().err
+    assert err == ("error: method mb failed: "
+                   f"alpha must be positive and finite, got {float(alpha)}\n")
+
+
+def test_verify_replay_reproduces_failures(capsys):
+    argv = ["verify", "--suite", "jacobian", "--count", "20", "--seed", "3"]
+    _, probe = _run_json(capsys, argv + ["--tol", "0"])
+    measures = [r["value"] for r in probe["results"] if r["name"].startswith("jacobian[")]
+    # a tolerance just below a measure that six significant digits would round
+    # above it, so a rounded replay would pass that instance
+    tol = next(t for t in (math.nextafter(m, 0.0) for m in measures)
+               if float(f"{t:g}") > t)
+    code, report = _run_json(capsys, argv + [f"--tol={tol!r}"])
+    assert code == 1
+    replay = report["results"][0]["replay"]
+    assert replay.startswith("mellinroots verify ")
+    code, again = _run_json(capsys, shlex.split(replay)[1:])
+    assert code == 1
+    assert again["results"] == report["results"]

@@ -41,6 +41,24 @@ def test_det_exact_bulk():
         assert det_rank_one(y) == det_cofactor(build_rank_one_matrix(y))
 
 
+@pytest.mark.parametrize("y", [(-1, 1), (-1, -1, 2), (-1,), ()])
+def test_det_zero_pivots(y):
+    y = [Fraction(v) for v in y]
+    assert det_cofactor(build_rank_one_matrix(y)) == det_rank_one(y)
+
+
+@pytest.mark.parametrize("matrix, det", [
+    ([[0, 1], [0, 2]], 0),                      # no pivot in column 0
+    ([[0, 1], [1, 0]], -1),                     # one swap
+    ([[0, 1, 0], [0, 0, 1], [1, 0, 0]], 1),     # two swaps
+    ([[1, 1, 0], [1, 1, 1], [0, 1, 1]], -1),    # zero pivot after one step
+    ([[1, 2, 3], [4, 5, 6], [7, 8, 10]], -3),
+    ([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 4), Fraction(1, 5)]], Fraction(1, 60)),
+])
+def test_det_general_matrices(matrix, det):
+    assert det_cofactor(matrix) == det
+
+
 def test_dirichlet_elementary():
     numeric, form = dirichlet_integral([1.0], 2.0, tol=1e-9)
     assert numeric.real == pytest.approx(1.0, abs=1e-9)

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from mellinroots import (ConvergenceConditionError, Problem, QuadratureError,
-                         default_contour, forward_mellin_check, kernel,
-                         kernel_value, principal_root, principal_root_mb,
+                         default_contour, forward_mellin_check, kernel_value,
+                         principal_root, principal_root_mb,
                          principal_root_param, quadratic_mb_check)
 from mellinroots.mellin import (Contour, MellinParams, _line_nodes, _log_integrand,
                                 contour_integrand)
@@ -28,11 +28,13 @@ QUAD_CLOSED = {
 def test_kernel_frozen_values():
     params = MellinParams.for_shape((2, (1,)), 1.0, [0.5])
     assert params.u == pytest.approx(0.25)
-    assert kernel(params, (2, (1,))).real == pytest.approx(KERNEL_A1_U05, rel=1e-13)
+    value = kernel_value((2, (1,)), params.alpha, params.u_list)
+    assert value.real == pytest.approx(KERNEL_A1_U05, rel=1e-13)
 
     params = MellinParams.for_shape((2, (1,)), 2.0, [1.0])
     assert params.u == pytest.approx(0.5)
-    assert kernel(params, (2, (1,))).real == pytest.approx(4.0 / 3.0, rel=1e-13)
+    value = kernel_value((2, (1,)), params.alpha, params.u_list)
+    assert value.real == pytest.approx(4.0 / 3.0, rel=1e-13)
 
 
 def test_kernel_conjugate_symmetry():
@@ -216,6 +218,12 @@ def test_mb_rejects_out_of_sector():
 def test_mb_rejects_zero_coefficient():
     with pytest.raises(ConvergenceConditionError):
         principal_root_mb(Problem(3, [2, 1], [0.0, 1.0]))
+
+
+@pytest.mark.parametrize("alpha", [0.0, -1.0, float("nan"), float("inf")])
+def test_mb_rejects_nonpositive_alpha(alpha):
+    with pytest.raises(ConvergenceConditionError, match="alpha must be positive and finite"):
+        principal_root_mb(Problem(2, [1], [1.0]), alpha=alpha)
 
 
 def test_mb_rejects_p3():
