@@ -1,9 +1,11 @@
 """Principal roots of Z^n + x1*Z^n1 + ... + xp*Z^np - 1 = 0 on the positive orthant.
 
 Three independent routes to the same number, cross-checked throughout:
-a safeguarded Newton oracle, the parametric substitution that linearizes
-the root to (1 + s)^(-1/n), and a Mellin-Barnes contour integral of the
-gamma-ratio kernel.
+a Newton oracle on log Z, the parametric substitution that linearizes the
+root to (1 + s)^(-1/n) with its level equation solved by Newton on
+log(1 + s), and a Mellin-Barnes contour integral of the gamma-ratio kernel.
+Both real-axis routes need no bracket and cover the whole orthant in
+double range.
 """
 
 from .errors import (ConvergenceConditionError, ContinuationError,

@@ -117,6 +117,12 @@ def _resolve_tol(flag: float | None, fallback: float) -> float:
     return tol
 
 
+def _finite_alpha(alpha: float) -> float:
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
+    return alpha
+
+
 def _problem_from_args(args) -> Problem:
     return Problem(args.n, _parse_list(args.exps, int), _parse_list(args.coeffs, float))
 
@@ -135,10 +141,10 @@ def _solve_one(problem: Problem, methods: list[str], alpha: float, tol: float,
         try:
             if method == "param":
                 z = principal_root_param(problem)
-                value, err = z ** alpha, 1e-13  # level-equation accuracy bound
+                value, err = z ** alpha, 1e-13  # accuracy bound of Newton on log W
             elif method == "oracle":
                 z = principal_root(problem)
-                value, err = z ** alpha, 1e-13  # Newton accuracy bound
+                value, err = z ** alpha, 1e-13  # accuracy bound of Newton on log Z
             else:  # "mb"; argparse admits no other method
                 res = principal_root_mb(problem, alpha=alpha)
                 value, err = res.value.real, res.err_estimate
@@ -171,20 +177,16 @@ def _read_spec(path: str, alpha: float) -> list[tuple[Problem, float]]:
         if not (isinstance(d, dict) and {"n", "exps", "coeffs"} <= d.keys()):
             raise ValueError(f"spec entry [{k}] must be an object with keys n, exps, coeffs")
         try:
-            a = float(d.get("alpha", alpha))
+            a = _finite_alpha(float(d.get("alpha", alpha)))
             problems.append((Problem(d["n"], d["exps"], d["coeffs"]), a))
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise ValueError(f"spec entry [{k}]: {exc}") from exc
-        if not math.isfinite(a):
-            raise ValueError(f"spec entry [{k}]: alpha must be finite, got {a}")
     return problems
 
 
 def cmd_root(args) -> int:
     tol = _resolve_tol(args.tol, 1e-9)
-    alpha = args.alpha
-    if not math.isfinite(alpha):
-        raise ValueError(f"alpha must be finite, got {alpha}")
+    alpha = _finite_alpha(args.alpha)
     if args.spec:
         problems = _read_spec(args.spec, alpha)
         inputs = {"spec": args.spec, "method": args.method, "tol": tol}
@@ -364,7 +366,7 @@ def cmd_contour_trace(args) -> int:
         raise ValueError("nodes_per_line must be odd and >= 9")
     if args.height is not None and not 0 < args.height < math.inf:
         raise ValueError("height must be positive and finite")
-    base = default_contour(problem, args.alpha)
+    base = default_contour(problem, _finite_alpha(args.alpha))
     contour = Contour(
         abscissas=base.abscissas,
         height=args.height if args.height is not None else base.height,
@@ -395,7 +397,7 @@ def cmd_series(args) -> int:
         raise ValueError("series requires exactly one exponent (p = 1)")
     if args.kmax < 0:
         raise ValueError(f"kmax must be nonnegative, got {args.kmax}")
-    coeffs = series_coefficients((args.n, tuple(exps)), args.alpha, args.kmax)
+    coeffs = series_coefficients((args.n, tuple(exps)), _finite_alpha(args.alpha), args.kmax)
     if args.json or args.out:
         report = _Report("series", {"n": args.n, "exps": exps,
                                     "alpha": args.alpha, "kmax": args.kmax})

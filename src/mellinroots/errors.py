@@ -15,7 +15,7 @@ class PoleError(NumericalError, ValueError):
 
 
 class GammaOverflowError(NumericalError, OverflowError):
-    """A gamma ratio exceeds the representable double range."""
+    """A value exceeds the representable double range."""
 
 
 class ConvergenceConditionError(NumericalError, ValueError):

@@ -178,6 +178,8 @@ def default_contour(
     Gamma(u_s) at 0 and of Gamma(u) at 0): a = alpha/(n_1 + sum n_k), capped
     at 1/2; the trapezoid step then resolves the strip to the same tolerance.
     """
+    if not 0 < alpha < math.inf:
+        raise ConvergenceConditionError(f"alpha must be positive and finite, got {alpha}")
     n, exps = problem.shape
     x = [complex(c) for c in (coeffs if coeffs is not None else problem.coeffs)]
     rate = _sector_rate(problem.shape, x)
@@ -296,7 +298,6 @@ def principal_root_mb(
     contour: Contour | None = None,
     tol: float | None = None,
     coeffs: Sequence[complex] | None = None,
-    _full_grid: bool = False,
 ) -> QuadResult:
     """Z(x)^alpha by the p-fold vertical-line integral of the kernel.
 
@@ -329,9 +330,9 @@ def principal_root_mb(
 
     a = list(contour.abscissas)
     T, m = contour.height, contour.nodes_per_line
-    v_base, n1 = _grid_sum(problem.shape, alpha, x, a, T, m, _full_grid)
-    v_fine, n2 = _grid_sum(problem.shape, alpha, x, a, T, 2 * m - 1, _full_grid)
-    v_tall, n3 = _grid_sum(problem.shape, alpha, x, a, 2.0 * T, 2 * m - 1, _full_grid)
+    v_base, n1 = _grid_sum(problem.shape, alpha, x, a, T, m)
+    v_fine, n2 = _grid_sum(problem.shape, alpha, x, a, T, 2 * m - 1)
+    v_tall, n3 = _grid_sum(problem.shape, alpha, x, a, 2.0 * T, 2 * m - 1)
 
     value = v_fine + (v_tall - v_base)
     err = abs(v_fine - v_base) + abs(v_tall - v_base) + 1e-15 * (1.0 + abs(value))

@@ -1,8 +1,9 @@
 """Ground-truth roots of Z^n + x1*Z^n1 + ... + xp*Z^np - 1 = 0.
 
 This module never touches the parametric substitution or any contour
-integral: the principal root comes from safeguarded Newton on (0, 1], the
-full root set from the companion matrix.  It is the independent referee
+integral: the principal root comes from Newton on log Z, which needs no
+bracket and covers every coefficient vector in double range; the full root
+set comes from the companion matrix.  It is the independent referee
 every other solver in the package is checked against.
 """
 
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -20,6 +22,13 @@ from .errors import ContinuationError, RootConvergenceError
 __all__ = ["Problem", "RootSet", "principal_root", "all_roots", "epsilon_family"]
 
 _MAX_NEWTON = 200
+
+
+def _integer(value, what: str) -> int:
+    """value as an int; ints, numpy integers and integral floats (3.0) pass."""
+    if isinstance(value, numbers.Integral) or isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -35,8 +44,8 @@ class Problem:
     coeffs: tuple[float, ...]
 
     def __init__(self, n: int, exps: Sequence[int], coeffs: Sequence[float]):
-        object.__setattr__(self, "n", int(n))
-        object.__setattr__(self, "exps", tuple(int(e) for e in exps))
+        object.__setattr__(self, "n", _integer(n, "degree n"))
+        object.__setattr__(self, "exps", tuple(_integer(e, "exponent") for e in exps))
         object.__setattr__(self, "coeffs", tuple(float(c) for c in coeffs))
         self._validate()
 
@@ -65,15 +74,6 @@ class Problem:
     @property
     def shape(self) -> tuple[int, tuple[int, ...]]:
         return (self.n, self.exps)
-
-    def residual(self, z: complex) -> complex:
-        """Z^n + sum x_i Z^{n_i} - 1, compensated summation for real z."""
-        if isinstance(z, complex) and z.imag != 0.0:
-            return self._poly(z)
-        zr = float(z.real) if isinstance(z, complex) else float(z)
-        terms = [zr ** self.n, -1.0]
-        terms += [c * zr ** e for c, e in zip(self.coeffs, self.exps)]
-        return math.fsum(terms)
 
     def _poly(self, z: complex) -> complex:
         val = z ** self.n - 1.0
@@ -110,31 +110,26 @@ class RootSet:
 def principal_root(problem: Problem) -> float:
     """The unique root in (0, 1] with Z -> 1 as all coefficients -> 0.
 
-    Newton from 1 with a bisection safeguard; the polynomial is strictly
-    increasing on (0, inf) with value -1 at 0, so the bracket (0, 1] holds.
+    Newton in y = log Z on F(y) = LSE(n y, log x_i + n_i y), the log of
+    Z^n + sum x_i Z^{n_i}: convex, increasing and zero at the root.  At the
+    dominant-balance start y0 = min(0, min_i -log(x_i)/n_i) one term alone
+    is 1, so F(y0) >= 0 and Newton descends monotonically, with no bracket,
+    for every coefficient vector in double range.  Zero coefficients drop out.
     """
-    if all(c == 0.0 for c in problem.coeffs):
-        return 1.0
-    lo, hi = 0.0, 1.0
-    z = 1.0
+    lines = [(0.0, problem.n)]  # (intercept, slope) in y of each term's log
+    lines += [(math.log(c), e) for c, e in zip(problem.coeffs, problem.exps) if c > 0.0]
+    y = min(-b / s for b, s in lines)
     for _ in range(_MAX_NEWTON):
-        f = problem.residual(z)
-        if f > 0.0:
-            hi = z
-        elif f < 0.0:
-            lo = z
-        else:
-            return z
-        df = problem._dpoly(z).real
-        step = f / df
-        z_new = z - step
-        if not lo < z_new < hi:
-            z_new = 0.5 * (lo + hi)
-        if abs(z_new - z) <= 5e-16 * abs(z):
-            return z_new
-        z = z_new
-    raise RootConvergenceError(
-        f"principal root iteration did not converge for {problem}")
+        a = [b + s * y for b, s in lines]
+        top = max(a)
+        w = [math.exp(v - top) for v in a]
+        total = sum(w)
+        # F / F' with F = top + log(total) and F' = sum s_j w_j / total
+        step = (top + math.log(total)) * total / sum(s * wj for (_, s), wj in zip(lines, w))
+        y -= step
+        if step <= 1e-14 * max(1.0, -y):
+            return math.exp(y)
+    raise RootConvergenceError(f"principal root iteration did not converge for {problem}")
 
 
 def _polish(problem: Problem, z: complex) -> complex:

@@ -3,17 +3,20 @@
 Under this substitution the principal root is simply Z = W^{-1/n}, so
 inverting the map on the positive orthant solves the equation.  The
 inversion reduces to one scalar level equation in s = sum(xi): on each
-level set the map is linear, so s is the only unknown.
+level set the map is linear, so s is the only unknown.  It is solved for
+L = log W = log(1 + s) by Newton, which needs no bracket and covers every
+coefficient vector in double range.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import RootConvergenceError
+from .errors import GammaOverflowError, RootConvergenceError
 from .oracle import Problem
 
 __all__ = [
@@ -24,6 +27,8 @@ __all__ = [
 Shape = tuple[int, tuple[int, ...]]
 
 _MAX_NEWTON = 300
+# up to here W = e^L and the xi summing to W - 1 stay finite, rounding of L included
+_LOG_MAX = math.log(sys.float_info.max) - 1e-9
 
 
 @dataclass(frozen=True)
@@ -51,11 +56,10 @@ class ParamPoint:
 
 def _check_shape(shape: Shape, p: int) -> tuple[int, tuple[int, ...]]:
     n, exps = shape
-    exps = tuple(int(e) for e in exps)
     if len(exps) != p:
         raise ValueError(f"shape has {len(exps)} exponents but point has {p} components")
-    Problem(n, exps, (0.0,) * len(exps))  # reuse exponent validation
-    return int(n), exps
+    problem = Problem(n, exps, (0.0,) * p)  # reuse degree and exponent validation
+    return problem.shape
 
 
 def psi_forward(point: ParamPoint, shape: Shape) -> tuple[float, ...]:
@@ -90,70 +94,50 @@ def jacobian_det(point: ParamPoint, shape: Shape) -> float:
     return W ** (sum(exps) / n - p - 1.0) * corr
 
 
-def _level_gap(s: float, coeffs, expo) -> float:
-    # g(s) = s - sum x_i (1+s)^{1 - n_i/n}
-    return math.fsum([s] + [-c * (1.0 + s) ** b for c, b in zip(coeffs, expo)])
+def _log_level(coeffs: Sequence[float], n: int, exps: Sequence[int]) -> float:
+    """L = log W on the level set W = 1 + sum x_i W^{1 - n_i/n}.
+
+    Newton from L = 0 on h(L) = LSE(0, log x_i + (1 - n_i/n) L) - L, formed as
+    LSE(-L, log x_i - (n_i/n) L) (the level equation over W) so that no large
+    terms cancel.  h is convex and decreasing with h(0) >= 0, so Newton ascends
+    monotonically, with no bracket, for every coefficient vector in double
+    range.  Zero coefficients drop out.
+    """
+    lines = [(0.0, -1.0)]  # (intercept, slope) in L of each term's log
+    lines += [(math.log(c), -e / n) for c, e in zip(coeffs, exps) if c > 0.0]
+    L = 0.0
+    for _ in range(_MAX_NEWTON):
+        a = [b + s * L for b, s in lines]
+        top = max(a)
+        w = [math.exp(v - top) for v in a]
+        total = sum(w)
+        # h / h' with h = top + log(total) and h' = sum s_j w_j / total < 0
+        step = (top + math.log(total)) * total / sum(s * wj for (_, s), wj in zip(lines, w))
+        L -= step
+        if -step <= 1e-14 * max(1.0, L):
+            return L
+    raise RootConvergenceError(f"level equation did not converge for coeffs={tuple(coeffs)}")
 
 
 def psi_inverse(coeffs: Sequence[float], shape: Shape) -> ParamPoint:
     """Unique xi >= 0 with psi_forward(xi) = coeffs.
 
-    Solves the scalar level equation g(s) = s - sum x_i (1+s)^{1-n_i/n} = 0
-    by bracketed Newton (g(0) <= 0 and g -> +inf), then back-substitutes
-    xi_i = x_i (1+s)^{1-n_i/n}.
+    Solves the level equation for L = log W, then back-substitutes
+    xi_i = x_i W^{1-n_i/n}.  Raises GammaOverflowError when W = e^L exceeds
+    the double range; principal_root_param, which never forms W, still
+    solves such coefficients.
     """
     coeffs = tuple(float(c) for c in coeffs)
     n, exps = _check_shape(shape, len(coeffs))
-    if any(c < 0 for c in coeffs):
-        raise ValueError(f"coefficients must be nonnegative, got {coeffs}")
-    if all(c == 0.0 for c in coeffs):
-        return ParamPoint(xi=(0.0,) * len(coeffs), s=0.0, W=1.0)
-
-    expo = tuple(1.0 - e / n for e in exps)  # each in (0, 1)
-    total = math.fsum(coeffs)
-
-    # initial bracket: g(0) = -sum(x) <= 0; expand hi geometrically until g > 0
-    lo = 0.0
-    try:
-        guess = total ** (n / (n - exps[0]))
-    except OverflowError:
-        guess = 1e300
-    hi = max(1.0, min(guess, 1e300) + 2.0 * total)
-    for _ in range(200):
-        if _level_gap(hi, coeffs, expo) > 0.0:
-            break
-        hi *= 4.0
-    else:
-        raise RootConvergenceError("could not bracket the level equation")
-
-    s = min(hi, total)
-    for _ in range(_MAX_NEWTON):
-        g = _level_gap(s, coeffs, expo)
-        if g > 0.0:
-            hi = s
-        elif g < 0.0:
-            lo = s
-        if abs(g) <= 1e-14 * (1.0 + s):
-            break
-        dg = 1.0 - math.fsum(c * b * (1.0 + s) ** (b - 1.0)
-                             for c, b in zip(coeffs, expo))
-        s_new = s - g / dg if dg > 0.0 else 0.5 * (lo + hi)
-        if not lo < s_new < hi:
-            s_new = 0.5 * (lo + hi)
-        if abs(s_new - s) <= 1e-16 * (1.0 + abs(s)):
-            s = s_new
-            break
-        s = s_new
-    else:
-        raise RootConvergenceError(
-            f"level equation did not converge for coeffs={coeffs}")
-
-    xi = tuple(c * (1.0 + s) ** b for c, b in zip(coeffs, expo))
-    s_val = math.fsum(xi)
-    return ParamPoint(xi=xi, s=s_val, W=1.0 + s_val)
+    if not all(0.0 <= c < math.inf for c in coeffs):
+        raise ValueError(f"coefficients must be finite and nonnegative, got {coeffs}")
+    L = _log_level(coeffs, n, exps)
+    if L > _LOG_MAX:
+        raise GammaOverflowError(
+            f"W = exp({L:g}) exceeds the double range for coeffs={coeffs}")
+    return ParamPoint.from_xi(c * math.exp((1.0 - e / n) * L) for c, e in zip(coeffs, exps))
 
 
 def principal_root_param(problem: Problem) -> float:
-    """Principal root as (1 + s)^{-1/n} with s from the inverted map."""
-    point = psi_inverse(problem.coeffs, problem.shape)
-    return point.W ** (-1.0 / problem.n)
+    """Principal root as W^{-1/n} = exp(-L/n), with L = log W from the level equation."""
+    return math.exp(-_log_level(problem.coeffs, problem.n, problem.exps) / problem.n)

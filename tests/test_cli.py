@@ -362,6 +362,41 @@ def test_root_mb_nonpositive_alpha_exit_3(alpha, capsys):
                    f"alpha must be positive and finite, got {float(alpha)}\n")
 
 
+def test_root_spec_nonintegral_degree_exit_2(tmp_path, capsys):
+    # 2.9 and 1.7 used to be truncated to n = 2, exps = (1,), printing 0.618 with exit 0
+    path = tmp_path / "batch.json"
+    path.write_text('[{"n": 2.9, "exps": [1.7], "coeffs": [1]}]')
+    assert main(["root", "--spec", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: spec entry [0]: degree n must be an integer, got 2.9\n"
+    assert captured.out == ""
+    path.write_text('[{"n": 3.0, "exps": [1.0], "coeffs": [0.5]}]')
+    assert main(["root", "--spec", str(path), "--method", "oracle"]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["contour-trace", "--n", "2", "--exps", "1", "--coeffs", "1", "--out", "{out}"],
+    ["series", "--n", "2", "--exps", "1"],
+])
+@pytest.mark.parametrize("alpha", ["nan", "inf", "-inf"])
+def test_nonfinite_alpha_exit_2(argv, alpha, tmp_path, capsys):
+    out = tmp_path / "trace.csv"
+    assert main([a.format(out=out) for a in argv] + [f"--alpha={alpha}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: alpha must be finite, got {float(alpha)}\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("alpha", ["0", "-1"])
+def test_contour_trace_nonpositive_alpha_exit_3(alpha, tmp_path, capsys):
+    out = tmp_path / "trace.csv"
+    assert main(["contour-trace", "--n", "2", "--exps", "1", "--coeffs", "1",
+                 "--out", str(out), f"--alpha={alpha}"]) == 3
+    assert capsys.readouterr().err == f"error: alpha must be positive and finite, got {float(alpha)}\n"
+    assert not out.exists()
+
+
 def test_verify_replay_reproduces_failures(capsys):
     argv = ["verify", "--suite", "jacobian", "--count", "20", "--seed", "3"]
     _, probe = _run_json(capsys, argv + ["--tol", "0"])

@@ -1,6 +1,7 @@
 """Tests for the forward transform identity and the contour-integral solver."""
 
 import cmath
+import functools
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from mellinroots import (ConvergenceConditionError, Problem, QuadratureError,
                          default_contour, forward_mellin_check, kernel_value,
                          principal_root, principal_root_mb,
                          principal_root_param, quadratic_mb_check)
+from mellinroots import mellin
 from mellinroots.mellin import (Contour, MellinParams, _line_nodes, _log_integrand,
                                 contour_integrand)
 
@@ -122,9 +124,11 @@ def test_mb_contour_independence():
     assert abs(r1.value - r2.value) <= r1.err_estimate + r2.err_estimate + 1e-9
 
 
-def test_mb_imaginary_part_vanishes_full_grid():
+def test_mb_imaginary_part_vanishes_full_grid(monkeypatch):
     for problem in [Problem(2, [1], [0.6]), Problem(4, [3, 1], [0.5, 1.1])]:
-        res = principal_root_mb(problem, alpha=1.0, _full_grid=True)
+        with monkeypatch.context() as m:
+            m.setattr(mellin, "_grid_sum", functools.partial(mellin._grid_sum, full_grid=True))
+            res = principal_root_mb(problem, alpha=1.0)
         assert abs(res.value.imag) <= res.err_estimate
         # the conjugate-symmetry fold (t_1 = 0 row, center term) adds nothing
         folded = principal_root_mb(problem, alpha=1.0)
@@ -224,6 +228,8 @@ def test_mb_rejects_zero_coefficient():
 def test_mb_rejects_nonpositive_alpha(alpha):
     with pytest.raises(ConvergenceConditionError, match="alpha must be positive and finite"):
         principal_root_mb(Problem(2, [1], [1.0]), alpha=alpha)
+    with pytest.raises(ConvergenceConditionError, match="alpha must be positive and finite"):
+        default_contour(Problem(2, [1], [1.0]), alpha)
 
 
 def test_mb_rejects_p3():

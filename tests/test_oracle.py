@@ -31,6 +31,20 @@ def test_problem_rejects_nonfinite_coefficient(bad):
         Problem(3, [2, 1], [0.5, bad])
 
 
+@pytest.mark.parametrize("n, exps", [
+    (2.9, [1]), (3, [1.7]), (4, [3, 1.5]), (math.nan, [1]), (math.inf, [1]), ("3", [1]),
+])
+def test_problem_rejects_nonintegral_degree_and_exponents(n, exps):
+    with pytest.raises(ValueError, match="must be an integer"):
+        Problem(n, exps, [1.0] * len(exps))
+
+
+def test_problem_accepts_integral_floats_and_numpy_integers():
+    problem = Problem(np.int64(4), [3.0, np.int32(1)], [0.5, 0.5])
+    assert problem.shape == (4, (3, 1))
+    assert all(type(v) is int for v in (problem.n, *problem.exps))
+
+
 def test_principal_root_at_zero_coeffs():
     assert principal_root(Problem(5, [3, 1], [0.0, 0.0])) == 1.0
 
@@ -53,7 +67,7 @@ def test_residual_bulk():
         coeffs = rng.uniform(0.0, 10.0, size=p)
         problem = Problem(n, exps, coeffs)
         z = principal_root(problem)
-        assert abs(problem.residual(z)) <= 1e-12
+        assert abs(problem._poly(z)) <= 1e-12
 
 
 def test_monotone_in_each_coefficient():
@@ -108,7 +122,7 @@ def test_all_roots_vieta():
         prod *= r
     assert prod == pytest.approx(-1.0, abs=1e-10)
     for r in roots:
-        assert abs(problem.residual(r)) <= 1e-10 * (1.0 + sum(problem.coeffs))
+        assert abs(problem._poly(r)) <= 1e-10 * (1.0 + sum(problem.coeffs))
 
 
 def test_all_roots_residuals_bulk():
@@ -125,7 +139,7 @@ def test_all_roots_residuals_bulk():
             scale = (abs(r) ** n + 1.0
                      + sum(c * abs(r) ** e for c, e in zip(problem.coeffs, problem.exps)))
             bound = max(1e-10 * (1.0 + sum(problem.coeffs)), 100.0 * 2.3e-16 * scale)
-            assert abs(problem.residual(r)) <= bound
+            assert abs(problem._poly(r)) <= bound
         assert rs.principal.imag == pytest.approx(0.0, abs=1e-12)
         assert rs.principal.real == pytest.approx(principal_root(problem), abs=1e-10)
 

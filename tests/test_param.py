@@ -2,14 +2,16 @@
 
 import cmath
 import math
+import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mellinroots import (ParamPoint, Problem, jacobian_det, principal_root,
-                         principal_root_param, psi_forward, psi_forward_complex,
-                         psi_inverse)
+from mellinroots import (GammaOverflowError, ParamPoint, Problem, jacobian_det,
+                         principal_root, principal_root_param, psi_forward,
+                         psi_forward_complex, psi_inverse)
 
 
 def test_param_point_invariants():
@@ -132,7 +134,7 @@ def test_substitution_identity():
         pt = ParamPoint.from_xi(rng.uniform(0.0, 100.0, size=p))
         x = psi_forward(pt, shape)
         z = pt.W ** (-1.0 / n)
-        assert abs(Problem(n, exps, x).residual(z)) <= 1e-13
+        assert abs(Problem(n, exps, x)._poly(z)) <= 1e-13
 
 
 def test_level_set_preservation():
@@ -162,6 +164,80 @@ def test_principal_root_param_matches_oracle():
         exps = np.sort(rng.choice(np.arange(1, n), size=p, replace=False))[::-1]
         problem = Problem(n, exps, rng.uniform(0.0, 10.0, size=p))
         assert abs(principal_root_param(problem) - principal_root(problem)) <= 1e-12
+
+
+@st.composite
+def _wide_problems(draw):
+    p = draw(st.integers(1, 5))
+    n = draw(st.integers(p + 1, 12))
+    exps = sorted(draw(st.sets(st.integers(1, n - 1), min_size=p, max_size=p)), reverse=True)
+    logs = draw(st.lists(st.floats(-300.0, 300.0), min_size=p, max_size=p))
+    return Problem(n, exps, [10.0 ** v for v in logs])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_wide_problems())
+def test_param_matches_oracle_on_wide_orthant(problem):
+    # log-uniform coefficients from 1e-300 to 1e300: the whole orthant in double range
+    zo = principal_root(problem)
+    assert abs(principal_root_param(problem) - zo) <= 1e-12 * zo
+
+
+def _relative_error(problem, z):
+    """|z - Z| / Z to first order, |f(z)| / (z f'(z)) evaluated in 50-digit mpmath."""
+    with mpmath.workdps(50):
+        z = mpmath.mpf(z)
+        terms = [(mpmath.mpf(1), problem.n)]
+        terms += [(mpmath.mpf(c), e) for c, e in zip(problem.coeffs, problem.exps)]
+        f = sum(c * z ** e for c, e in terms) - 1
+        return float(abs(f) / sum(e * c * z ** e for c, e in terms))
+
+
+@pytest.mark.parametrize("n, exps, coeffs", [
+    (12, (1,), (1e12,)),                       # param: could not bracket
+    (12, (1,), (1.8869286842301278e+139,)),   # param: could not bracket
+    (12, (11, 3), (5.193751436298543e+40, 8.041343280189311e+88)),  # param: -inf + inf in fsum
+    (6, (5, 4), (2.086897227207153e+229, 6.596961927416397e+231)),  # param: -inf + inf in fsum
+    (4, (3,), (5.6418624849944076e+45,)),      # param: did not converge
+    (12, (9, 7, 3), (4.879930064563728e-14, 1.0296763483644121e+117, 1732400997.5619488)),
+    (12, (11,), (1e300,)),                     # oracle: bisection cap; W overflows
+    (5, (4, 2, 1), (1e250, 0.0, 1e-280)),      # a zero among large ones
+    (7, (6, 1), (0.0, 1e300)),
+])
+def test_real_axis_routes_on_wide_coefficients(n, exps, coeffs):
+    problem = Problem(n, exps, coeffs)
+    zo, zp = principal_root(problem), principal_root_param(problem)
+    assert 0.0 < zo < 1.0
+    assert _relative_error(problem, zo) <= 1e-12
+    assert _relative_error(problem, zp) <= 1e-12
+    assert abs(zp - zo) <= 1e-12 * zo
+
+
+def test_real_axis_routes_all_zero_coefficients():
+    problem = Problem(12, (11, 5, 1), (0.0, 0.0, 0.0))
+    assert principal_root(problem) == principal_root_param(problem) == 1.0
+
+
+def test_psi_inverse_past_double_range():
+    # L = log W = (12/11) log 1e300 > log(DBL_MAX): no ParamPoint, but the root exists
+    problem = Problem(12, (11,), (1e300,))
+    with pytest.raises(GammaOverflowError, match="double range"):
+        psi_inverse(problem.coeffs, problem.shape)
+    assert _relative_error(problem, principal_root_param(problem)) <= 1e-12
+    # at the edge of the range a point is finite, or the error is typed
+    edge = math.sqrt(sys.float_info.max)
+    for k in range(-400, 400):
+        try:
+            point = psi_inverse([edge * (1.0 + k * 1e-16)], (2, (1,)))
+        except GammaOverflowError:
+            continue
+        assert math.isfinite(point.W)
+
+
+def test_psi_inverse_rejects_nonfinite_coefficients():
+    for bad in (math.nan, math.inf, -1.0):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            psi_inverse([0.5, bad], (3, (2, 1)))
 
 
 def test_complex_map_conformal_identity():
