@@ -264,10 +264,9 @@ def series_coefficients(shape: Shape, alpha: float, k_max: int) -> list[float]:
     c_k = (-1)^k/k! * (alpha/n) * Gamma(u(-k)) / Gamma(u(-k) - k + 1);
     a denominator pole means the coefficient vanishes.
     """
-    n, exps = shape
-    if len(exps) != 1:
+    if len(shape[1]) != 1:
         raise ValueError("residue series is implemented for p = 1 only")
-    n1 = exps[0]
+    n, (n1,) = Problem(*shape, (0.0,)).shape  # degree and exponent validation
     out: list[float] = []
     for k in range(k_max + 1):
         num = alpha / n + (n1 / n) * k

@@ -24,6 +24,7 @@ times rather than once per grid point.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -46,6 +47,21 @@ Shape = tuple[int, tuple[int, ...]]
 # drop grid points whose Stirling-bound magnitude is below e^-50 of the center
 _MASK_CUT = 50.0
 
+# points in one tensor block of the contour grid (about 4.1 M in the largest
+# block of criterion-02, 19.6 M in that of (5, (4, 1)) at tol 1e-12)
+_MAX_BLOCK_POINTS = 2 ** 25
+
+
+def _check_alpha(alpha: float) -> float:
+    if not 0 < alpha < math.inf:
+        raise ConvergenceConditionError(f"alpha must be positive and finite, got {alpha}")
+    return alpha
+
+
+def _check_block(points: int) -> None:
+    if points > _MAX_BLOCK_POINTS:
+        raise QuadratureError(f"contour grid block of {points} points exceeds {_MAX_BLOCK_POINTS}")
+
 
 @dataclass(frozen=True)
 class MellinParams:
@@ -58,16 +74,13 @@ class MellinParams:
     @classmethod
     def for_shape(cls, shape: Shape, alpha: float, u_list: Sequence[complex]) -> "MellinParams":
         n, exps = shape
-        alpha = float(alpha)
+        alpha = _check_alpha(float(alpha))
         u_list = tuple(complex(v) for v in u_list)
         if len(u_list) != len(exps):
             raise ValueError(f"{len(u_list)} arguments for {len(exps)} exponents")
-        if alpha <= 0:
-            raise ConvergenceConditionError(f"alpha must be positive, got {alpha}")
         u = alpha / n - sum((e / n) * uv for e, uv in zip(exps, u_list))
-        if any(uv.real <= 0 for uv in u_list):
-            raise ConvergenceConditionError(
-                f"all Re u_i must be positive, got {u_list}")
+        if not all(0 < uv.real < math.inf and math.isfinite(uv.imag) for uv in u_list):
+            raise ConvergenceConditionError(f"u_i must be finite with Re u_i > 0, got {u_list}")
         if u.real <= 0:
             raise ConvergenceConditionError(
                 f"Re u = {u.real:g} <= 0: alpha too small for these u_i")
@@ -157,12 +170,15 @@ def forward_mellin_check(
 
 
 def _sector_rate(shape: Shape, x: Sequence[complex]) -> float:
-    """Worst-case exponential decay rate of the contour integrand per line."""
+    """Decay rate of the contour integrand per line; raises for x_s = 0 or rate <= 0."""
+    if any(xv == 0 for xv in x):
+        raise ConvergenceConditionError(
+            "contour evaluation needs strictly positive |x_s| (x^-u undefined at 0)")
     n, exps = shape
-    rate = math.inf
-    for e, xv in zip(exps, x):
-        r = math.pi * e / n - abs(cmath.phase(complex(xv)))
-        rate = min(rate, r)
+    rate = min(math.pi * e / n - abs(cmath.phase(complex(xv))) for e, xv in zip(exps, x))
+    if rate <= 0:
+        raise ConvergenceConditionError(
+            "coefficients outside the validity sector |arg x_s| < n_s*pi/(2n)")
     return rate
 
 
@@ -177,15 +193,12 @@ def default_contour(
     Abscissas balance the two analyticity-strip constraints (the poles of
     Gamma(u_s) at 0 and of Gamma(u) at 0): a = alpha/(n_1 + sum n_k), capped
     at 1/2; the trapezoid step then resolves the strip to the same tolerance.
+    m = 1 (mod 4), so the grids of step h/2, h and 2h all end at +-T.
     """
-    if not 0 < alpha < math.inf:
-        raise ConvergenceConditionError(f"alpha must be positive and finite, got {alpha}")
+    _check_alpha(alpha)
     n, exps = problem.shape
     x = [complex(c) for c in (coeffs if coeffs is not None else problem.coeffs)]
     rate = _sector_rate(problem.shape, x)
-    if rate <= 0:
-        raise ConvergenceConditionError(
-            "coefficients outside the validity sector |arg x_s| < n_s*pi/(2n)")
     a = min(0.5, alpha / (exps[0] + sum(exps)))
     u0 = (alpha - a * sum(exps)) / n
     strip = min(a, min(u0 * n / e for e in exps))
@@ -193,7 +206,7 @@ def default_contour(
     osc = max(abs(cmath.log(abs(xv))) for xv in x)
     height = (0.8 * math.log(30.0 / tol) + 5.0 + 0.3 * osc) / rate
     step = 3.0 * math.pi * strip / (math.log(30.0 / tol) + 3.0 + 3.0 * strip * osc)
-    m = max(9, int(math.ceil(2.0 * height / step)) | 1)
+    m = max(9, 4 * math.ceil(height / (2.0 * step)) + 1)
     return Contour(abscissas=(a,) * len(exps), height=height, nodes_per_line=m)
 
 
@@ -256,40 +269,47 @@ def _stirling_exponent(shape, ts, argx):
 
 
 def _grid_sum(shape, alpha, x, a, T, m, full_grid=False):
-    """(h/2 pi)^p times the Stirling-masked trapezoid sum over the p-fold grid.
+    """Stirling-masked trapezoid sums over the p-fold grid, from one pass.
 
+    Returns (v_f, v_b, v_c, ring, points summed): (step/2 pi)^p times the sums
+    at steps h, 2h and 4h (every node, every second and every fourth from
+    t = 0), and (h/2 pi)^p times the sum of |f| on the ring max_s |t_s| = T.
     Points whose Stirling bound lies below e^-_MASK_CUT of the center are
     dropped.  For real positive x, f(-t) = conj f(t): only the points whose
-    first nonzero t_s is positive are summed, the sum is doubled, the center
+    first nonzero t_s is positive are summed, the sums are doubled, the center
     added once and the real part kept, so the full m^p mask is never formed.
-    Returns (value, points summed).
     """
     p = len(x)
     t, w, h = _line_nodes(T, m)
     c = (m - 1) // 2
     argx = [cmath.phase(complex(v)) for v in x]
-    scale = (h / (2.0 * math.pi)) ** p
 
     def block(axes):
-        # masked sum over the tensor block axes[0] x ... x axes[p-1] of node indices
+        # masked sums over the tensor block axes[0] x ... x axes[p-1] of node indices
         # the exponent array is not kept alive while the integrand is evaluated
+        _check_block(math.prod(map(len, axes)))
         ts = [t[ix] for ix in np.ix_(*axes)]
         idx = np.nonzero(_stirling_exponent(shape, ts, argx) <= _MASK_CUT)
-        logI = _log_integrand(shape, alpha, x, a, h, [ax[i] - c for ax, i in zip(axes, idx)])
-        weight = math.prod(w[ax][i] for ax, i in zip(axes, idx))
-        return complex(np.sum(np.exp(logI) * weight)), int(idx[0].size)
+        k = [ax[i] - c for ax, i in zip(axes, idx)]
+        f = np.exp(_log_integrand(shape, alpha, x, a, h, k))
+        ring = np.abs(f[functools.reduce(np.logical_or, [abs(ks) == c for ks in k])]).sum()
+        f *= math.prod(w[ax][i] for ax, i in zip(axes, idx))
+        # the low bit (two bits) of k_1 | ... | k_p is clear iff every k_s is even (0 mod 4)
+        bits = functools.reduce(np.bitwise_or, k)
+        sums = [np.sum(f), np.sum(f, where=bits & 1 == 0), np.sum(f, where=bits & 3 == 0), ring]
+        return np.array(sums, dtype=complex), int(f.size)
 
     every = np.arange(m, dtype=np.int32)  # int32 halves the per-point index arrays
     if full_grid or not all(v.imag == 0.0 and v.real > 0.0 for v in map(complex, x)):
         s, count = block([every] * p)
-        return s * scale, count
-    mid, positive = every[c:c + 1], every[c + 1:]
-    half, count = 0.0 + 0.0j, 1
-    for k in range(p):
-        s, n_k = block([mid] * k + [positive] + [every] * (p - k - 1))
-        half, count = half + s, count + n_k
-    center, _ = block([mid] * p)
-    return complex(2.0 * half.real + center.real) * scale, count
+    else:
+        mid, positive = every[c:c + 1], every[c + 1:]
+        half = [block([mid] * k + [positive] + [every] * (p - k - 1)) for k in range(p)]
+        center, _ = block([mid] * p)
+        s = 2.0 * sum(v for v, _ in half).real + center.real
+        count = 1 + sum(n_k for _, n_k in half)
+    s *= (h / (2.0 * math.pi)) ** p * np.array([1, 2 ** p, 4 ** p, 1])
+    return complex(s[0]), complex(s[1]), complex(s[2]), float(s[3].real), count
 
 
 def principal_root_mb(
@@ -301,76 +321,54 @@ def principal_root_mb(
 ) -> QuadResult:
     """Z(x)^alpha by the p-fold vertical-line integral of the kernel.
 
-    The returned value refines the base contour by node doubling and tail
-    extension; err_estimate is the a posteriori change under doubling the
-    node count and the truncation height.  For real positive coefficients
-    the imaginary part of the value is bounded by err_estimate.  ``coeffs``
-    overrides the problem's coefficients for evaluation at complex points
-    inside the validity sector |arg x_s| < n_s*pi/(2n).
+    One pass over 2m-1 nodes per line (step h/2 for the contour's m) gives
+    the value v_f and the sub-sums v_b (step h) and v_c (2h).  Halving the
+    step squares the error, so err_estimate is d_f^2/d_b (d_f if d_b <= d_f;
+    d_f = |v_f - v_b|, d_b = |v_b - v_c|) plus the boundary ring's |f| sum
+    continued geometrically at the sector decay rate plus 1e-15 (1 + |v_f|);
+    above ``tol`` it raises QuadratureError.  For real positive coefficients
+    the imaginary part is bounded by it too.  ``coeffs`` overrides the
+    problem's coefficients, for complex points inside the validity sector
+    |arg x_s| < n_s*pi/(2n).
     """
     p = problem.p
-    if not 0 < alpha < math.inf:
-        raise ConvergenceConditionError(f"alpha must be positive and finite, got {alpha}")
+    _check_alpha(alpha)
     if p > 2:
         raise ValueError("contour evaluation is implemented for p <= 2 "
                          "(use the parametric solver for higher p)")
     x = [complex(c) for c in (coeffs if coeffs is not None else problem.coeffs)]
     if len(x) != p:
         raise ValueError(f"{len(x)} coefficients for p = {p}")
-    if any(c == 0 for c in x):
-        raise ConvergenceConditionError(
-            "contour evaluation needs strictly positive |x_s| (x^-u undefined at 0)")
-    if _sector_rate(problem.shape, x) <= 0:
-        raise ConvergenceConditionError(
-            "coefficients outside the validity sector |arg x_s| < n_s*pi/(2n)")
+    rate = _sector_rate(problem.shape, x)
     if contour is None:
         contour = default_contour(problem, alpha, tol if tol is not None else 1e-7,
                                   coeffs=x)
     contour.validate_for(problem.shape, alpha)
 
-    a = list(contour.abscissas)
     T, m = contour.height, contour.nodes_per_line
-    v_base, n1 = _grid_sum(problem.shape, alpha, x, a, T, m)
-    v_fine, n2 = _grid_sum(problem.shape, alpha, x, a, T, 2 * m - 1)
-    v_tall, n3 = _grid_sum(problem.shape, alpha, x, a, 2.0 * T, 2 * m - 1)
-
-    value = v_fine + (v_tall - v_base)
-    err = abs(v_fine - v_base) + abs(v_tall - v_base) + 1e-15 * (1.0 + abs(value))
+    v_f, v_b, v_c, ring, count = _grid_sum(problem.shape, alpha, x, contour.abscissas,
+                                           T, 2 * m - 1)
+    d_f, d_b = abs(v_f - v_b), abs(v_b - v_c)
+    disc = d_f * d_f / d_b if d_b > d_f else d_f
+    tail = ring / -math.expm1(-rate * T / (m - 1))
+    err = disc + tail + 1e-15 * (1.0 + abs(v_f))
     if tol is not None and err > tol:
         raise QuadratureError(
             f"contour integral error estimate {err:g} exceeds requested {tol:g}")
-    return QuadResult(value=value, err_estimate=err, evaluations=n1 + n2 + n3)
+    return QuadResult(value=v_f, err_estimate=err, evaluations=count)
 
 
 def quadratic_mb_check(x: float, tol: float = 1e-8) -> tuple[float, float]:
-    """Contour-integral value of the quadratic's root against its closed form.
+    """principal_root_mb of Z^2 + x Z - 1 = 0 at ``tol``, and its closed form.
 
-    Evaluates (1/(4 pi i)) * integral over Re z = 1/2 of
-    Gamma(z) Gamma((1-z)/2) / Gamma((3+z)/2) * x^-z dz, which is the contour
-    integral of the kernel of (2, (1,)) at alpha = 1 (alpha/n = 1/2), and
-    compares with -x/2 + sqrt(1 + (x/2)^2), the principal root of
-    Z^2 + x Z - 1 = 0.  (The x^-z / Gamma((1-z)/2) combination is forced:
-    the frequently misprinted x^z / Gamma((1+z)/2) variant has a double pole
-    at z = -1 and is not an algebraic function of x at all.)
+    The contour integral is (1/(4 pi i)) * integral over Re z = 1/2 of
+    Gamma(z) Gamma((1-z)/2) / Gamma((3+z)/2) * x^-z dz, against
+    -x/2 + sqrt(1 + (x/2)^2).  (The x^-z / Gamma((1-z)/2) combination is
+    forced: the frequently misprinted x^z / Gamma((1+z)/2) variant has a
+    double pole at z = -1 and is not an algebraic function of x at all.)
     """
-    x = float(x)
-    if x <= 0:
-        raise ValueError("x must be positive")
-    rate = math.pi / 2.0
-    T = (math.log(30.0 / tol) + 6.0 + abs(math.log(x))) / rate
-    step = 2.0 * math.pi * 0.5 / (math.log(30.0 / tol) + 3.0 + abs(math.log(x)))
-    m = max(9, int(math.ceil(2.0 * T / step)) | 1)
-
-    def line_sum(TT, mm):
-        return _grid_sum((2, (1,)), 1.0, [x], [0.5], TT, mm)[0].real
-
-    v1 = line_sum(T, m)
-    v2 = line_sum(2.0 * T, 4 * m - 3)
-    err = abs(v2 - v1) + 1e-15
-    if err > tol:
-        raise QuadratureError(f"truncation error {err:g} above tol {tol:g}")
-    closed = -x / 2.0 + math.sqrt(1.0 + (x / 2.0) ** 2)
-    return v2, closed
+    res = principal_root_mb(Problem(2, [1], [x]), tol=tol)
+    return res.value.real, -x / 2.0 + math.sqrt(1.0 + (x / 2.0) ** 2)
 
 
 def contour_integrand(
@@ -389,6 +387,7 @@ def contour_integrand(
         raise ValueError("contour tracing is implemented for p <= 2")
     contour.validate_for(problem.shape, alpha)
     m = contour.nodes_per_line
+    _check_block(m ** p)
     t, _, h = _line_nodes(contour.height, m)
     idx = np.indices((m,) * p).reshape(p, -1)
     logI = _log_integrand(problem.shape, alpha, problem.coeffs, contour.abscissas, h,

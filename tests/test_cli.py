@@ -412,3 +412,33 @@ def test_verify_replay_reproduces_failures(capsys):
     code, again = _run_json(capsys, shlex.split(replay)[1:])
     assert code == 1
     assert again["results"] == report["results"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["root", "--n", "3", "--exps", "2,1", "--coeffs", "1e-300,1e300", "--method", "mb"],
+    ["contour-trace", "--n", "3", "--exps", "2,1", "--coeffs", "0.5,1", "--nodes", "200001",
+     "--out", "{out}"],
+])
+def test_contour_grid_too_large_exit_3(argv, tmp_path, capsys):
+    out = tmp_path / "trace.csv"
+    assert main([a.format(out=out) for a in argv]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "points exceeds" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert not out.exists()
+
+
+def test_contour_trace_zero_coefficient_exit_3(tmp_path, capsys):
+    out = tmp_path / "trace.csv"
+    assert main(["contour-trace", "--n", "3", "--exps", "2,1", "--coeffs", "0,1",
+                 "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "error: contour evaluation needs strictly positive |x_s| (x^-u undefined at 0)\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("exps", ["3", "0", "2"])
+def test_series_rejects_invalid_exponent_exit_2(exps, capsys):
+    assert main(["series", "--n", "2", "--exps", exps, "--kmax", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: exponents must satisfy") and captured.out == ""

@@ -179,6 +179,12 @@ def test_series_prefix_quadratic():
                                 abs=1e-14)
 
 
+@pytest.mark.parametrize("exps", [(3,), (2,), (0,), (1.5,)])
+def test_series_validates_shape(exps):
+    with pytest.raises(ValueError, match="exponent"):
+        series_coefficients((2, exps), 1.0, 2)
+
+
 def test_series_alpha2_consistent_with_convolution():
     c1 = series_coefficients((2, (1,)), 1.0, 10)
     c2 = series_coefficients((2, (1,)), 2.0, 10)
