@@ -12,13 +12,15 @@ spectrally accurate for analytic integrands decaying on the lines.  The
 truncation height comes from the Stirling decay of the kernel: the count of
 gamma factors upstairs exceeds downstairs by p, giving exponential decay at
 rate at least pi*n_s/n per line (minus |arg x_s| for complex coefficients,
-whence the validity sector |arg x_s| < n_s*pi/(2n)).
+whence the validity sector |arg x_s| < pi*n_s/n, where that rate is positive).
 
 On the trapezoid grid u_s = a_s + i k_s h the derived arguments are lattice
 values too: Im u = -(sum n_s k_s) h/n and Im omega = (sum (n-n_s) k_s) h/n.
 Each gamma factor is therefore a table over the occupied range of its integer
 index, gathered at the grid points, so log-gamma is evaluated O((n_1+n_2) m)
-times rather than once per grid point.
+times rather than once per grid point.  The Stirling bound that masks the
+grid is piecewise linear along each row of it, so the kept points are found
+as a few runs per row in closed form, and only they are evaluated.
 """
 
 from __future__ import annotations
@@ -47,9 +49,15 @@ Shape = tuple[int, tuple[int, ...]]
 # drop grid points whose Stirling-bound magnitude is below e^-50 of the center
 _MASK_CUT = 50.0
 
-# points in one tensor block of the contour grid (about 4.1 M in the largest
-# block of criterion-02, 19.6 M in that of (5, (4, 1)) at tol 1e-12)
+# points evaluated by one contour solve, after the mask and the fold (at most
+# 2.0 M on criterion-02, 6.1 M on (5, (4, 1)) at tol 1e-12), or by one trace;
+# checked before any per-point array is built, each point taking about 60 bytes
 _MAX_BLOCK_POINTS = 2 ** 25
+
+# rows of the grid scanned for kept runs by one solve (about 0.1 M for the
+# default contour of (3, (2, 1)) at coefficients 1e-300 and 1e300); each takes
+# several hundred bytes while its runs are found, before the points are counted
+_MAX_ROWS = 2 ** 20
 
 
 def _check_alpha(alpha: float) -> float:
@@ -60,7 +68,7 @@ def _check_alpha(alpha: float) -> float:
 
 def _check_block(points: int) -> None:
     if points > _MAX_BLOCK_POINTS:
-        raise QuadratureError(f"contour grid block of {points} points exceeds {_MAX_BLOCK_POINTS}")
+        raise QuadratureError(f"contour grid of {points} points exceeds {_MAX_BLOCK_POINTS}")
 
 
 @dataclass(frozen=True)
@@ -178,7 +186,7 @@ def _sector_rate(shape: Shape, x: Sequence[complex]) -> float:
     rate = min(math.pi * e / n - abs(cmath.phase(complex(xv))) for e, xv in zip(exps, x))
     if rate <= 0:
         raise ConvergenceConditionError(
-            "coefficients outside the validity sector |arg x_s| < n_s*pi/(2n)")
+            "coefficients outside the validity sector |arg x_s| < pi*n_s/n")
     return rate
 
 
@@ -210,13 +218,10 @@ def default_contour(
     return Contour(abscissas=(a,) * len(exps), height=height, nodes_per_line=m)
 
 
-def _line_nodes(T: float, m: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """Symmetric trapezoid nodes: t_j = j*h is exactly antisymmetric."""
+def _line_nodes(T: float, m: int) -> tuple[np.ndarray, float]:
+    """Symmetric trapezoid nodes and step: t_j = j*h is exactly antisymmetric."""
     h = 2.0 * T / (m - 1)
-    t = (np.arange(m) - (m - 1) // 2) * h
-    w = np.ones(m)
-    w[0] = w[-1] = 0.5
-    return t, w, h
+    return (np.arange(m) - (m - 1) // 2) * h, h
 
 
 def _lattice(coef: Sequence[int], k: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -268,6 +273,51 @@ def _stirling_exponent(shape, ts, argx):
     return E - sum(t * ax for t, ax in zip(ts, argx))
 
 
+def _kept_runs(shape, argx, t, lead, lo):
+    """Runs of last-axis offsets whose Stirling exponent is at most _MASK_CUT.
+
+    Row r fixes the leading offsets lead[s][r] and spans k_p = lo[r]..c.  Along
+    the row the exponent is linear in k_p between the sign changes of k_p,
+    K_u = sum n_s k_s and K_omega = sum (n-n_s) k_s, so each of the 4 pieces
+    keeps one run.  Where a piece crosses the cut, the crossing interpolated
+    from its ends is settled with _stirling_exponent itself, so the runs hold
+    exactly the points a per-point mask would keep.  Returns (row, start,
+    length) per piece.
+    """
+    n, exps = shape
+    c = (len(t) - 1) // 2
+    rows = len(lo)
+    K_u = sum((n_s * k for n_s, k in zip(exps, lead)), np.zeros(rows, dtype=np.int64))
+    K_om = sum(((n - n_s) * k for n_s, k in zip(exps, lead)), np.zeros(rows, dtype=np.int64))
+    # the three sign changes along the row, each rounded up to an integer k_p
+    brk = np.sort(np.column_stack(
+        [np.zeros(rows, dtype=np.int64), -(K_u // exps[-1]), -(K_om // (n - exps[-1]))]), axis=1)
+    first = np.maximum(np.column_stack([lo, brk]), lo[:, None]).ravel()
+    last = np.minimum(np.column_stack([brk - 1, np.full(rows, c)]), c).ravel()
+    r = np.repeat(np.arange(rows), 4)
+    r, first, last = r[first <= last], first[first <= last], last[first <= last]
+
+    def exponent(ri, j):
+        return _stirling_exponent(shape, [t[k[ri] + c] for k in lead] + [t[j + c]], argx)
+
+    E_first, E_last = exponent(r, first), exponent(r, last)
+    keep_first, keep_last = E_first <= _MASK_CUT, E_last <= _MASK_CUT
+    # one end kept: walk from it (a) toward the other (b) to the last kept offset j
+    i = np.flatnonzero(keep_first != keep_last)
+    a = np.where(keep_first[i], first[i], last[i])
+    b = np.where(keep_first[i], last[i], first[i])
+    E_a, E_b = np.minimum(E_first[i], E_last[i]), np.maximum(E_first[i], E_last[i])
+    d = np.sign(b - a)
+    step = np.floor((_MASK_CUT - E_a) / (E_b - E_a) * abs(b - a)).astype(np.int64)
+    j = a + d * np.minimum(step, abs(b - a) - 1)
+    while (out := exponent(r[i], j) > _MASK_CUT).any():
+        j[out] -= d[out]
+    while (more := exponent(r[i], j + d) <= _MASK_CUT).any():
+        j[more] += d[more]
+    first[i], last[i] = np.minimum(a, j), np.maximum(a, j)
+    return r, first, np.where(keep_first | keep_last, last - first + 1, 0)
+
+
 def _grid_sum(shape, alpha, x, a, T, m, full_grid=False):
     """Stirling-masked trapezoid sums over the p-fold grid, from one pass.
 
@@ -275,39 +325,43 @@ def _grid_sum(shape, alpha, x, a, T, m, full_grid=False):
     at steps h, 2h and 4h (every node, every second and every fourth from
     t = 0), and (h/2 pi)^p times the sum of |f| on the ring max_s |t_s| = T.
     Points whose Stirling bound lies below e^-_MASK_CUT of the center are
-    dropped.  For real positive x, f(-t) = conj f(t): only the points whose
-    first nonzero t_s is positive are summed, the sums are doubled, the center
-    added once and the real part kept, so the full m^p mask is never formed.
+    dropped: the grid is walked in rows along the last axis, each row's kept
+    points are a few runs in closed form (_kept_runs), and only those points
+    are indexed and evaluated.  For real positive x, f(-t) = conj f(t): the
+    rows k_1 >= 0 are summed, row 0 from k_p = 0, with weight 1/2 at the
+    center; the sums are doubled and the real part kept.
     """
     p = len(x)
-    t, w, h = _line_nodes(T, m)
+    t, h = _line_nodes(T, m)
     c = (m - 1) // 2
     argx = [cmath.phase(complex(v)) for v in x]
-
-    def block(axes):
-        # masked sums over the tensor block axes[0] x ... x axes[p-1] of node indices
-        # the exponent array is not kept alive while the integrand is evaluated
-        _check_block(math.prod(map(len, axes)))
-        ts = [t[ix] for ix in np.ix_(*axes)]
-        idx = np.nonzero(_stirling_exponent(shape, ts, argx) <= _MASK_CUT)
-        k = [ax[i] - c for ax, i in zip(axes, idx)]
-        f = np.exp(_log_integrand(shape, alpha, x, a, h, k))
-        ring = np.abs(f[functools.reduce(np.logical_or, [abs(ks) == c for ks in k])]).sum()
-        f *= math.prod(w[ax][i] for ax, i in zip(axes, idx))
-        # the low bit (two bits) of k_1 | ... | k_p is clear iff every k_s is even (0 mod 4)
-        bits = functools.reduce(np.bitwise_or, k)
-        sums = [np.sum(f), np.sum(f, where=bits & 1 == 0), np.sum(f, where=bits & 3 == 0), ring]
-        return np.array(sums, dtype=complex), int(f.size)
-
-    every = np.arange(m, dtype=np.int32)  # int32 halves the per-point index arrays
-    if full_grid or not all(v.imag == 0.0 and v.real > 0.0 for v in map(complex, x)):
-        s, count = block([every] * p)
-    else:
-        mid, positive = every[c:c + 1], every[c + 1:]
-        half = [block([mid] * k + [positive] + [every] * (p - k - 1)) for k in range(p)]
-        center, _ = block([mid] * p)
-        s = 2.0 * sum(v for v, _ in half).real + center.real
-        count = 1 + sum(n_k for _, n_k in half)
+    fold = not full_grid and all(v.imag == 0.0 and v.real > 0.0 for v in map(complex, x))
+    lead = [np.arange(0 if fold else -c, c + 1)] if p == 2 else []
+    lo = np.full(len(lead[0]) if lead else 1, -c)
+    if fold:
+        lo[0] = 0
+    if len(lo) > _MAX_ROWS:
+        raise QuadratureError(f"contour grid of {len(lo)} rows exceeds {_MAX_ROWS}")
+    row, start, length = _kept_runs(shape, argx, t, lead, lo)
+    count = int(length.sum())
+    _check_block(count)
+    # int32 halves the per-point index arrays; k_p counts up from each run's start
+    k = [np.repeat(kl[row].astype(np.int32), length) for kl in lead]
+    k.append(np.repeat((start - (np.cumsum(length) - length)).astype(np.int32), length))
+    k[-1] += np.arange(count, dtype=np.int32)
+    f = _log_integrand(shape, alpha, x, a, h, k)
+    np.exp(f, out=f)
+    edge = [np.abs(ks) == c for ks in k]
+    ring = np.abs(f[functools.reduce(np.logical_or, edge)]).sum()
+    for on_edge in edge:
+        f[on_edge] *= 0.5
+    if fold:
+        f[0] *= 0.5  # the center: row 0 starts there
+    # the low bit (two bits) of k_1 | ... | k_p is clear iff every k_s is even (0 mod 4)
+    bits = functools.reduce(np.bitwise_or, k)
+    s = np.array([f.sum(), f[bits & 1 == 0].sum(), f[bits & 3 == 0].sum(), ring], dtype=complex)
+    if fold:
+        s = 2.0 * s.real
     s *= (h / (2.0 * math.pi)) ** p * np.array([1, 2 ** p, 4 ** p, 1])
     return complex(s[0]), complex(s[1]), complex(s[2]), float(s[3].real), count
 
@@ -329,7 +383,7 @@ def principal_root_mb(
     above ``tol`` it raises QuadratureError.  For real positive coefficients
     the imaginary part is bounded by it too.  ``coeffs`` overrides the
     problem's coefficients, for complex points inside the validity sector
-    |arg x_s| < n_s*pi/(2n).
+    |arg x_s| < pi*n_s/n.
     """
     p = problem.p
     _check_alpha(alpha)
@@ -385,10 +439,11 @@ def contour_integrand(
     p = problem.p
     if p > 2:
         raise ValueError("contour tracing is implemented for p <= 2")
+    _sector_rate(problem.shape, problem.coeffs)
     contour.validate_for(problem.shape, alpha)
     m = contour.nodes_per_line
     _check_block(m ** p)
-    t, _, h = _line_nodes(contour.height, m)
+    t, h = _line_nodes(contour.height, m)
     idx = np.indices((m,) * p).reshape(p, -1)
     logI = _log_integrand(problem.shape, alpha, problem.coeffs, contour.abscissas, h,
                           idx - (m - 1) // 2)

@@ -165,8 +165,8 @@ def test_lattice_integrand_matches_kernel(problem, alpha, height, nodes):
 
 def test_lattice_integrand_matches_kernel_complex_coefficient():
     shape, alpha, a = (3, (2,)), 1.0, [0.25]
-    x = [0.9 * cmath.exp(0.5j * 2 * math.pi / 6)]  # inside |arg x| < n_1 pi / 2n
-    t, _, h = _line_nodes(10.0, 21)
+    x = [0.9 * cmath.exp(0.5j * 2 * math.pi / 6)]  # inside |arg x| < pi n_1/n
+    t, h = _line_nodes(10.0, 21)
     k = np.arange(21) - 10
     vals = np.exp(_log_integrand(shape, alpha, x, a, h, [k]))
     for tv, v in zip(t, vals):
@@ -183,9 +183,62 @@ def test_mb_grid_pinned(problem, alpha, evaluations):
     assert principal_root_mb(problem, alpha=alpha).evaluations == evaluations
 
 
+def _stirling_kept(shape, x, T, m, fold):
+    """Reference mask: the offsets (k_1, ..., k_p) whose Stirling exponent is at
+    most 50, found point by point over the full m^p tensor, in row-major order;
+    with the fold, only those whose first nonzero offset is positive, and 0."""
+    n, exps = shape
+    t, _ = _line_nodes(T, m)
+    ts = [t[ix] for ix in np.ix_(*[np.arange(m)] * len(x))]
+    im_u = -sum(e * tv for e, tv in zip(exps, ts)) / n
+    im_om = sum(ts, im_u)
+    E = (math.pi / 2.0) * (sum(map(np.abs, ts), np.abs(im_u)) - np.abs(im_om))
+    E = E - sum(tv * cmath.phase(xv) for tv, xv in zip(ts, x))
+    k = np.stack(np.nonzero(E <= 50.0), axis=1) - (m - 1) // 2
+    if fold:
+        k = k[np.where(k[:, 0] != 0, k[:, 0], k[:, -1]) >= 0]
+    return k
+
+
+@pytest.mark.parametrize("shape, x, full_grid", [
+    ((3, (2,)), [0.7], False),
+    ((3, (2,)), [0.7], True),
+    ((3, (2,)), [0.7 * cmath.exp(1.2j)], False),          # inside |arg x| < 2 pi/3
+    ((3, (2, 1)), [0.4, 0.9], False),
+    ((3, (2, 1)), [0.4, 0.9], True),
+    ((5, (4, 1)), [0.7, 1.3], False),
+    ((5, (4, 1)), [0.7, 1.3], True),
+    ((5, (4, 2)), [0.5, 1.1], False),                      # gcd 2 for u and omega
+    ((5, (4, 2)), [0.5, 1.1], True),
+    ((3, (2, 1)), [0.5 * cmath.exp(1.1j), 0.9 * cmath.exp(-0.8j)], False),
+    ((4, (3, 1)), [0.7 * cmath.exp(0.9j), 1.3 * cmath.exp(-0.35j)], False),
+])
+def test_grid_sum_keeps_reference_mask(monkeypatch, shape, x, full_grid):
+    x = [complex(v) for v in x]
+    problem = Problem(shape[0], list(shape[1]), [abs(v) for v in x])
+    contour = default_contour(problem, 1.0, coeffs=x)
+    fold = not full_grid and all(v.imag == 0.0 for v in x)
+    seen = []
+
+    def spy(*args):
+        seen.append(np.stack(args[-1], axis=1))
+        return _log_integrand(*args)
+
+    monkeypatch.setattr(mellin, "_log_integrand", spy)
+    # each height puts the cut somewhere else along the rows; the last drops points
+    for scale, m in [(1.0, 101), (2.5, 201), (3.0, 61)]:
+        T = scale * contour.height
+        seen.clear()
+        *_, count = mellin._grid_sum(shape, 1.0, x, contour.abscissas, T, m, full_grid=full_grid)
+        ref = _stirling_kept(shape, x, T, m, fold)
+        assert len(seen) == 1 and count == len(ref)
+        assert np.array_equal(seen[0], ref), (scale, m)
+    assert count < m ** len(x) // (2 if fold else 1)
+
+
 def test_mb_fully_masked_blocks():
     # h = 250: every off-center node lies below the Stirling cut, so each
-    # fold block but the center is empty; the one grid sums one point
+    # row's runs are empty but for the center; the one grid sums one point
     coarse = Contour(abscissas=(0.5,), height=1000.0, nodes_per_line=9)
     assert principal_root_mb(Problem(2, [1], [1.0]), contour=coarse).evaluations == 1
 
@@ -207,8 +260,10 @@ def _continued_root(n, n1, x):
 
 
 def test_mb_complex_coefficient_in_sector():
-    # p = 1: arg(x) strictly inside (-n1 pi / 2n, n1 pi / 2n)
-    for n, n1, r, frac in [(2, 1, 0.9, 0.5), (3, 2, 1.2, -0.6), (5, 3, 0.4, 0.3)]:
+    # p = 1: arg(x) strictly inside the sector |arg x| < pi n1/n, where the decay
+    # rate pi n1/n - |arg x| is positive; |frac| > 1 lies past n1 pi/(2n)
+    for n, n1, r, frac in [(2, 1, 0.9, 0.5), (3, 2, 1.2, -0.6), (5, 3, 0.4, 0.3),
+                           (2, 1, 0.9, 1.8), (3, 2, 1.2, -1.8), (3, 1, 0.5, 1.8)]:
         x = r * cmath.exp(1j * frac * n1 * math.pi / (2.0 * n))
         problem = Problem(n, [n1], [r])
         res = principal_root_mb(problem, alpha=1.0, coeffs=[x])
@@ -228,6 +283,12 @@ def test_mb_rejects_zero_coefficient():
         principal_root_mb(Problem(3, [2, 1], [0.0, 1.0]))
     with pytest.raises(ConvergenceConditionError, match="strictly positive"):
         default_contour(Problem(3, [2, 1], [0.0, 1.0]), 1.0)
+
+
+def test_contour_integrand_rejects_zero_coefficient():
+    contour = Contour(abscissas=(0.25, 0.25), height=10.0, nodes_per_line=21)
+    with pytest.raises(ConvergenceConditionError, match="strictly positive"):
+        contour_integrand(Problem(3, [2, 1], [0.0, 1.0]), 1.0, contour)
 
 
 @pytest.mark.parametrize("alpha", [0.0, -1.0, float("nan"), float("inf")])
@@ -261,6 +322,13 @@ def test_contour_constraint_violation():
 def test_contour_rejects_non_finite_values(abscissas, height):
     with pytest.raises(ConvergenceConditionError):
         Contour(abscissas=abscissas, height=height, nodes_per_line=9)
+
+
+def test_mb_refuses_too_many_rows():
+    # a tall, fine contour keeps few points but would scan 2^20 + 1 rows first
+    contour = Contour(abscissas=(0.25, 0.25), height=1e9, nodes_per_line=2 ** 20 + 1)
+    with pytest.raises(QuadratureError, match="rows exceeds"):
+        principal_root_mb(Problem(3, [2, 1], [0.5, 1.0]), contour=contour)
 
 
 def test_mb_tol_enforcement():
