@@ -20,7 +20,11 @@ Each gamma factor is therefore a table over the occupied range of its integer
 index, gathered at the grid points, so log-gamma is evaluated O((n_1+n_2) m)
 times rather than once per grid point.  The Stirling bound that masks the
 grid is piecewise linear along each row of it, so the kept points are found
-as a few runs per row in closed form, and only they are evaluated.
+as a few runs per row in closed form, and only they are evaluated.  Each table
+is split into a real log-magnitude and a unit phase: a point costs one real
+exp of its summed magnitude gathers and a product of its phase gathers, not a
+complex exp, and the runs are summed in blocks that fit in cache, so memory
+does not grow with the grid.
 """
 
 from __future__ import annotations
@@ -51,13 +55,20 @@ _MASK_CUT = 50.0
 
 # points evaluated by one contour solve, after the mask and the fold (at most
 # 2.0 M on criterion-02, 6.1 M on (5, (4, 1)) at tol 1e-12), or by one trace;
-# checked before any per-point array is built, each point taking about 60 bytes
+# checked before any point is evaluated.  A solve walks its points in blocks of
+# fixed memory, so for it the cap bounds time (about 50 ns a point); a trace
+# still holds every point at once
 _MAX_BLOCK_POINTS = 2 ** 25
 
 # rows of the grid scanned for kept runs by one solve (about 0.1 M for the
 # default contour of (3, (2, 1)) at coefficients 1e-300 and 1e300); each takes
 # several hundred bytes while its runs are found, before the points are counted
 _MAX_ROWS = 2 ** 20
+
+# points of one block of the contour sum, whole runs of the last axis: each
+# block's per-point arrays (a few dozen bytes a point) stay in cache, and the
+# Python cost per block is small beside its numpy work
+_BLOCK_POINTS = 2 ** 15
 
 
 def _check_alpha(alpha: float) -> float:
@@ -178,15 +189,32 @@ def forward_mellin_check(
 
 
 def _sector_rate(shape: Shape, x: Sequence[complex]) -> float:
-    """Decay rate of the contour integrand per line; raises for x_s = 0 or rate <= 0."""
+    """Decay rate of the contour integrand per line; raises for x_s = 0 or rate <= 0.
+
+    At p = 2 the lines' rates can be positive while the integrand grows along a
+    diagonal direction, so the Stirling exponent is also checked over the ring
+    max_s |t_s| = 1.  It is piecewise linear there, with its minimum at a
+    corner or where one of its terms changes sign; the rate, which sizes the
+    contour, stays the per-line minimum.
+    """
     if any(xv == 0 for xv in x):
         raise ConvergenceConditionError(
             "contour evaluation needs strictly positive |x_s| (x^-u undefined at 0)")
     n, exps = shape
-    rate = min(math.pi * e / n - abs(cmath.phase(complex(xv))) for e, xv in zip(exps, x))
+    argx = [cmath.phase(complex(xv)) for xv in x]
+    rate = min(math.pi * e / n - abs(ax) for e, ax in zip(exps, argx))
     if rate <= 0:
         raise ConvergenceConditionError(
             "coefficients outside the validity sector |arg x_s| < pi*n_s/n")
+    if len(exps) == 2:
+        # t_1, t_2, Im u and Im omega change sign across these normals
+        normals = np.array([(1, 0), (0, 1), exps, [n - e for e in exps]], dtype=float)
+        turns = normals[:, ::-1] * [1, -1] / np.abs(normals).max(axis=1, keepdims=True)
+        ring = np.concatenate([turns, -turns, [(1, 1), (1, -1), (-1, 1), (-1, -1)]])
+        if _stirling_exponent(shape, list(ring.T), argx).min() <= 0:
+            raise ConvergenceConditionError(
+                "coefficients outside the validity domain: the contour integrand "
+                "does not decay along every direction of the double integral")
     return rate
 
 
@@ -224,44 +252,62 @@ def _line_nodes(T: float, m: int) -> tuple[np.ndarray, float]:
     return (np.arange(m) - (m - 1) // 2) * h, h
 
 
-def _lattice(coef: Sequence[int], k: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """The integer index K = sum coef_s k_s at each point, as a table and a gather.
+def _lattice_tables(shape: Shape, alpha: float, x: Sequence[complex], a: Sequence[float],
+                    h: float, ends: Sequence[np.ndarray]) -> list[tuple]:
+    """Tables of the integrand's factors over the lattice values the grid spans.
 
-    Returns (values, index): the multiples of g = gcd(coef) from min K to max K,
-    and the position of each point's K among them, so a table over the values
-    holds one entry per lattice value spanned.
-    """
-    g = math.gcd(*coef)
-    K = sum((c // g) * ks for c, ks in zip(coef, k))
-    lo = int(K.min()) if K.size else 0
-    return g * np.arange(lo, int(K.max(initial=lo)) + 1), K - lo
-
-
-def _log_integrand(shape: Shape, alpha: float, x: Sequence[complex], a: Sequence[float],
-                   h: float, k: Sequence[np.ndarray]) -> np.ndarray:
-    """log(F(u) * prod x_s^-u_s) at the grid points u_s = a_s + i k_s h.
-
-    On this lattice Im u = -(sum n_s k_s) h/n and Im omega = (sum (n-n_s) k_s) h/n,
-    with fixed real parts, so every gamma factor is a table over the integer
-    index it depends on (k_s for the line factor log Gamma(u_s) - u_s log x_s),
-    evaluated once per lattice value and gathered at the points.  All tables
-    go through one log-gamma call: on small grids its fixed cost dominates.
+    On the grid u_s = a_s + i k_s h, Im u = -(sum n_s k_s) h/n and
+    Im omega = (sum (n-n_s) k_s) h/n with fixed real parts, so each factor of
+    F(u) prod x_s^-u_s depends on one integer index K = sum coef_s k_s (coef
+    reduced by its gcd): log Gamma(u) + log(alpha/n), -log Gamma(omega) and,
+    per line, log Gamma(u_s) - u_s log x_s.  Each is tabulated from the least
+    to the greatest K at the offsets ``ends`` (one array per axis); K is
+    linear along a run of the last axis, so a run's two ends bound it.  All
+    tables go through one log-gamma call: on small grids its fixed cost
+    dominates.  Returns (coef, lo, log_mag, phase) per factor, the real part
+    of the factor's log and exp(i times its imaginary part), at index K - lo.
     """
     n, exps = shape
     u0 = alpha / n - sum(e * a_s for e, a_s in zip(exps, a)) / n
     om0 = sum(a, u0) + 1.0
-    K_u, i_u = _lattice(exps, k)
-    K_om, i_om = _lattice([n - e for e in exps], k)
-    lines = [_lattice([1], [ks]) for ks in k]
-    zs = [u0 - 1j * (h / n) * K_u, om0 + 1j * (h / n) * K_om,
-          *(a_s + 1j * h * K for a_s, (K, _) in zip(a, lines))]
+    factors = [(exps, u0, -1j * (h / n)), ([n - e for e in exps], om0, 1j * (h / n)),
+               *(([int(r == s) for r in range(len(a))], a_s, 1j * h) for s, a_s in enumerate(a))]
+    coefs, los, zs = [], [], []
+    for coef, re, step in factors:
+        g = math.gcd(*coef)
+        coef = [cs // g for cs in coef]
+        K = sum(cs * ks for cs, ks in zip(coef, ends))
+        lo = int(K.min())
+        coefs.append(coef)
+        los.append(lo)
+        zs.append(re + step * (g * np.arange(lo, int(K.max()) + 1)))
     lg = np.split(log_gamma_array(np.concatenate(zs)), np.cumsum([z.size for z in zs[:-1]]))
-    out = lg[0][i_u]
-    out += math.log(alpha / n)
-    out -= lg[1][i_om]
-    for u_s, lg_s, (_, i), xv in zip(zs[2:], lg[2:], lines, x):
-        out += (lg_s - u_s * cmath.log(complex(xv)))[i]
-    return out
+    lg[0] += math.log(alpha / n)
+    lg[1] = -lg[1]
+    for z, lg_s, xv in zip(zs[2:], lg[2:], x):
+        lg_s -= z * cmath.log(complex(xv))
+    return [(coef, lo, v.real.copy(), np.exp(1j * v.imag))
+            for coef, lo, v in zip(coefs, los, lg)]
+
+
+def _lattice_integrand(tables: list[tuple],
+                       k: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """|f| and f/|f| at the grid offsets k (one integer array per axis).
+
+    f = F(u) prod x_s^-u_s is a product of the factors in ``tables``: |f| is
+    one real exp of the summed log-magnitude gathers and f/|f| the product
+    of the unit-phase gathers, so no complex exp runs per point.
+    """
+    log_mag = phase = None
+    for coef, lo, lm, ph in tables:
+        i = functools.reduce(np.add, (ks if cs == 1 else cs * ks
+                                      for cs, ks in zip(coef, k) if cs)) - lo
+        if log_mag is None:
+            log_mag, phase = lm.take(i), ph.take(i)
+        else:
+            log_mag += lm.take(i)
+            phase *= ph.take(i)
+    return np.exp(log_mag, out=log_mag), phase
 
 
 def _stirling_exponent(shape, ts, argx):
@@ -325,11 +371,17 @@ def _grid_sum(shape, alpha, x, a, T, m, full_grid=False):
     at steps h, 2h and 4h (every node, every second and every fourth from
     t = 0), and (h/2 pi)^p times the sum of |f| on the ring max_s |t_s| = T.
     Points whose Stirling bound lies below e^-_MASK_CUT of the center are
-    dropped: the grid is walked in rows along the last axis, each row's kept
-    points are a few runs in closed form (_kept_runs), and only those points
-    are indexed and evaluated.  For real positive x, f(-t) = conj f(t): the
-    rows k_1 >= 0 are summed, row 0 from k_p = 0, with weight 1/2 at the
-    center; the sums are doubled and the real part kept.
+    dropped: the grid is walked in rows along the last axis, and each row's
+    kept points are a few runs in closed form (_kept_runs).  The factor
+    tables are built once, over the lattice values the runs span; the runs
+    are then walked in blocks of whole runs of at most _BLOCK_POINTS points
+    (a longer run is cut into pieces first), so every per-point array fits
+    in cache.  Each block gathers |f| and f/|f| from the tables
+    (_lattice_integrand) and takes its masked sums, each a pairwise sum; the
+    blocks' sums are then summed pairwise too.  For real positive x,
+    f(-t) = conj f(t): the rows k_1 >= 0 are summed, row 0 from k_p = 0, with
+    weight 1/2 at the center; only the real part of f is formed, and the sums
+    are doubled.
     """
     p = len(x)
     t, h = _line_nodes(T, m)
@@ -345,21 +397,43 @@ def _grid_sum(shape, alpha, x, a, T, m, full_grid=False):
     row, start, length = _kept_runs(shape, argx, t, lead, lo)
     count = int(length.sum())
     _check_block(count)
-    # int32 halves the per-point index arrays; k_p counts up from each run's start
-    k = [np.repeat(kl[row].astype(np.int32), length) for kl in lead]
-    k.append(np.repeat((start - (np.cumsum(length) - length)).astype(np.int32), length))
-    k[-1] += np.arange(count, dtype=np.int32)
-    f = _log_integrand(shape, alpha, x, a, h, k)
-    np.exp(f, out=f)
-    edge = [np.abs(ks) == c for ks in k]
-    ring = np.abs(f[functools.reduce(np.logical_or, edge)]).sum()
-    for on_edge in edge:
-        f[on_edge] *= 0.5
-    if fold:
-        f[0] *= 0.5  # the center: row 0 starts there
-    # the low bit (two bits) of k_1 | ... | k_p is clear iff every k_s is even (0 mod 4)
-    bits = functools.reduce(np.bitwise_or, k)
-    s = np.array([f.sum(), f[bits & 1 == 0].sum(), f[bits & 3 == 0].sum(), ring], dtype=complex)
+    row, start, length = row[length > 0], start[length > 0], length[length > 0]
+    heads = [kl[row] for kl in lead]
+    tables = _lattice_tables(shape, alpha, x, a, h,
+                             [np.concatenate([kh, kh]) for kh in heads]
+                             + [np.concatenate([start, start + length - 1])])
+    # cut runs longer than a block into pieces, then group whole pieces into blocks
+    pieces = -(-length // _BLOCK_POINTS)
+    run = np.repeat(np.arange(len(length)), pieces)
+    cut = _BLOCK_POINTS * (np.arange(len(run)) - np.repeat(np.cumsum(pieces) - pieces, pieces))
+    heads = [kh[run] for kh in heads]
+    start, length = start[run] + cut, np.minimum(length[run] - cut, _BLOCK_POINTS)
+    ends = np.cumsum(length)
+    bounds = [0]
+    while bounds[-1] < len(ends):
+        done = ends[bounds[-1] - 1] if bounds[-1] else 0
+        bounds.append(int(np.searchsorted(ends, done + _BLOCK_POINTS, side="right")))
+    offsets = np.arange(min(count, _BLOCK_POINTS))
+    parts = []  # per block: the three sums and the ring's
+    for b0, b1 in zip(bounds, bounds[1:]):
+        run_len = length[b0:b1]
+        first = np.cumsum(run_len) - run_len  # each run's position in the block
+        k = [np.repeat(kh[b0:b1], run_len) for kh in heads]
+        k.append(np.repeat(start[b0:b1] - first, run_len) + offsets[:first[-1] + run_len[-1]])
+        mag, phase = _lattice_integrand(tables, k)
+        edge = [np.abs(ks) == c for ks in k]
+        ring = mag[functools.reduce(np.logical_or, edge)].sum()
+        for on_edge in edge:
+            mag[on_edge] *= 0.5
+        if fold and b0 == 0:
+            mag[0] *= 0.5  # the center: row 0 starts there
+        f = mag * (phase.real if fold else phase)
+        # the low bit (two bits) of k_1 | ... | k_p is clear iff every k_s is even (0 mod 4)
+        bits = functools.reduce(np.bitwise_or, k)
+        parts.append([f.sum(), np.compress(bits & 1 == 0, f).sum(),
+                      np.compress(bits & 3 == 0, f).sum(), ring])
+    # pairwise over the blocks too: a C-ordered copy puts each sum's parts in one row
+    s = np.array(parts, dtype=complex).T.copy().sum(axis=1)
     if fold:
         s = 2.0 * s.real
     s *= (h / (2.0 * math.pi)) ** p * np.array([1, 2 ** p, 4 ** p, 1])
@@ -445,6 +519,7 @@ def contour_integrand(
     _check_block(m ** p)
     t, h = _line_nodes(contour.height, m)
     idx = np.indices((m,) * p).reshape(p, -1)
-    logI = _log_integrand(problem.shape, alpha, problem.coeffs, contour.abscissas, h,
-                          idx - (m - 1) // 2)
-    return t[idx].T, np.exp(logI)
+    k = list(idx - (m - 1) // 2)
+    tables = _lattice_tables(problem.shape, alpha, problem.coeffs, contour.abscissas, h, k)
+    mag, phase = _lattice_integrand(tables, k)
+    return t[idx].T, mag * phase

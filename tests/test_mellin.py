@@ -2,7 +2,9 @@
 
 import cmath
 import functools
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,8 +14,8 @@ from mellinroots import (ConvergenceConditionError, Problem, QuadratureError,
                          principal_root, principal_root_mb,
                          principal_root_param, quadratic_mb_check)
 from mellinroots import mellin, sampling
-from mellinroots.mellin import (Contour, MellinParams, _line_nodes, _log_integrand,
-                                contour_integrand)
+from mellinroots.mellin import (Contour, MellinParams, _lattice_integrand, _lattice_tables,
+                                _line_nodes, contour_integrand)
 
 # frozen 40-digit reference values
 KERNEL_A1_U05 = 3.496076739056159747286452786521492551577   # (1/2)G(.25)G(.5)/G(1.75)
@@ -168,7 +170,8 @@ def test_lattice_integrand_matches_kernel_complex_coefficient():
     x = [0.9 * cmath.exp(0.5j * 2 * math.pi / 6)]  # inside |arg x| < pi n_1/n
     t, h = _line_nodes(10.0, 21)
     k = np.arange(21) - 10
-    vals = np.exp(_log_integrand(shape, alpha, x, a, h, [k]))
+    mag, phase = _lattice_integrand(_lattice_tables(shape, alpha, x, a, h, [k]), [k])
+    vals = mag * phase
     for tv, v in zip(t, vals):
         ref = _direct_integrand(shape, alpha, x, [a[0] + 1j * tv])
         assert abs(v - ref) <= 1e-13 * abs(ref)
@@ -222,18 +225,43 @@ def test_grid_sum_keeps_reference_mask(monkeypatch, shape, x, full_grid):
 
     def spy(*args):
         seen.append(np.stack(args[-1], axis=1))
-        return _log_integrand(*args)
+        return _lattice_integrand(*args)
 
-    monkeypatch.setattr(mellin, "_log_integrand", spy)
-    # each height puts the cut somewhere else along the rows; the last drops points
-    for scale, m in [(1.0, 101), (2.5, 201), (3.0, 61)]:
+    monkeypatch.setattr(mellin, "_lattice_integrand", spy)
+    # each height puts the cut somewhere else along the rows; the last drops points.
+    # A block of 23 points is shorter than most runs, so runs are cut across blocks
+    for (scale, m), block in itertools.product([(1.0, 101), (2.5, 201), (3.0, 61)],
+                                               [mellin._BLOCK_POINTS, 23]):
+        monkeypatch.setattr(mellin, "_BLOCK_POINTS", block)
         T = scale * contour.height
         seen.clear()
         *_, count = mellin._grid_sum(shape, 1.0, x, contour.abscissas, T, m, full_grid=full_grid)
         ref = _stirling_kept(shape, x, T, m, fold)
-        assert len(seen) == 1 and count == len(ref)
-        assert np.array_equal(seen[0], ref), (scale, m)
+        assert len(seen) >= 1 and count == len(ref)
+        assert np.array_equal(np.concatenate(seen), ref), (scale, m, block)
     assert count < m ** len(x) // (2 if fold else 1)
+
+
+@pytest.mark.parametrize("shape, x, full_grid", [
+    ((3, (2,)), [0.7], False),
+    ((4, (3, 1)), [0.5, 1.1], False),
+    ((4, (3, 1)), [0.5, 1.1], True),
+    ((4, (3, 1)), [0.7 * cmath.exp(0.9j), 1.3 * cmath.exp(-0.35j)], False),
+])
+def test_grid_sum_block_boundaries(monkeypatch, shape, x, full_grid):
+    # blocks of 7 points cut most runs into pieces; one block of 2^25 holds every point
+    x = [complex(v) for v in x]
+    problem = Problem(shape[0], list(shape[1]), [abs(v) for v in x])
+    contour = default_contour(problem, 1.0, coeffs=x)
+    sums = []
+    for block in (7, 2 ** 25):
+        monkeypatch.setattr(mellin, "_BLOCK_POINTS", block)
+        sums.append(mellin._grid_sum(shape, 1.0, x, contour.abscissas, contour.height, 201,
+                                     full_grid=full_grid))
+    (*small, count_small), (*one, count_one) = sums
+    assert count_small == count_one
+    for name, v_small, v_one in zip(["v_f", "v_b", "v_c", "ring"], small, one):
+        assert abs(v_small - v_one) <= 2e-15 * abs(v_one), (name, v_small, v_one)
 
 
 def test_mb_fully_masked_blocks():
@@ -276,6 +304,23 @@ def test_mb_rejects_out_of_sector():
     x = cmath.exp(1j * 0.6 * math.pi)  # |arg| > pi/4
     with pytest.raises(ConvergenceConditionError):
         principal_root_mb(problem, coeffs=[x])
+
+
+def test_mb_rejects_direction_outside_sector():
+    # each argument lies inside its line's sector |arg x_s| < pi n_s/n, but along
+    # (t_1, t_2) = (1, -2) the Stirling exponent is pi (1 - 0.57 - 0.57) < 0
+    problem = Problem(3, [2, 1], [0.5, 0.5])
+
+    def coeffs(scale):
+        return [0.5 * cmath.exp(0.57j * scale * math.pi),
+                0.5 * cmath.exp(-0.285j * scale * math.pi)]
+
+    with pytest.raises(ConvergenceConditionError, match="every direction"):
+        principal_root_mb(problem, coeffs=coeffs(1.0))
+    with pytest.raises(ConvergenceConditionError, match="every direction"):
+        default_contour(problem, 1.0, coeffs=coeffs(1.0))
+    # at 0.8 of those arguments the exponent is positive on every direction
+    assert principal_root_mb(problem, coeffs=coeffs(0.8)).evaluations == 2979646
 
 
 def test_mb_rejects_zero_coefficient():
@@ -329,6 +374,19 @@ def test_mb_refuses_too_many_rows():
     contour = Contour(abscissas=(0.25, 0.25), height=1e9, nodes_per_line=2 ** 20 + 1)
     with pytest.raises(QuadratureError, match="rows exceeds"):
         principal_root_mb(Problem(3, [2, 1], [0.5, 1.0]), contour=contour)
+
+
+def test_mb_memory_does_not_scale_with_the_grid():
+    # criterion-02's (5, (4, 1)) instance at tol 1e-12 sums 6.1 M points; a
+    # complex per-point array of them alone is 98 MB
+    tracemalloc.start()
+    try:
+        res = principal_root_mb(Problem(5, [4, 1], [1.914, 0.713]), tol=1e-12)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.evaluations == 6143435
+    assert peak < 32 * 2 ** 20
 
 
 def test_mb_tol_enforcement():
