@@ -360,8 +360,6 @@ def cmd_verify(args) -> int:
 
 def cmd_contour_trace(args) -> int:
     problem = _problem_from_args(args)
-    if problem.p > 2:
-        raise ValueError("contour tracing supports p <= 2")
     if args.nodes is not None and (args.nodes < 9 or args.nodes % 2 == 0):
         raise ValueError("nodes_per_line must be odd and >= 9")
     if args.height is not None and not 0 < args.height < math.inf:

@@ -45,13 +45,15 @@ _LOG_PI = math.log(math.pi)
 _EXP_OVERFLOW = 709.0
 
 
-def is_pole(z: complex, tol: float = POLE_TOL) -> bool:
-    """True when z is within tol of a nonpositive integer."""
-    z = complex(z)
-    if z.real > 0.5 * tol:
-        return False
-    k = round(z.real)
-    return k <= 0 and abs(z - k) < tol
+def is_pole(z) -> np.ndarray:
+    """Elementwise: True within POLE_TOL of a nonpositive integer.
+
+    The one pole rule: log_gamma_array, and so log_gamma and gamma_ratio,
+    raise PoleError exactly where it holds.
+    """
+    z = np.asarray(z, dtype=np.complex128)
+    k = np.round(z.real)
+    return (k <= 0) & (np.abs(z - k) < POLE_TOL)
 
 
 def _lanczos(z: np.ndarray) -> np.ndarray:
@@ -74,17 +76,13 @@ def _logsinpi_upper(z: np.ndarray) -> np.ndarray:
 def log_gamma_array(z) -> np.ndarray:
     """Principal-branch log-gamma, elementwise over a complex array.
 
-    Raises PoleError if any element sits within POLE_TOL of a nonpositive
-    integer.
+    Raises PoleError if is_pole holds for any element.
     """
     z = np.asarray(z, dtype=np.complex128)
     shape = z.shape
     z = np.atleast_1d(z)
     out = np.empty_like(z)
-
-    near_real = np.abs(z.imag) < 0.5
-    k = np.round(z.real)
-    if np.any(near_real & (k <= 0) & (np.abs(z - k) < POLE_TOL)):
+    if np.any(is_pole(z)):
         raise PoleError("log_gamma argument at a nonpositive integer")
 
     lower = z.imag < 0.0

@@ -15,8 +15,6 @@ the Newton solver.
 
 from __future__ import annotations
 
-import cmath
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -24,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import PoleError, StepTooSmallError
-from .gamma import is_pole, log_gamma
+from .gamma import gamma_ratio, is_pole
 from .mellin import kernel_value
 from .oracle import Problem
 from .param import psi_inverse
@@ -262,7 +260,8 @@ def series_coefficients(shape: Shape, alpha: float, k_max: int) -> list[float]:
 
     The poles of Gamma(u_1) at u_1 = -k give
     c_k = (-1)^k/k! * (alpha/n) * Gamma(u(-k)) / Gamma(u(-k) - k + 1);
-    a denominator pole means the coefficient vanishes.
+    a denominator pole (gamma.is_pole) means the coefficient vanishes, and a
+    ratio past double range raises GammaOverflowError.
     """
     if len(shape[1]) != 1:
         raise ValueError("residue series is implemented for p = 1 only")
@@ -277,6 +276,6 @@ def series_coefficients(shape: Shape, alpha: float, k_max: int) -> list[float]:
         if is_pole(den):
             out.append(0.0)
             continue
-        val = cmath.exp(log_gamma(num) - log_gamma(den) - log_gamma(k + 1.0))
+        val = gamma_ratio([num], [den, k + 1.0])
         out.append(((-1.0) ** k * (alpha / n) * val).real)
     return out

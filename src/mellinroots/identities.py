@@ -8,13 +8,12 @@ transform to those Dirichlet integrals.
 
 from __future__ import annotations
 
-import cmath
 import math
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import DivergentIntegralError
-from .gamma import log_gamma
+from .gamma import gamma_ratio
 from .quadrature import integrate_orthant_log, log_one_plus_sum_exp
 
 __all__ = [
@@ -80,8 +79,7 @@ def dirichlet_integral(
     violation raises DivergentIntegralError.
     """
     u = [complex(v) for v in u]
-    p = len(u)
-    if p > 3:
+    if len(u) > 3:
         raise ValueError("numeric Dirichlet integral implemented for p <= 3")
     if any(v.real <= 0 for v in u):
         raise DivergentIntegralError(f"all Re u_i must be positive, got {u}")
@@ -91,10 +89,8 @@ def dirichlet_integral(
             f"Re(omega - sum u_i) = {rest.real:g} <= 0: integral diverges at infinity")
 
     numeric, _, _ = integrate_orthant_log(
-        u, lambda L: -omega * log_one_plus_sum_exp(L), rel_tol=tol / 3.0,
-        max_level={1: 7, 2: 6, 3: 5}[p])
-    total = sum(log_gamma(v) for v in u) + log_gamma(rest) - log_gamma(omega)
-    return numeric, cmath.exp(total)
+        u, lambda L: -omega * log_one_plus_sum_exp(L), rel_tol=tol / 3.0)
+    return numeric, gamma_ratio([*u, rest], [omega])
 
 
 def i0_ii_decomposition_check(
@@ -109,7 +105,8 @@ def i0_ii_decomposition_check(
     I_i one Euler-weighted term; the gamma recurrence collapses them to
     I_i = (n_i u_i)/(n u) * I_0 and the total to (alpha/(n u)) * I_0, which
     equals the gamma-ratio kernel.  Returns the worst relative error over
-    those identities, all evaluated through log-gamma.
+    those identities, every gamma ratio taken by gamma_ratio (real, as its
+    arguments are).
     """
     n, exps = shape
     u_list = [float(v) for v in u_list]
@@ -119,20 +116,16 @@ def i0_ii_decomposition_check(
             f"inadmissible parameters: u={u:g}, u_i={u_list}")
     omega = u + math.fsum(u_list) + 1.0
 
-    def ratio(nums, dens):
-        return math.exp(sum(log_gamma(v).real for v in nums)
-                        - sum(log_gamma(v).real for v in dens))
-
     # I_0 via Gamma(omega - sum u_i) = Gamma(u + 1)
-    i0_a = ratio([omega - math.fsum(u_list), *u_list], [omega])
-    i0_b = ratio([u + 1.0, *u_list], [omega])
+    i0_a = gamma_ratio([omega - math.fsum(u_list), *u_list], [omega]).real
+    i0_b = gamma_ratio([u + 1.0, *u_list], [omega]).real
     worst = abs(i0_a - i0_b) / abs(i0_b)
 
     total = i0_b
     for i, (e, uv) in enumerate(zip(exps, u_list)):
         nums = [omega - math.fsum(u_list) - 1.0]
         nums += [u_list[j] + (1.0 if j == i else 0.0) for j in range(len(u_list))]
-        ii_direct = (e / n) * ratio(nums, [omega])
+        ii_direct = (e / n) * gamma_ratio(nums, [omega]).real
         ii_reduced = (e * uv) / (n * u) * i0_b
         worst = max(worst, abs(ii_direct - ii_reduced) / abs(ii_reduced))
         total += ii_direct
@@ -140,6 +133,6 @@ def i0_ii_decomposition_check(
     closed = alpha / (n * u) * i0_b
     worst = max(worst, abs(total - closed) / abs(closed))
 
-    kernel_rhs = (alpha / n) * ratio([u, *u_list], [omega])
+    kernel_rhs = (alpha / n) * gamma_ratio([u, *u_list], [omega]).real
     worst = max(worst, abs(total - kernel_rhs) / abs(kernel_rhs))
     return worst

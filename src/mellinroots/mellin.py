@@ -181,9 +181,7 @@ def forward_mellin_check(
             [lr + Li for lr, Li in zip(log_ratios, L)])       # ln(1 + sum (n_k/n) xi_k)
         return lse_c - omega.real * lse_w
 
-    lhs, _, _ = integrate_orthant_log(
-        u_re, log_f, rel_tol=tol / 3.0,
-        max_level=7 if p == 1 else 6)
+    lhs, _, _ = integrate_orthant_log(u_re, log_f, rel_tol=tol / 3.0)
     rhs = kernel_value(shape, params.alpha, params.u_list)
     return lhs, rhs
 

@@ -132,17 +132,21 @@ def principal_root(problem: Problem) -> float:
     raise RootConvergenceError(f"principal root iteration did not converge for {problem}")
 
 
-def _polish(problem: Problem, z: complex) -> complex:
-    for _ in range(64):
-        f = problem._poly(z)
+def _newton(problem: Problem, z: complex, steps: int, tol: float) -> tuple[complex, bool]:
+    """Newton on the polynomial from z, at most ``steps`` steps: (z, converged).
+
+    It has converged once a step is <= tol * max(|z|, 1); a zero derivative
+    stops it unconverged.
+    """
+    for _ in range(steps):
         df = problem._dpoly(z)
         if df == 0:
-            break
-        step = f / df
+            return z, False
+        step = problem._poly(z) / df
         z = z - step
-        if abs(step) <= 1e-16 * max(abs(z), 1.0):
-            break
-    return z
+        if abs(step) <= tol * max(abs(z), 1.0):
+            return z, True
+    return z, False
 
 
 def all_roots(problem: Problem) -> RootSet:
@@ -153,7 +157,7 @@ def all_roots(problem: Problem) -> RootSet:
     comp[1:, :-1] = np.eye(n - 1)
     comp[:, -1] = -c[1:][::-1]
     raw = np.linalg.eigvals(comp)
-    roots = tuple(_polish(problem, complex(z)) for z in raw)
+    roots = tuple(_newton(problem, complex(z), 64, 1e-16)[0] for z in raw)
 
     zp = principal_root(problem)
     idx = min(range(n), key=lambda i: abs(roots[i] - zp))
@@ -175,17 +179,7 @@ def epsilon_family(problem: Problem) -> list[complex]:
     n = problem.n
     out: list[complex] = []
     for k in range(n):
-        eps = cmath.exp(2j * math.pi * k / n)
-        z = eps
-        converged = False
-        for _ in range(_MAX_NEWTON):
-            f = problem._poly(z)
-            df = problem._dpoly(z)
-            step = f / df
-            z = z - step
-            if abs(step) <= 1e-15 * max(abs(z), 1.0):
-                converged = True
-                break
+        z, converged = _newton(problem, cmath.exp(2j * math.pi * k / n), _MAX_NEWTON, 1e-15)
         if not converged or abs(problem._poly(z)) > 1e-9 * (1.0 + math.fsum(map(abs, problem.coeffs))):
             raise ContinuationError(
                 f"branch continuation failed from eps=exp(2 pi i {k}/{n})")

@@ -78,7 +78,7 @@ def integrate_orthant_log(
     log_f: Callable[[list[np.ndarray]], np.ndarray],
     rel_tol: float,
     min_level: int = 1,
-    max_level: int = 5,
+    max_level: int | None = None,
 ) -> tuple[complex, float, int]:
     """Integrate prod xi_i^(s_i - 1) * exp(log_f(L)) over [0, inf)^p, p = len(s).
 
@@ -87,10 +87,14 @@ def integrate_orthant_log(
     dimension 0, the last axis along dimension 1) and returns the real log
     of f there.  Refines by halving the step until two successive levels
     agree to rel_tol; returns (value, error_estimate, evaluations), with
-    N^p evaluations counted for a level of N nodes per axis.
+    N^p evaluations counted for a level of N nodes per axis.  ``max_level``
+    defaults to 8 - p (level k has 24 * 2^k + 1 nodes per axis); when it
+    too misses rel_tol, QuadratureError is raised.
     """
     s = [complex(v) for v in s]
     p = len(s)
+    if max_level is None:
+        max_level = 8 - p
     prev = None
     evals = 0
     for level in range(min_level, max_level + 1):

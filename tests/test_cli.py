@@ -116,6 +116,29 @@ def test_verify_deterministic_reports():
     assert outs[0] == outs[1]
 
 
+# The summary value and passed flag of each suite, exactly: a refactor must
+# leave the verify report byte-identical apart from timing.  A change meant to
+# move a number re-pins it here and gives the reason in CHANGES.md.
+VERIFY_SEED0_COUNT3 = {
+    "det": (0.0, True),
+    "jacobian": (4.1059121077382134e-11, True),
+    "mellin": (4.054551743938041e-13, True),
+    "dirichlet": (1.6836750369796163e-12, True),
+    "funceq": (4.677693865019483e-15, True),
+    "pde": (3.531833047103461e-08, True),
+    "epsilon": (1.5700924586837752e-16, True),
+}
+
+
+def test_verify_summaries_pinned(capsys):
+    code, report = _run_json(
+        capsys, ["verify", "--suite", "all", "--seed", "0", "--count", "3"])
+    assert code == 0
+    summaries = {r["name"]: (r["value"], r["passed"]) for r in report["results"]
+                 if "replay" not in r}
+    assert summaries == VERIFY_SEED0_COUNT3
+
+
 def test_contour_trace_row_count_and_header(tmp_path):
     out = tmp_path / "trace.csv"
     code = main(["contour-trace", "--n", "2", "--exps", "1", "--coeffs", "1",
@@ -167,6 +190,8 @@ def test_contour_trace_p2_rows(tmp_path):
     (["--height", "-1"], "height must be positive and finite"),
     (["--height", "inf"], "height must be positive and finite"),
     (["--height", "nan"], "height must be positive and finite"),
+    (["--n", "5", "--exps", "3,2,1", "--coeffs", "1,1,1"],
+     "contour tracing is implemented for p <= 2"),
 ])
 def test_contour_trace_bad_grid_exit_2(flags, message, tmp_path, capsys):
     out = tmp_path / "trace.csv"
@@ -200,6 +225,16 @@ def test_series_json(capsys):
     assert code == 0
     assert report["results"][0]["value"] == pytest.approx(1.0)
     assert [r["name"] for r in report["results"]] == [f"c[{k}]" for k in range(4)]
+
+
+def test_series_overflow_exit_3(capsys):
+    # c_400 at alpha = 1e6 is a gamma ratio of about exp(710)
+    code = main(["series", "--n", "2", "--exps", "1", "--alpha", "1e6", "--kmax", "400"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err.startswith("error: gamma ratio magnitude")
+    assert len(captured.err.splitlines()) == 1
+    assert "Traceback" not in captured.err
 
 
 def test_series_rejects_two_exponents(capsys):

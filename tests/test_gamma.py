@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mellinroots import GammaOverflowError, PoleError, gamma_ratio, log_gamma
-from mellinroots.gamma import log_gamma_array
+from mellinroots.gamma import POLE_TOL, is_pole, log_gamma_array
 
 # high-precision reference values (40-digit arbitrary-precision evaluation)
 LOG_GAMMA_3_4I = complex(-1.756626784603784110530604181623275785157,
@@ -73,6 +73,26 @@ def test_conjugate_symmetry(z):
 def test_pole_raises(z):
     with pytest.raises(PoleError):
         log_gamma(z)
+
+
+_POLE_OFFSETS = [0.0, 4e-13, -4e-13, 7e-13j, -7e-13j, 7e-13, 2e-12]
+
+
+@pytest.mark.parametrize("k", [0, -1, -2, -3])
+@pytest.mark.parametrize("d", _POLE_OFFSETS)
+def test_is_pole_is_the_rule_log_gamma_raises_on(k, d):
+    z = k + d
+    try:
+        log_gamma(z)
+        raises = False
+    except PoleError:
+        raises = True
+    assert bool(is_pole(z)) == raises == (abs(d) < POLE_TOL)
+
+
+def test_is_pole_elementwise():
+    z = np.array([k + d for k in (0, -1, -2, -3) for d in _POLE_OFFSETS])
+    assert is_pole(z).tolist() == [bool(is_pole(v)) for v in z]
 
 
 def test_gamma_ratio_identity():

@@ -6,9 +6,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mellinroots import (Problem, StepTooSmallError, check_functional_equation,
-                         pde_residual, principal_root, series_coefficients,
-                         shift_ratio_factors)
+from mellinroots import (GammaOverflowError, Problem, StepTooSmallError,
+                         check_functional_equation, pde_residual, principal_root,
+                         series_coefficients, shift_ratio_factors)
 from mellinroots.hyper import fd_weights
 from mellinroots.mellin import kernel_value
 from mellinroots.param import psi_inverse
@@ -214,6 +214,11 @@ def test_series_error_decreases_in_kmax():
         errs.append(abs(partial - z))
     for a, b in zip(errs, errs[1:]):
         assert b <= a * (1.0 + 1e-9) + 5e-16
+
+
+def test_series_overflow_raises():
+    with pytest.raises(GammaOverflowError):
+        series_coefficients((2, (1,)), 1e6, 400)
 
 
 def test_series_rejects_p2():

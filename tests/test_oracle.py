@@ -188,3 +188,14 @@ def test_epsilon_family_matches_all_roots():
 def test_epsilon_family_precondition():
     with pytest.raises(ValueError):
         epsilon_family(Problem(3, [1], [0.6]))
+
+
+def test_newton_reports_convergence_and_stops_on_zero_derivative():
+    from mellinroots.oracle import _newton
+
+    q = Problem(2, [1], [1.0])
+    z, converged = _newton(q, 1.0, 64, 1e-15)
+    assert converged and z == pytest.approx(GOLDEN_CONJ, rel=1e-15)
+    assert _newton(q, 1.0, 1, 1e-15) == (0.6666666666666667, False)
+    # Z^2 + 0*Z - 1 has P'(0) = 0: Newton from 0 stops there, unconverged
+    assert _newton(Problem(2, [1], [0.0]), 0j, 64, 1e-15) == (0j, False)

@@ -97,3 +97,13 @@ def test_unreachable_tolerance_raises():
         integrate_orthant_log(
             [0.5], lambda L: -np.exp(L[0]),
             rel_tol=1e-30, max_level=3)
+
+
+@pytest.mark.parametrize("p, level", [(1, 7), (2, 6)])
+def test_default_depth_is_eight_minus_p(p, level):
+    # complex exponents, so two levels never agree to the last bit; the last
+    # level at p = 2 is 1537^2 points, about 3 M summed in all
+    with pytest.raises(QuadratureError, match=f"by level {level}$"):
+        integrate_orthant_log(
+            [0.4 + 0.1j, 0.6 - 0.2j][:p], lambda L: -2.5 * log_one_plus_sum_exp(L),
+            rel_tol=1e-30)
