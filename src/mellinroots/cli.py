@@ -219,18 +219,22 @@ def _driver(name, sample, measure, describe):
     """run(rng, count, tol, report, replay): draw each instance, measure, record misses.
 
     A measure that is not <= tol (NaN included) is a miss with its own entry;
-    the summary entry carries the worst measure, NaN if any was NaN.
+    a measure that raises a NumericalError is a NaN miss carrying the error.
+    The summary entry carries the worst measure, NaN if any was NaN.
     """
     def run(rng, count, tol, report, replay):
         worst = 0.0
         for i in range(count):
             instance = sample(rng, i)
-            m = measure(instance, tol)
+            try:
+                m, extra = measure(instance, tol), {}
+            except NumericalError as exc:
+                m, extra = math.nan, {"error": str(exc)}
             if m > worst or math.isnan(m):
                 worst = m
             if not m <= tol:
                 report.add(_entry(f"{name}[{i}]", name, m, tol=tol, passed=False,
-                                  instance=describe(instance), replay=replay))
+                                  instance=describe(instance), replay=replay, **extra))
         report.add(_entry(name, name, worst, tol=tol, passed=worst <= tol))
     return run
 

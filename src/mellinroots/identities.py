@@ -39,18 +39,21 @@ def det_rank_one(y: Sequence[Fraction]) -> Fraction:
 def det_cofactor(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
     """Exact determinant by fraction-free (Bareiss) elimination, O(p^3).
 
-    Step k updates the trailing block as
+    The matrix is scaled to integers by the lcm d of its denominators, so
+    det = det(d A) / d^p.  Step k updates the trailing block as
     a_ij <- (a_ij a_kk - a_ik a_kj) / (previous pivot), a division that
-    Sylvester's identity makes exact; the last pivot is the determinant.
-    A zero pivot is swapped with a lower row (flipping the sign), and a
-    column with no nonzero pivot makes the determinant 0.
+    Sylvester's identity makes exact in integers; the last pivot is the
+    determinant.  A zero pivot is swapped with a lower row (flipping the
+    sign), and a column with no nonzero pivot makes the determinant 0.
     (Bareiss, Math. Comp. 22, 1968.)
     """
     a = [[Fraction(v) for v in row] for row in matrix]
     p = len(a)
     if p == 0:
         return Fraction(1)
-    sign, prev = 1, Fraction(1)
+    d = math.lcm(*(v.denominator for row in a for v in row))
+    a = [[v.numerator * (d // v.denominator) for v in row] for row in a]
+    sign, prev = 1, 1
     for k in range(p - 1):
         if a[k][k] == 0:
             swap = next((r for r in range(k + 1, p) if a[r][k] != 0), None)
@@ -60,9 +63,9 @@ def det_cofactor(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
             sign = -sign
         for i in range(k + 1, p):
             for j in range(k + 1, p):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) / prev
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
         prev = a[k][k]
-    return sign * a[-1][-1]
+    return Fraction(sign * a[-1][-1], d ** p)
 
 
 def dirichlet_integral(

@@ -20,10 +20,19 @@ block of index tuples of the leading axes.  Each slab costs one real exp per
 point, a contraction with the last axis's phases and a dot with the leading
 axes' phases, so memory does not grow with the level and complex exp runs
 only on per-axis vectors.
+
+Most of a level's nodes carry terms far below the rounding floor of its sum.
+The first level therefore records, per axis and node, the largest term on
+that node's slice, and the sum of the terms' magnitudes; each axis keeps the
+tau interval whose nodes reach eps * e^-2 * sum|f| / N^p (N the node count
+per axis of the deepest level), widened by one node.  Later levels walk only
+the product of those intervals, so every dropped node is worth less than
+e^-2 / N^p of the level's rounding floor.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -40,6 +49,7 @@ _SLAB_POINTS = 2 ** 16
 # floored point adds under 1e-304, so a level of M points moves by under
 # M * 1e-304 in absolute terms.
 _LOG_FLOOR = -700.0
+_EPS = float(np.finfo(float).eps)
 
 
 def halfline_rule(level: int) -> tuple[np.ndarray, np.ndarray]:
@@ -73,6 +83,70 @@ def log_one_plus_sum_exp(log_terms: Sequence[np.ndarray]) -> np.ndarray:
     return np.log1p(acc, out=acc)
 
 
+def _level_sum(axes, log_f, profile=None):
+    """The rule's sum over one box of nodes, walked in slabs.
+
+    ``axes`` holds per axis (L, log_mod, phase) over its kept nodes.  Returns
+    (value, points, sum_abs).  The slabs' partial sums are added exactly
+    (math.fsum), so how the box is cut into slabs moves the value by no more
+    than the slabs' own rounding.  With ``profile``, one array per axis, it
+    also raises each node's entry to the largest slab log-magnitude seen
+    there and sums the terms' magnitudes into sum_abs (0 otherwise).
+    """
+    sizes = [a[0].size for a in axes]
+    phase_last = axes[-1][2]
+    last = np.stack([phase_last.real, phase_last.imag], axis=1)
+    heads = math.prod(sizes[:-1])
+    step = max(1, _SLAB_POINTS // sizes[-1])
+    parts, sum_abs = [], 0.0
+    for start in range(0, heads, step):
+        rest = np.arange(start, min(start + step, heads))
+        head_log_mod = np.zeros(rest.size)
+        head_phase = np.ones(rest.size, dtype=complex)
+        coords, head_nodes = [], []
+        for (L, log_mod, phase), n in zip(axes, sizes[:-1]):
+            rest, j = np.divmod(rest, n)    # node index on this leading axis
+            head_log_mod += log_mod[j]
+            head_phase *= phase[j]
+            coords.append(L[j][:, None])
+            head_nodes.append(j)
+        coords.append(axes[-1][0][None, :])
+        slab = np.add(log_f(coords), head_log_mod[:, None])
+        slab += axes[-1][1]
+        np.maximum(slab, _LOG_FLOOR, out=slab)
+        if profile is not None:
+            np.maximum(profile[-1], slab.max(axis=0), out=profile[-1])
+            row_max = slab.max(axis=1)
+            for prof, j in zip(profile, head_nodes):
+                np.maximum.at(prof, j, row_max)
+        np.exp(slab, out=slab)
+        if profile is not None:
+            sum_abs += float(slab.sum())
+        re_im = slab @ last
+        parts.append(complex(np.dot(head_phase, re_im[:, 0] + 1j * re_im[:, 1])))
+    value = complex(math.fsum(v.real for v in parts), math.fsum(v.imag for v in parts))
+    return value, math.prod(sizes), sum_abs
+
+
+def _node_box(profile, sum_abs, n_max):
+    """Per axis, the index range (lo, hi) about the centre node worth keeping.
+
+    A node stays if some term on its slice reaches
+    sum_abs * eps * e^-2 / n_max^p; the range runs from the first such node
+    to the last, one node wider on each side.  A sum that is not finite
+    keeps every node.
+    """
+    mid = profile[0].size // 2
+    if not 0.0 < sum_abs < math.inf:
+        return [(-mid, mid)] * len(profile)
+    floor = math.log(sum_abs) + math.log(_EPS) - len(profile) * math.log(n_max) - 2.0
+    box = []
+    for prof in profile:
+        kept = np.flatnonzero(prof >= floor)
+        box.append((max(int(kept[0]) - 1 - mid, -mid), min(int(kept[-1]) + 1 - mid, mid)))
+    return box
+
+
 def integrate_orthant_log(
     s: Sequence[complex],
     log_f: Callable[[list[np.ndarray]], np.ndarray],
@@ -86,45 +160,38 @@ def integrate_orthant_log(
     broadcast together to one slab of nodes (the leading axes gathered along
     dimension 0, the last axis along dimension 1) and returns the real log
     of f there.  Refines by halving the step until two successive levels
-    agree to rel_tol; returns (value, error_estimate, evaluations), with
-    N^p evaluations counted for a level of N nodes per axis.  ``max_level``
-    defaults to 8 - p (level k has 24 * 2^k + 1 nodes per axis); when it
-    too misses rel_tol, QuadratureError is raised.
+    agree to rel_tol; returns (value, error_estimate, evaluations).
+    ``max_level`` defaults to 8 - p (level k has N_k = 24 * 2^k + 1 nodes
+    per axis); when it too misses rel_tol, QuadratureError is raised.
+
+    The first level sums every node.  It also yields, per axis, the tau
+    interval outside which no term reaches eps * e^-2 * sum|f| / N_max^p
+    (N_max = N_max_level), widened by one node on each side; later levels
+    sum only the product of those intervals, so the dropped nodes together
+    stay below a level's own rounding floor.  ``evaluations`` counts the
+    points summed.
     """
     s = [complex(v) for v in s]
     p = len(s)
     if max_level is None:
         max_level = 8 - p
+    box = None      # per axis, the kept node range (lo, hi) of min_level about tau = 0
     prev = None
     evals = 0
     for level in range(min_level, max_level + 1):
         L, logw = halfline_rule(level)
-        n = L.size
+        mid = L.size // 2
+        scale = 2 ** (level - min_level)
+        ranges = ([slice(None)] * p if box is None else
+                  [slice(mid + lo * scale, mid + hi * scale + 1) for lo, hi in box])
         # xi^(s-1) * w = exp(log_mod) * phase, with w = exp(logw + L) the weight
-        log_mod = [v.real * L + logw for v in s]
-        phases = [np.exp(1j * v.imag * L) for v in s]
-        last = np.stack([phases[-1].real, phases[-1].imag], axis=1)
-        heads = n ** (p - 1)
-        step = max(1, _SLAB_POINTS // n)
-        value = 0j
-        for start in range(0, heads, step):
-            rest = np.arange(start, min(start + step, heads))
-            head_log_mod = np.zeros(rest.size)
-            head_phase = np.ones(rest.size, dtype=complex)
-            coords = []
-            for i in range(p - 1):      # node index of leading axis i
-                rest, j = np.divmod(rest, n)
-                head_log_mod += log_mod[i][j]
-                head_phase *= phases[i][j]
-                coords.append(L[j][:, None])
-            coords.append(L[None, :])
-            slab = np.add(log_f(coords), head_log_mod[:, None])
-            slab += log_mod[-1]
-            np.maximum(slab, _LOG_FLOOR, out=slab)
-            np.exp(slab, out=slab)
-            re_im = slab @ last
-            value += complex(np.dot(head_phase, re_im[:, 0] + 1j * re_im[:, 1]))
-        evals += n ** p
+        axes = [(L[r], v.real * L[r] + logw[r], np.exp(1j * v.imag * L[r]))
+                for v, r in zip(s, ranges)]
+        profile = [np.full(L.size, -np.inf) for _ in s] if box is None else None
+        value, points, sum_abs = _level_sum(axes, log_f, profile)
+        evals += points
+        if box is None:
+            box = _node_box(profile, sum_abs, (L.size - 1) * 2 ** (max_level - level) + 1)
         if prev is not None:
             err = abs(value - prev)
             if err <= rel_tol * max(abs(value), 1e-300):

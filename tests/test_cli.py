@@ -123,7 +123,7 @@ VERIFY_SEED0_COUNT3 = {
     "det": (0.0, True),
     "jacobian": (4.1059121077382134e-11, True),
     "mellin": (4.054551743938041e-13, True),
-    "dirichlet": (1.6836750369796163e-12, True),
+    "dirichlet": (1.6838045404821914e-12, True),
     "funceq": (4.677693865019483e-15, True),
     "pde": (3.531833047103461e-08, True),
     "epsilon": (1.5700924586837752e-16, True),
@@ -340,6 +340,26 @@ def test_verify_nan_measure_is_a_miss(capsys, monkeypatch):
     summary = report["results"][-1]
     assert summary["name"] == "funceq" and summary["passed"] is False
     assert math.isnan(summary["value"])
+
+
+def test_verify_numerical_error_is_a_miss(capsys):
+    # rel_tol 0 is out of the quadrature's reach: the instance is a NaN miss
+    # with its error and replay line, and the run goes on to the other suites
+    code, report = _run_json(
+        capsys, ["verify", "--suite", "dirichlet", "--count", "1", "--tol", "0"])
+    assert code == 1
+    miss, summary = report["results"]
+    assert miss["name"] == "dirichlet[0]" and miss["passed"] is False
+    assert math.isnan(miss["value"]) and "u" in miss["instance"]
+    assert miss["replay"] == "mellinroots verify --suite dirichlet --seed 0 --count 1 --tol 0.0"
+    assert "did not reach rel_tol=0" in miss["error"]
+    assert summary["name"] == "dirichlet" and math.isnan(summary["value"])
+    code, report = _run_json(
+        capsys, ["verify", "--suite", "all", "--count", "1", "--tol", "0"])
+    assert code == 1
+    assert [r["name"] for r in report["results"] if "replay" not in r] == [
+        "det", "jacobian", "mellin", "dirichlet", "funceq", "pde", "epsilon"]
+    assert "error:" not in capsys.readouterr().err
 
 
 def test_verify_tol_applies_to_det(capsys, monkeypatch):

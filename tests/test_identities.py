@@ -1,6 +1,7 @@
 """Tests for the exact determinant, Dirichlet-type integrals, and the
 forward-transform decomposition."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -57,6 +58,39 @@ def test_det_zero_pivots(y):
 ])
 def test_det_general_matrices(matrix, det):
     assert det_cofactor(matrix) == det
+
+
+def _det_leibniz(a):
+    """sum over permutations of sign(perm) * prod a[i][perm[i]]."""
+    p = len(a)
+    total = Fraction(0)
+    for perm in itertools.permutations(range(p)):
+        inversions = sum(perm[i] > perm[j] for i in range(p) for j in range(i + 1, p))
+        total += (-1) ** inversions * math.prod((a[i][j] for i, j in enumerate(perm)),
+                                                start=Fraction(1))
+    return total
+
+
+@pytest.mark.parametrize("p", range(1, 7))
+def test_det_cofactor_matches_leibniz(p):
+    rng = np.random.default_rng(60 + p)
+
+    def entry():    # a zero about one time in nine
+        return Fraction(int(rng.integers(-4, 5)), int(rng.integers(1, 8)))
+
+    for trial in range(12):
+        a = [[entry() for _ in range(p)] for _ in range(p)]
+        if trial % 3 == 1:      # only the last row has a pivot in column 0: a swap
+            for row in a[:-1]:
+                row[0] = Fraction(0)
+        elif trial % 3 == 2:    # singular: the last row depends on the rows above
+            a[-1] = ([Fraction(3, 2) * x - y for x, y in zip(a[0], a[1])] if p > 2
+                     else [Fraction(-5, 3) * x for x in a[0]] if p == 2
+                     else [Fraction(0)])
+        det = det_cofactor(a)
+        assert det == _det_leibniz(a)
+        if trial % 3 == 2:
+            assert det == 0
 
 
 def test_dirichlet_elementary():

@@ -1,11 +1,14 @@
 """Direct tests of the half-line double-exponential rule."""
 
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mellinroots import QuadratureError, log_gamma
+from mellinroots.gamma import gamma_ratio
 from mellinroots.quadrature import (halfline_rule, integrate_orthant_log,
                                     log_one_plus_sum_exp)
 
@@ -52,14 +55,24 @@ def test_log_one_plus_sum_exp_overflow_raises():
         log_one_plus_sum_exp([np.array([800.0])])
 
 
-def _dense_orthant_sum(s, log_f, level):
-    """The rule's sum at one level over the full complex L^p tensor."""
+def _dense_terms(s, log_f, level):
+    """The rule's terms at one level as the full complex L^p tensor."""
     L, logw = halfline_rule(level)
     p = len(s)
     axes = [L.reshape([-1 if d == i else 1 for d in range(p)]) for i in range(p)]
     exponent = log_f(axes) + sum(
         (v - 1.0) * a + (logw + L).reshape(a.shape) for v, a in zip(s, axes))
-    return complex(np.sum(np.exp(exponent)))
+    return np.exp(exponent)
+
+
+def _dense_orthant_sum(s, log_f, level):
+    """The rule's sum at one level over every node."""
+    return complex(np.sum(_dense_terms(s, log_f, level)))
+
+
+# points summed: every coarse node, then only the fine nodes in the coarse
+# level's box (the full fine levels have 385^2 and 97^3 nodes)
+TRIMMED_EVALS = {2: 90_992, 3: 344_386}
 
 
 @pytest.mark.parametrize("s, omega, level", [
@@ -75,7 +88,40 @@ def test_slab_contraction_matches_dense_sum(s, omega, level):
     ref = _dense_orthant_sum(s, log_f, level + 1)
     assert abs(value - ref) <= 1e-13 * abs(ref)
     n_coarse, n_fine = (halfline_rule(k)[0].size for k in (level, level + 1))
-    assert evals == n_coarse ** len(s) + n_fine ** len(s)
+    assert evals == TRIMMED_EVALS[len(s)] < n_coarse ** len(s) + n_fine ** len(s)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), p=st.integers(1, 3), real=st.booleans(),
+       gap=st.floats(0.05, 3.0))
+def test_trimmed_sum_matches_untrimmed_sum(data, p, real, gap):
+    # the second level sums only the first level's box; the nodes it drops
+    # are each below eps e^-2 sum|f| / N^p, so the value stays within a few
+    # eps sum|f| of the sum over every node
+    re = data.draw(st.lists(st.floats(0.15, 1.5), min_size=p, max_size=p))
+    im = [0.0] * p if real else data.draw(
+        st.lists(st.floats(-1.0, 1.0), min_size=p, max_size=p))
+    s = [complex(a, b) for a, b in zip(re, im)]
+    omega = sum(re) + gap
+
+    def log_f(L):
+        return -omega * log_one_plus_sum_exp(L)
+
+    level = 5 - p       # 385, 193 and 97 nodes per axis at the trimmed level
+    value, _, _ = integrate_orthant_log(
+        s, log_f, rel_tol=math.inf, min_level=level - 1, max_level=level)
+    terms = _dense_terms(s, log_f, level)
+    eps = np.finfo(float).eps
+    assert abs(value - np.sum(terms)) <= 16 * eps * np.sum(np.abs(terms))
+
+
+def test_dirichlet_instance_sums_a_trimmed_box():
+    # 49^3 + 97^3 + 193^3 = 8,219,379 points untrimmed to level 3
+    value, _, evals = integrate_orthant_log(
+        [0.3, 0.5 + 0.2j, 0.8], lambda L: -2.5 * log_one_plus_sum_exp(L),
+        rel_tol=1e-6 / 3)
+    assert evals == 3_007_639
+    assert abs(value - gamma_ratio([0.3, 0.5 + 0.2j, 0.8, 2.5 - 1.6 - 0.2j], [2.5])) <= 1e-6
 
 
 def test_orthant_memory_does_not_scale_with_the_lattice():
