@@ -36,23 +36,23 @@ def det_rank_one(y: Sequence[Fraction]) -> Fraction:
     return Fraction(1) + sum((Fraction(v) for v in y), Fraction(0))
 
 
-def det_cofactor(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
+def det_cofactor(matrix: Sequence[Sequence[Fraction | int]]) -> Fraction:
     """Exact determinant by fraction-free (Bareiss) elimination, O(p^3).
 
-    The matrix is scaled to integers by the lcm d of its denominators, so
-    det = det(d A) / d^p.  Step k updates the trailing block as
+    The entries are Fractions or ints, read through their numerator and
+    denominator.  The matrix is scaled to integers by the lcm d of its
+    denominators, so det = det(d A) / d^p.  Step k updates the trailing block as
     a_ij <- (a_ij a_kk - a_ik a_kj) / (previous pivot), a division that
     Sylvester's identity makes exact in integers; the last pivot is the
     determinant.  A zero pivot is swapped with a lower row (flipping the
     sign), and a column with no nonzero pivot makes the determinant 0.
     (Bareiss, Math. Comp. 22, 1968.)
     """
-    a = [[Fraction(v) for v in row] for row in matrix]
-    p = len(a)
+    p = len(matrix)
     if p == 0:
         return Fraction(1)
-    d = math.lcm(*(v.denominator for row in a for v in row))
-    a = [[v.numerator * (d // v.denominator) for v in row] for row in a]
+    d = math.lcm(*(v.denominator for row in matrix for v in row))
+    a = [[v.numerator * (d // v.denominator) for v in row] for row in matrix]
     sign, prev = 1, 1
     for k in range(p - 1):
         if a[k][k] == 0:
@@ -100,7 +100,6 @@ def i0_ii_decomposition_check(
     u_list: Sequence[float],
     alpha: float,
     shape: Shape,
-    tol: float = 1e-12,
 ) -> float:
     """Verify the decomposition I = I_0 + I_1 + ... + I_p of the forward transform.
 

@@ -54,11 +54,16 @@ Shape = tuple[int, tuple[int, ...]]
 _MASK_CUT = 50.0
 
 # points evaluated by one contour solve, after the mask and the fold (at most
-# 2.0 M on criterion-02, 6.1 M on (5, (4, 1)) at tol 1e-12), or by one trace;
-# checked before any point is evaluated.  A solve walks its points in blocks of
-# fixed memory, so for it the cap bounds time (about 50 ns a point); a trace
-# still holds every point at once
-_MAX_BLOCK_POINTS = 2 ** 25
+# 2.0 M on criterion-02, 6.1 M on (5, (4, 1)) at tol 1e-12); checked before any
+# point is evaluated.  A solve walks its points in blocks of fixed memory, so
+# the cap bounds time (about 50 ns a point)
+_MAX_SOLVE_POINTS = 2 ** 25
+
+# points of one trace, which holds every point at once: about 88 B a point at
+# p = 2 and 422 B at p = 1, and writing its CSV takes about 14 us a row (a
+# 1,048,577-node p = 1 trace took 14.9 s and peaked at 407 MB RSS); checked
+# before anything is allocated
+_MAX_TRACE_POINTS = 2 ** 20
 
 # rows of the grid scanned for kept runs by one solve (about 0.1 M for the
 # default contour of (3, (2, 1)) at coefficients 1e-300 and 1e300); each takes
@@ -75,11 +80,6 @@ def _check_alpha(alpha: float) -> float:
     if not 0 < alpha < math.inf:
         raise ConvergenceConditionError(f"alpha must be positive and finite, got {alpha}")
     return alpha
-
-
-def _check_block(points: int) -> None:
-    if points > _MAX_BLOCK_POINTS:
-        raise QuadratureError(f"contour grid of {points} points exceeds {_MAX_BLOCK_POINTS}")
 
 
 @dataclass(frozen=True)
@@ -123,10 +123,9 @@ class Contour:
             raise ConvergenceConditionError(
                 f"abscissas must be positive and finite, got {self.abscissas}")
         if not 0 < self.height < math.inf:
-            raise ConvergenceConditionError(
-                f"height must be positive and finite, got {self.height}")
+            raise ValueError("height must be positive and finite")
         if self.nodes_per_line < 9 or self.nodes_per_line % 2 == 0:
-            raise ConvergenceConditionError("nodes_per_line must be odd and >= 9")
+            raise ValueError("nodes_per_line must be odd and >= 9")
 
     def validate_for(self, shape: Shape, alpha: float) -> None:
         n, exps = shape
@@ -394,7 +393,8 @@ def _grid_sum(shape, alpha, x, a, T, m, full_grid=False):
         raise QuadratureError(f"contour grid of {len(lo)} rows exceeds {_MAX_ROWS}")
     row, start, length = _kept_runs(shape, argx, t, lead, lo)
     count = int(length.sum())
-    _check_block(count)
+    if count > _MAX_SOLVE_POINTS:
+        raise QuadratureError(f"contour grid of {count} points exceeds {_MAX_SOLVE_POINTS}")
     row, start, length = row[length > 0], start[length > 0], length[length > 0]
     heads = [kl[row] for kl in lead]
     tables = _lattice_tables(shape, alpha, x, a, h,
@@ -514,7 +514,8 @@ def contour_integrand(
     _sector_rate(problem.shape, problem.coeffs)
     contour.validate_for(problem.shape, alpha)
     m = contour.nodes_per_line
-    _check_block(m ** p)
+    if m ** p > _MAX_TRACE_POINTS:
+        raise QuadratureError(f"contour trace of {m ** p} points exceeds {_MAX_TRACE_POINTS}")
     t, h = _line_nodes(contour.height, m)
     idx = np.indices((m,) * p).reshape(p, -1)
     k = list(idx - (m - 1) // 2)

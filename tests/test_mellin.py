@@ -9,8 +9,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mellinroots import (ConvergenceConditionError, Problem, QuadratureError,
-                         default_contour, forward_mellin_check, kernel_value,
+from mellinroots import (ConvergenceConditionError, NumericalError, Problem,
+                         QuadratureError, default_contour, forward_mellin_check, kernel_value,
                          principal_root, principal_root_mb,
                          principal_root_param, quadratic_mb_check)
 from mellinroots import mellin, sampling
@@ -365,8 +365,14 @@ def test_contour_constraint_violation():
     ((float("inf"),), 20.0),
 ])
 def test_contour_rejects_non_finite_values(abscissas, height):
-    with pytest.raises(ConvergenceConditionError):
-        Contour(abscissas=abscissas, height=height, nodes_per_line=9)
+    # a malformed height is bad input; a bad abscissa breaks a convergence condition
+    if math.isfinite(height):
+        with pytest.raises(ConvergenceConditionError):
+            Contour(abscissas=abscissas, height=height, nodes_per_line=9)
+    else:
+        with pytest.raises(ValueError, match="height must be positive and finite") as info:
+            Contour(abscissas=abscissas, height=height, nodes_per_line=9)
+        assert not isinstance(info.value, NumericalError)
 
 
 def test_mb_refuses_too_many_rows():
