@@ -17,9 +17,8 @@ from .hyper import (FactorPair, LinearFactor, check_functional_equation,
                     pde_residual, series_coefficients, shift_ratio_factors)
 from .identities import (det_cofactor, det_rank_one, dirichlet_integral,
                          i0_ii_decomposition_check)
-from .mellin import (Contour, MellinParams, QuadResult, default_contour,
-                     forward_mellin_check, kernel_value,
-                     principal_root_mb, quadratic_mb_check)
+from .mellin import (Contour, QuadResult, default_contour, forward_mellin_check,
+                     kernel_value, principal_root_mb, quadratic_mb_check)
 from .oracle import Problem, RootSet, all_roots, epsilon_family, principal_root
 from .param import (ParamPoint, jacobian_det, principal_root_param,
                     psi_forward, psi_forward_complex, psi_inverse)
@@ -27,7 +26,7 @@ from .param import (ParamPoint, jacobian_det, principal_root_param,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Problem", "RootSet", "ParamPoint", "MellinParams", "Contour",
+    "Problem", "RootSet", "ParamPoint", "Contour",
     "QuadResult", "LinearFactor", "FactorPair",
     "principal_root", "all_roots", "epsilon_family",
     "psi_forward", "psi_forward_complex", "psi_inverse", "jacobian_det",

@@ -14,6 +14,7 @@ from typing import Sequence
 
 from .errors import DivergentIntegralError
 from .gamma import gamma_ratio
+from .mellin import _kernel_args
 from .quadrature import integrate_orthant_log, log_one_plus_sum_exp
 
 __all__ = [
@@ -112,11 +113,10 @@ def i0_ii_decomposition_check(
     """
     n, exps = shape
     u_list = [float(v) for v in u_list]
-    u = alpha / n - sum((e / n) * uv for e, uv in zip(exps, u_list))
+    u, omega = _kernel_args(shape, alpha, u_list)
     if u <= 0 or any(v <= 0 for v in u_list):
         raise DivergentIntegralError(
             f"inadmissible parameters: u={u:g}, u_i={u_list}")
-    omega = u + math.fsum(u_list) + 1.0
 
     # I_0 via Gamma(omega - sum u_i) = Gamma(u + 1)
     i0_a = gamma_ratio([omega - math.fsum(u_list), *u_list], [omega]).real

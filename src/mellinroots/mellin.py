@@ -4,7 +4,11 @@ The forward side checks, by direct quadrature over the orthant, that the
 transform of Z^alpha equals the gamma-ratio kernel
 
     F(u_1, ..., u_p) = (alpha/n) Gamma(u) prod Gamma(u_i) / Gamma(omega),
-    u = alpha/n - sum (n_i/n) u_i,   omega = u + sum u_i + 1.
+    u = alpha/n - sum (n_i/n) u_i,   omega = u + sum u_i + 1,
+
+on its strip: alpha > 0, Re u_i > 0 and Re u > 0, all finite.  _kernel_args
+forms (u, omega) and _strip checks the strip, for every caller: the kernel,
+the forward check, and the contour's abscissas and lattice tables.
 
 The inverse side recovers Z^alpha as a p-fold integral of F * prod x_s^{-u_s}
 along vertical lines Re u_s = a_s, evaluated by the trapezoid rule, which is
@@ -43,7 +47,7 @@ from .oracle import Problem
 from .quadrature import integrate_orthant_log, log_one_plus_sum_exp
 
 __all__ = [
-    "MellinParams", "Contour", "QuadResult", "kernel_value",
+    "Contour", "QuadResult", "kernel_value",
     "forward_mellin_check", "default_contour", "principal_root_mb",
     "quadratic_mb_check", "contour_integrand",
 ]
@@ -76,38 +80,34 @@ _MAX_ROWS = 2 ** 20
 _BLOCK_POINTS = 2 ** 15
 
 
-def _check_alpha(alpha: float) -> float:
+def _check_alpha(alpha: float) -> None:
     if not 0 < alpha < math.inf:
         raise ConvergenceConditionError(f"alpha must be positive and finite, got {alpha}")
-    return alpha
 
 
-@dataclass(frozen=True)
-class MellinParams:
-    """Transform parameters: power alpha, arguments u_1..u_p, derived u."""
+def _kernel_args(shape: Shape, alpha: float, u_list: Sequence[complex]) -> tuple[complex, complex]:
+    """The kernel's derived arguments u = alpha/n - sum (n_s/n) u_s and omega = u + sum u_s + 1."""
+    n, exps = shape
+    if len(u_list) != len(exps):
+        raise ValueError(f"{len(u_list)} arguments for {len(exps)} exponents")
+    u = alpha / n - sum((e / n) * uv for e, uv in zip(exps, u_list))
+    return u, u + sum(u_list) + 1.0
 
-    alpha: float
-    u_list: tuple[complex, ...]
-    u: complex
 
-    @classmethod
-    def for_shape(cls, shape: Shape, alpha: float, u_list: Sequence[complex]) -> "MellinParams":
-        n, exps = shape
-        alpha = _check_alpha(float(alpha))
-        u_list = tuple(complex(v) for v in u_list)
-        if len(u_list) != len(exps):
-            raise ValueError(f"{len(u_list)} arguments for {len(exps)} exponents")
-        u = alpha / n - sum((e / n) * uv for e, uv in zip(exps, u_list))
-        if not all(0 < uv.real < math.inf and math.isfinite(uv.imag) for uv in u_list):
-            raise ConvergenceConditionError(f"u_i must be finite with Re u_i > 0, got {u_list}")
-        if u.real <= 0:
-            raise ConvergenceConditionError(
-                f"Re u = {u.real:g} <= 0: alpha too small for these u_i")
-        return cls(alpha=alpha, u_list=u_list, u=u)
+def _strip(shape: Shape, alpha: float, u_list: Sequence[complex]) -> tuple[complex, complex]:
+    """(u, omega) of _kernel_args on the kernel's strip; ConvergenceConditionError off it.
 
-    @property
-    def omega(self) -> complex:
-        return self.u + sum(self.u_list) + 1.0
+    The strip: alpha positive and finite, each u_s finite with Re u_s > 0, and Re u > 0.
+    """
+    _check_alpha(alpha)
+    u, omega = _kernel_args(shape, alpha, u_list)
+    if not all(0 < uv.real < math.inf and math.isfinite(uv.imag) for uv in u_list):
+        raise ConvergenceConditionError(
+            f"u_i must be finite with Re u_i > 0, got {tuple(map(complex, u_list))}")
+    if u.real <= 0:
+        raise ConvergenceConditionError(
+            f"Re u = {u.real:g} <= 0: alpha too small for these u_i")
+    return u, omega
 
 
 @dataclass(frozen=True)
@@ -127,13 +127,6 @@ class Contour:
         if self.nodes_per_line < 9 or self.nodes_per_line % 2 == 0:
             raise ValueError("nodes_per_line must be odd and >= 9")
 
-    def validate_for(self, shape: Shape, alpha: float) -> None:
-        n, exps = shape
-        slack = alpha - math.fsum(e * a for e, a in zip(exps, self.abscissas))
-        if slack <= 0:
-            raise ConvergenceConditionError(
-                f"alpha - sum n_s a_s = {slack:g} must be positive")
-
 
 @dataclass(frozen=True)
 class QuadResult:
@@ -144,16 +137,15 @@ class QuadResult:
 
 def kernel_value(shape: Shape, alpha: float, u_list: Sequence[complex]) -> complex:
     """Gamma-ratio kernel at arbitrary pole-free arguments (no convergence check)."""
-    n, exps = shape
     u_list = [complex(v) for v in u_list]
-    u = alpha / n - sum((e / n) * uv for e, uv in zip(exps, u_list))
-    omega = u + sum(u_list) + 1.0
-    return (alpha / n) * gamma_ratio([u, *u_list], [omega])
+    u, omega = _kernel_args(shape, alpha, u_list)
+    return (alpha / shape[0]) * gamma_ratio([u, *u_list], [omega])
 
 
 def forward_mellin_check(
     shape: Shape,
-    params: MellinParams,
+    alpha: float,
+    u_list: Sequence[complex],
     tol: float = 1e-6,
 ) -> tuple[complex, complex]:
     """Both sides of the transform identity for Z^alpha.
@@ -162,16 +154,16 @@ def forward_mellin_check(
     numerically, after the parametric substitution turns it into a
     Dirichlet-type integrand in xi; the right side is the gamma-ratio
     kernel.  Returns (lhs, rhs); callers assert |lhs - rhs| <= tol*|rhs|.
+    Arguments off the kernel's strip raise ConvergenceConditionError.
     """
     n, exps = shape
-    p = len(exps)
-    if p > 2:
+    _, omega = _strip(shape, alpha, u_list)
+    if len(exps) > 2:
         raise ValueError("forward check integrates numerically only for p <= 2")
-    if any(abs(uv.imag) > 0 for uv in params.u_list):
+    if any(abs(uv.imag) > 0 for uv in u_list):
         raise ValueError("forward check requires real u_i")
 
-    omega = params.omega
-    u_re = [uv.real for uv in params.u_list]
+    u_re = [uv.real for uv in u_list]
     log_ratios = [math.log(e / n) for e in exps]
 
     def log_f(L: list[np.ndarray]) -> np.ndarray:
@@ -181,7 +173,7 @@ def forward_mellin_check(
         return lse_c - omega.real * lse_w
 
     lhs, _, _ = integrate_orthant_log(u_re, log_f, rel_tol=tol / 3.0)
-    rhs = kernel_value(shape, params.alpha, params.u_list)
+    rhs = kernel_value(shape, alpha, u_list)
     return lhs, rhs
 
 
@@ -233,7 +225,7 @@ def default_contour(
     x = [complex(c) for c in (coeffs if coeffs is not None else problem.coeffs)]
     rate = _sector_rate(problem.shape, x)
     a = min(0.5, alpha / (exps[0] + sum(exps)))
-    u0 = (alpha - a * sum(exps)) / n
+    u0, _ = _kernel_args(problem.shape, alpha, (a,) * len(exps))
     strip = min(a, min(u0 * n / e for e in exps))
     # x^-u oscillates like exp(-i t ln|x|), which eats into the alias margin
     osc = max(abs(cmath.log(abs(xv))) for xv in x)
@@ -265,8 +257,7 @@ def _lattice_tables(shape: Shape, alpha: float, x: Sequence[complex], a: Sequenc
     of the factor's log and exp(i times its imaginary part), at index K - lo.
     """
     n, exps = shape
-    u0 = alpha / n - sum(e * a_s for e, a_s in zip(exps, a)) / n
-    om0 = sum(a, u0) + 1.0
+    u0, om0 = _kernel_args(shape, alpha, a)
     factors = [(exps, u0, -1j * (h / n)), ([n - e for e in exps], om0, 1j * (h / n)),
                *(([int(r == s) for r in range(len(a))], a_s, 1j * h) for s, a_s in enumerate(a))]
     coefs, los, zs = [], [], []
@@ -469,7 +460,7 @@ def principal_root_mb(
     if contour is None:
         contour = default_contour(problem, alpha, tol if tol is not None else 1e-7,
                                   coeffs=x)
-    contour.validate_for(problem.shape, alpha)
+    _strip(problem.shape, alpha, contour.abscissas)
 
     T, m = contour.height, contour.nodes_per_line
     v_f, v_b, v_c, ring, count = _grid_sum(problem.shape, alpha, x, contour.abscissas,
@@ -512,7 +503,7 @@ def contour_integrand(
     if p > 2:
         raise ValueError("contour tracing is implemented for p <= 2")
     _sector_rate(problem.shape, problem.coeffs)
-    contour.validate_for(problem.shape, alpha)
+    _strip(problem.shape, alpha, contour.abscissas)
     m = contour.nodes_per_line
     if m ** p > _MAX_TRACE_POINTS:
         raise QuadratureError(f"contour trace of {m ** p} points exceeds {_MAX_TRACE_POINTS}")

@@ -1,8 +1,10 @@
 """End-to-end tests of the command-line interface and its report formats."""
 
 import csv
+import importlib
 import json
 import math
+import pkgutil
 import shlex
 import subprocess
 import sys
@@ -11,6 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import mellinroots
 from mellinroots import errors
 from mellinroots.cli import main
 from mellinroots.identities import det_rank_one
@@ -238,6 +241,26 @@ def test_series_overflow_exit_3(capsys):
     assert captured.err.startswith("error: gamma ratio magnitude")
     assert len(captured.err.splitlines()) == 1
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("method", ["param", "oracle"])
+def test_root_power_overflow_exit_3(method, capsys):
+    # the root is about 1e-300, so its (-1000)th power is past double range
+    code = main(["root", "--n", "2", "--exps", "1", "--coeffs", "1e300",
+                 "--alpha", "-1000", "--method", method])
+    assert code == 3
+    assert capsys.readouterr().err == (f"error: {method}: root 1.0000000000000237e-300 "
+                                       "to the power alpha = -1000.0 overflows\n")
+
+
+def test_all_exports_resolve():
+    # perfbench's layer tracer calls getattr on every name of each module's __all__
+    modules = [mellinroots] + [importlib.import_module(f"mellinroots.{m.name}")
+                               for m in pkgutil.iter_modules(mellinroots.__path__)
+                               if not m.name.startswith("_")]
+    for mod in modules:
+        for name in getattr(mod, "__all__", []):
+            assert hasattr(mod, name), f"{mod.__name__}.__all__ names missing {name}"
 
 
 def test_series_rejects_two_exponents(capsys):

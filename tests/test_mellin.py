@@ -10,11 +10,12 @@ import numpy as np
 import pytest
 
 from mellinroots import (ConvergenceConditionError, NumericalError, Problem,
-                         QuadratureError, default_contour, forward_mellin_check, kernel_value,
+                         QuadratureError, check_functional_equation, default_contour,
+                         forward_mellin_check, i0_ii_decomposition_check, kernel_value,
                          principal_root, principal_root_mb,
                          principal_root_param, quadratic_mb_check)
 from mellinroots import mellin, sampling
-from mellinroots.mellin import (Contour, MellinParams, _lattice_integrand, _lattice_tables,
+from mellinroots.mellin import (Contour, _kernel_args, _lattice_integrand, _lattice_tables,
                                 _line_nodes, contour_integrand)
 
 # frozen 40-digit reference values
@@ -30,14 +31,14 @@ QUAD_CLOSED = {
 
 
 def test_kernel_frozen_values():
-    params = MellinParams.for_shape((2, (1,)), 1.0, [0.5])
-    assert params.u == pytest.approx(0.25)
-    value = kernel_value((2, (1,)), params.alpha, params.u_list)
+    u, omega = _kernel_args((2, (1,)), 1.0, [0.5])
+    assert (u, omega) == pytest.approx((0.25, 1.75))
+    value = kernel_value((2, (1,)), 1.0, [0.5])
     assert value.real == pytest.approx(KERNEL_A1_U05, rel=1e-13)
 
-    params = MellinParams.for_shape((2, (1,)), 2.0, [1.0])
-    assert params.u == pytest.approx(0.5)
-    value = kernel_value((2, (1,)), params.alpha, params.u_list)
+    u, omega = _kernel_args((2, (1,)), 2.0, [1.0])
+    assert (u, omega) == pytest.approx((0.5, 2.5))
+    value = kernel_value((2, (1,)), 2.0, [1.0])
     assert value.real == pytest.approx(4.0 / 3.0, rel=1e-13)
 
 
@@ -49,23 +50,69 @@ def test_kernel_conjugate_symmetry():
     assert b == pytest.approx(a.conjugate(), rel=1e-13)
 
 
-def test_params_validation():
-    with pytest.raises(ConvergenceConditionError):
-        MellinParams.for_shape((2, (1,)), 1.0, [3.0])       # Re u < 0
-    with pytest.raises(ConvergenceConditionError):
-        MellinParams.for_shape((2, (1,)), 1.0, [-0.5])      # Re u_1 < 0
-    with pytest.raises(ConvergenceConditionError):
-        MellinParams.for_shape((2, (1,)), -1.0, [0.5])
+@pytest.mark.parametrize("call", [
+    lambda: kernel_value((3, (2, 1)), 2.0, [0.5]),
+    lambda: i0_ii_decomposition_check([0.5, 0.4], 3.0, (2, (1,))),
+    lambda: check_functional_equation((3, (2, 1)), 2.0, [0.5]),
+], ids=["kernel_value", "i0_ii_decomposition_check", "check_functional_equation"])
+def test_kernel_args_length_mismatch(call):
+    # one argument per exponent: zip must not drop the extra ones silently
+    with pytest.raises(ValueError, match="arguments for . exponents"):
+        call()
+
+
+def _no_quadrature(*args, **kwargs):
+    raise AssertionError("the strip must be checked before any quadrature runs")
+
+
+def test_params_validation(monkeypatch):
+    monkeypatch.setattr(mellin, "integrate_orthant_log", _no_quadrature)
+    with pytest.raises(ConvergenceConditionError, match="Re u = -1 <= 0"):
+        forward_mellin_check((2, (1,)), 1.0, [3.0])         # Re u < 0
+    with pytest.raises(ConvergenceConditionError, match="Re u_i > 0"):
+        forward_mellin_check((2, (1,)), 1.0, [-0.5])        # Re u_1 < 0
+    with pytest.raises(ConvergenceConditionError, match="alpha must be positive and finite"):
+        forward_mellin_check((2, (1,)), -1.0, [0.5])
     nan, inf = float("nan"), float("inf")
     for alpha, u in [(nan, 0.5), (inf, 0.5), (1.0, nan), (1.0, complex(0.5, inf))]:
         with pytest.raises(ConvergenceConditionError, match="finite"):
-            MellinParams.for_shape((2, (1,)), alpha, [u])
+            forward_mellin_check((2, (1,)), alpha, [u])
+
+
+def _strip_verdict(call):
+    """"reject" if call raises ConvergenceConditionError, else "accept"."""
+    try:
+        call()
+    except ConvergenceConditionError:
+        return "reject"
+    except NumericalError:
+        return "accept"  # past the strip, e.g. the pole of Gamma(u) at Re u ~ 1e-17
+    return "accept"
+
+
+@pytest.mark.parametrize("shape, alpha, point, verdict", [
+    ((2, (1,)), 1.0, (0.5,), "accept"),
+    ((2, (1,)), 1.0, (2.0,), "reject"),                     # u = 0 exactly
+    ((3, (2, 1)), 2.0, (0.5, 0.4), "accept"),
+    ((3, (2, 1)), 1.0, (0.5, 0.5), "reject"),
+    # alpha = n_1 a_1 + n_2 a_2 up to rounding: u and alpha - sum n_s a_s round
+    # to opposite sides of 0, so one formula must decide for every caller
+    ((3, (2, 1)), 0.9, (0.3, 0.3), "reject"),
+    ((3, (2, 1)), 0.30000000000000004, (0.1, 0.1), "accept"),
+    ((5, (4,)), 0.4000000000000001, (0.1,), "reject"),
+])
+def test_strip_boundary_agrees(monkeypatch, shape, alpha, point, verdict):
+    monkeypatch.setattr(mellin, "integrate_orthant_log", lambda *a, **k: (0.0, 0, 0))
+    problem = Problem(shape[0], shape[1], [0.5] * len(point))
+    contour = Contour(abscissas=point, height=2.0, nodes_per_line=9)
+    assert [_strip_verdict(lambda: forward_mellin_check(shape, alpha, point)),
+            _strip_verdict(lambda: principal_root_mb(problem, alpha=alpha, contour=contour)),
+            _strip_verdict(lambda: contour_integrand(problem, alpha, contour))] == [verdict] * 3
 
 
 def test_forward_check_frozen_p1():
     shape = (2, (1,))
-    params = MellinParams.for_shape(shape, 3.0, [0.5])
-    lhs, rhs = forward_mellin_check(shape, params, tol=1e-8)
+    lhs, rhs = forward_mellin_check(shape, 3.0, [0.5], tol=1e-8)
     assert rhs.real == pytest.approx(FORWARD_RHS_A3_U05, rel=1e-13)
     assert abs(lhs - rhs) <= 1e-8 * abs(rhs)
 
@@ -73,24 +120,21 @@ def test_forward_check_frozen_p1():
 def test_forward_check_exact_p1():
     # n=3, alpha=4, u1=1: u = 1, rhs = (4/3) Gamma(1)^2 / Gamma(3) = 2/3
     shape = (3, (1,))
-    params = MellinParams.for_shape(shape, 4.0, [1.0])
-    lhs, rhs = forward_mellin_check(shape, params, tol=1e-8)
+    lhs, rhs = forward_mellin_check(shape, 4.0, [1.0], tol=1e-8)
     assert rhs.real == pytest.approx(2.0 / 3.0, rel=1e-13)
     assert abs(lhs - rhs) <= 1e-8 * abs(rhs)
 
 
 def test_forward_check_p2():
     shape = (3, (2, 1))
-    params = MellinParams.for_shape(shape, 9.0, [0.7, 0.6])
-    lhs, rhs = forward_mellin_check(shape, params, tol=1e-6)
+    lhs, rhs = forward_mellin_check(shape, 9.0, [0.7, 0.6], tol=1e-6)
     assert abs(lhs - rhs) <= 1e-5 * abs(rhs)
 
 
 def test_forward_check_rejects_p3():
     shape = (5, (3, 2, 1))
-    params = MellinParams.for_shape(shape, 9.0, [0.5, 0.5, 0.5])
     with pytest.raises(ValueError):
-        forward_mellin_check(shape, params)
+        forward_mellin_check(shape, 9.0, [0.5, 0.5, 0.5])
 
 
 def test_mb_quadratic_unit():
