@@ -17,6 +17,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
+import functools
+import itertools
 import json
 import math
 import sys
@@ -27,26 +30,27 @@ import numpy as np
 
 from . import __version__
 from .errors import GammaOverflowError, NumericalError
-from .hyper import check_functional_equation, pde_residual, series_coefficients
+from .hyper import check_functional_equation, fd_weights, pde_residual, series_coefficients
 from .identities import (build_rank_one_matrix, det_cofactor, det_rank_one,
                          dirichlet_integral)
-from .mellin import (Contour, contour_integrand, default_contour, forward_mellin_check,
-                     principal_root_mb)
+from .mellin import contour_integrand, default_contour, forward_mellin_check, principal_root_mb
 from .oracle import Problem, all_roots, epsilon_family, principal_root
 from .param import ParamPoint, jacobian_det, principal_root_param, psi_forward
 from . import sampling
 
-def _num(v):
-    if isinstance(v, complex) and not isinstance(v, float):
-        return [float(v.real), float(v.imag)]
-    if isinstance(v, (np.floating, np.integer)):
-        return float(v)
-    return v
+def _jsonable(v):
+    """json.dumps default: a complex as [re, im], numpy values as floats, a Fraction as text."""
+    if isinstance(v, complex):
+        return [v.real, v.imag]
+    if isinstance(v, (np.generic, np.ndarray)):
+        return np.asarray(v, dtype=float).tolist()
+    if isinstance(v, Fraction):
+        return str(v)
+    raise TypeError(f"{type(v).__name__} is not JSON serializable")
 
 
 def _entry(name, method, value, err=None, tol=None, passed=None, **extra):
-    e = {"name": name, "method": method, "value": _num(value),
-         "error_estimate": err}
+    e = {"name": name, "method": method, "value": value, "error_estimate": err}
     if tol is not None:
         e["tolerance"] = tol
         e["passed"] = bool(passed)
@@ -80,7 +84,7 @@ class _Report:
 
 def _emit(report: dict, args) -> None:
     if args.json or args.out:
-        text = json.dumps(report, indent=2)
+        text = json.dumps(report, indent=2, default=_jsonable)
         if args.out:
             with open(args.out, "w") as fh:
                 fh.write(text + "\n")
@@ -88,10 +92,7 @@ def _emit(report: dict, args) -> None:
             print(text)
         return
     for r in report["results"]:
-        val = r["value"]
-        if isinstance(val, list):
-            val = complex(val[0], val[1])
-        line = f"{r['name']:<34s} {r['method']:<10s} {val}"
+        line = f"{r['name']:<34s} {r['method']:<10s} {r['value']}"
         if r.get("error_estimate") is not None:
             line += f"  err={r['error_estimate']:.3g}"
         if "passed" in r:
@@ -143,16 +144,10 @@ def _solve_one(problem: Problem, methods: list[str], alpha: float, tol: float,
         report.add(_entry(f"{label}root^alpha[{method}]", method, value, err=err))
         report.step(f"{label}{method}", t0)
 
-    names = list(values)
-    for i in range(len(names)):
-        for j in range(i + 1, len(names)):
-            a, ea = values[names[i]]
-            b, eb = values[names[j]]
-            diff = abs(a - b)
-            bound = max(tol, (ea or 0.0) + (eb or 0.0))
-            report.add(_entry(
-                f"{label}|{names[i]} - {names[j]}|", "compare", diff,
-                tol=bound, passed=diff <= bound))
+    for (name_a, (a, ea)), (name_b, (b, eb)) in itertools.combinations(values.items(), 2):
+        diff, bound = abs(a - b), max(tol, ea + eb)
+        report.add(_entry(f"{label}|{name_a} - {name_b}|", "compare", diff,
+                          tol=bound, passed=diff <= bound))
 
 
 def _read_spec(path: str, alpha: float) -> list[tuple[Problem, float]]:
@@ -181,8 +176,7 @@ def cmd_root(args) -> int:
         inputs = {"spec": args.spec, "method": args.method, "tol": tol}
     else:
         problems = [(_problem_from_args(args), alpha)]
-        inputs = {"n": problems[0][0].n, "exps": list(problems[0][0].exps),
-                  "coeffs": list(problems[0][0].coeffs),
+        inputs = {**dataclasses.asdict(problems[0][0]),
                   "alpha": alpha, "method": args.method, "tol": tol}
     report = _Report("root", inputs)
 
@@ -245,9 +239,14 @@ def _draw_jacobian(rng, i):
     return shape, rng.uniform(0.0, 5.0, size=p)
 
 
-def _fd_jacobian(xi, shape):
-    """det of the central-difference Jacobian of psi_forward at xi; a column with
-    xi_j < h, where xi_j - h leaves the orthant, takes (-3 f(0) + 4 f(h) - f(2h)) / 2h."""
+# first-derivative stencils (offsets in steps h, weights), built once: central, and
+# one-sided for a column whose central stencil would leave the orthant
+_CENTRAL = (-1, 1), fd_weights(1, (-1, 1))
+_ONE_SIDED = (0, 1, 2), fd_weights(1, (0, 1, 2))
+
+
+def _fd_jacobian(shape, xi):
+    """det of the finite-difference Jacobian of psi_forward at xi, one-sided where xi_j < h."""
     def f(j, step):
         moved = list(xi)
         moved[j] += step
@@ -257,27 +256,13 @@ def _fd_jacobian(xi, shape):
     J = np.empty((p, p))
     for j in range(p):
         h = 6e-6 * (1.0 + abs(xi[j]))
-        if xi[j] < h:
-            J[:, j] = (-3.0 * f(j, 0.0) + 4.0 * f(j, h) - f(j, 2.0 * h)) / (2.0 * h)
-        else:
-            J[:, j] = (f(j, h) - f(j, -h)) / (2.0 * h)
+        offsets, weights = _ONE_SIDED if xi[j] < h else _CENTRAL
+        J[:, j] = functools.reduce(np.add, (w * f(j, k * h) for k, w in zip(offsets, weights))) / h
     return float(np.linalg.det(J))
 
 
-def _jacobian_gap(instance, tol):
-    shape, xi = instance
-    closed = jacobian_det(ParamPoint.from_xi(xi), shape)
-    return abs(closed - _fd_jacobian(list(xi), shape)) / abs(closed)
-
-
-def _mellin_gap(instance, tol):
-    lhs, rhs = forward_mellin_check(*instance, tol=tol)
-    return abs(lhs - rhs) / abs(rhs)
-
-
-def _dirichlet_gap(instance, tol):
-    numeric, closed = dirichlet_integral(*instance, tol=tol)
-    return abs(numeric - closed) / abs(closed)
+def _gap(measured, closed):
+    return abs(closed - measured) / abs(closed)
 
 
 def _draw_funceq(rng, i):
@@ -299,34 +284,27 @@ def _match_multisets(a, b):
     return worst
 
 
-def _shape_list(shape):
-    return [shape[0], list(shape[1])]
-
-
-def _problem_dict(problem):
-    return {"n": problem.n, "exps": list(problem.exps), "coeffs": list(problem.coeffs)}
-
-
 # name, sample(rng, i), measure(instance, tol), describe(instance), count, tol
 _SUITES = {name: (_driver(name, sample, measure, describe), count, tol)
            for name, sample, measure, describe, count, tol in [
-    ("det", _draw_det, _det_gap, lambda y: {"y": [str(v) for v in y]}, 1000, 0.0),
-    ("jacobian", _draw_jacobian, _jacobian_gap,
-     lambda d: {"shape": _shape_list(d[0]), "xi": list(map(float, d[1]))}, 500, 1e-6),
+    ("det", _draw_det, _det_gap, lambda y: {"y": y}, 1000, 0.0),
+    ("jacobian", _draw_jacobian,
+     lambda d, tol: _gap(_fd_jacobian(*d), jacobian_det(ParamPoint.from_xi(d[1]), d[0])),
+     lambda d: {"shape": d[0], "xi": d[1]}, 500, 1e-6),
     ("mellin", lambda rng, i: sampling.random_forward_tuple(rng, 1 if i % 3 else 2),
-     _mellin_gap, lambda d: {"shape": _shape_list(d[0]), "alpha": d[1], "u": list(d[2])},
-     20, 1e-6),
+     lambda d, tol: _gap(*forward_mellin_check(*d, tol=tol)),
+     lambda d: {"shape": d[0], "alpha": d[1], "u": d[2]}, 20, 1e-6),
     ("dirichlet", lambda rng, i: sampling.random_dirichlet_tuple(rng, i % 3 + 1),
-     _dirichlet_gap, lambda d: {"u": [_num(v) for v in d[0]], "omega": d[1]}, 30, 1e-6),
+     lambda d, tol: _gap(*dirichlet_integral(*d, tol=tol)),
+     lambda d: {"u": d[0], "omega": d[1]}, 30, 1e-6),
     ("funceq", _draw_funceq, lambda d, tol: check_functional_equation(*d),
-     lambda d: {"shape": _shape_list(d[0]), "alpha": d[1], "u": [_num(v) for v in d[2]]},
-     50, 1e-11),
+     lambda d: {"shape": d[0], "alpha": d[1], "u": d[2]}, 50, 1e-11),
     ("pde", lambda rng, i: sampling.random_pde_problem(rng),
      lambda d, tol: pde_residual(*d, h=1e-2),
-     lambda d: {**_problem_dict(d[0]), "alpha": d[1]}, 10, 1e-4),
+     lambda d: {**dataclasses.asdict(d[0]), "alpha": d[1]}, 10, 1e-4),
     ("epsilon", lambda rng, i: sampling.random_small_problem(rng),
      lambda q, tol: _match_multisets(epsilon_family(q), all_roots(q).roots),
-     _problem_dict, 100, 1e-9),
+     dataclasses.asdict, 100, 1e-9),
 ]}
 
 
@@ -353,11 +331,9 @@ def cmd_verify(args) -> int:
 def cmd_contour_trace(args) -> int:
     problem = _problem_from_args(args)
     base = default_contour(problem, _finite_alpha(args.alpha))
-    contour = Contour(
-        abscissas=base.abscissas,
-        height=args.height if args.height is not None else base.height,
-        nodes_per_line=args.nodes if args.nodes is not None else base.nodes_per_line,
-    )
+    contour = dataclasses.replace(
+        base, height=args.height if args.height is not None else base.height,
+        nodes_per_line=args.nodes if args.nodes is not None else base.nodes_per_line)
     pts, vals = contour_integrand(problem, args.alpha, contour)
     try:
         fh = open(args.out, "w", newline="")

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import PoleError, StepTooSmallError
 from .gamma import gamma_ratio, is_pole
 from .mellin import kernel_value
-from .oracle import Problem
+from .oracle import Problem, _checked_shape
 from .param import psi_inverse
 
 __all__ = [
@@ -81,7 +81,7 @@ def shift_ratio_factors(shape: Shape, alpha: float) -> list[FactorPair]:
     g_s = prod_{j=1}^{n_s} (u - j) * prod_{j=1}^{n-n_s} (u + sum(u) + j).
     Every factor is a linear form with rational coefficients.
     """
-    n, exps = shape
+    n, exps = _checked_shape(shape)
     p = len(exps)
     u_form = LinearFactor(
         coeffs=tuple(Fraction(-e, n) for e in exps), offset=alpha / n)
@@ -265,7 +265,7 @@ def series_coefficients(shape: Shape, alpha: float, k_max: int) -> list[float]:
     """
     if len(shape[1]) != 1:
         raise ValueError("residue series is implemented for p = 1 only")
-    n, (n1,) = Problem(*shape, (0.0,)).shape  # degree and exponent validation
+    n, (n1,) = _checked_shape(shape)
     out: list[float] = []
     for k in range(k_max + 1):
         num = alpha / n + (n1 / n) * k

@@ -15,6 +15,7 @@ from typing import Sequence
 from .errors import DivergentIntegralError
 from .gamma import gamma_ratio
 from .mellin import _kernel_args
+from .oracle import _checked_shape
 from .quadrature import integrate_orthant_log, log_one_plus_sum_exp
 
 __all__ = [
@@ -111,6 +112,7 @@ def i0_ii_decomposition_check(
     those identities, every gamma ratio taken by gamma_ratio (real, as its
     arguments are).
     """
+    shape = _checked_shape(shape)
     n, exps = shape
     u_list = [float(v) for v in u_list]
     u, omega = _kernel_args(shape, alpha, u_list)

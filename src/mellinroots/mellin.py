@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import ConvergenceConditionError, QuadratureError
 from .gamma import gamma_ratio, log_gamma_array
-from .oracle import Problem
+from .oracle import Problem, _checked_shape
 from .quadrature import integrate_orthant_log, log_one_plus_sum_exp
 
 __all__ = [
@@ -69,10 +69,11 @@ _MAX_SOLVE_POINTS = 2 ** 25
 # before anything is allocated
 _MAX_TRACE_POINTS = 2 ** 20
 
-# rows of the grid scanned for kept runs by one solve (about 0.1 M for the
-# default contour of (3, (2, 1)) at coefficients 1e-300 and 1e300); each takes
-# several hundred bytes while its runs are found, before the points are counted
-_MAX_ROWS = 2 ** 20
+# nodes per line of the grid one solve sums (8,505 at most over 3,000
+# random_mb_problem draws, 521,401 for (8, (1,)) at x = 1e+-300); the line's
+# nodes, the rows scanned for kept runs (at p = 2) and the lattice tables all
+# grow with it, so it is checked before any of them is allocated
+_MAX_LINE_NODES = 2 ** 20
 
 # points of one block of the contour sum, whole runs of the last axis: each
 # block's per-point arrays (a few dozen bytes a point) stay in cache, and the
@@ -137,6 +138,7 @@ class QuadResult:
 
 def kernel_value(shape: Shape, alpha: float, u_list: Sequence[complex]) -> complex:
     """Gamma-ratio kernel at arbitrary pole-free arguments (no convergence check)."""
+    shape = _checked_shape(shape)
     u_list = [complex(v) for v in u_list]
     u, omega = _kernel_args(shape, alpha, u_list)
     return (alpha / shape[0]) * gamma_ratio([u, *u_list], [omega])
@@ -156,6 +158,7 @@ def forward_mellin_check(
     kernel.  Returns (lhs, rhs); callers assert |lhs - rhs| <= tol*|rhs|.
     Arguments off the kernel's strip raise ConvergenceConditionError.
     """
+    shape = _checked_shape(shape)
     n, exps = shape
     _, omega = _strip(shape, alpha, u_list)
     if len(exps) > 2:
@@ -231,7 +234,10 @@ def default_contour(
     osc = max(abs(cmath.log(abs(xv))) for xv in x)
     height = (0.8 * math.log(30.0 / tol) + 5.0 + 0.3 * osc) / rate
     step = 3.0 * math.pi * strip / (math.log(30.0 / tol) + 3.0 + 3.0 * strip * osc)
-    m = max(9, 4 * math.ceil(height / (2.0 * step)) + 1)
+    # a tiny alpha narrows the strip and so the step; m stays finite (2^62 + 1
+    # at most), so that _grid_sum's cap, not an overflow, refuses the grid
+    half = height / (2.0 * step) if step > 0 else math.inf
+    m = max(9, 4 * math.ceil(min(half, 2.0 ** 60)) + 1)
     return Contour(abscissas=(a,) * len(exps), height=height, nodes_per_line=m)
 
 
@@ -372,6 +378,9 @@ def _grid_sum(shape, alpha, x, a, T, m, full_grid=False):
     are doubled.
     """
     p = len(x)
+    if m > _MAX_LINE_NODES:
+        raise QuadratureError(
+            f"contour grid of {m} nodes per line exceeds {_MAX_LINE_NODES}")
     t, h = _line_nodes(T, m)
     c = (m - 1) // 2
     argx = [cmath.phase(complex(v)) for v in x]
@@ -380,8 +389,6 @@ def _grid_sum(shape, alpha, x, a, T, m, full_grid=False):
     lo = np.full(len(lead[0]) if lead else 1, -c)
     if fold:
         lo[0] = 0
-    if len(lo) > _MAX_ROWS:
-        raise QuadratureError(f"contour grid of {len(lo)} rows exceeds {_MAX_ROWS}")
     row, start, length = _kept_runs(shape, argx, t, lead, lo)
     count = int(length.sum())
     if count > _MAX_SOLVE_POINTS:

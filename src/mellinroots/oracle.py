@@ -97,6 +97,12 @@ class Problem:
         return c
 
 
+def _checked_shape(shape) -> tuple[int, tuple[int, ...]]:
+    """shape = (n, exps), checked as Problem checks it; returns it with int entries."""
+    n, exps = shape
+    return Problem(n, exps, (0.0,) * len(exps)).shape
+
+
 @dataclass(frozen=True)
 class RootSet:
     roots: tuple[complex, ...]

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import GammaOverflowError, RootConvergenceError
-from .oracle import Problem
+from .oracle import Problem, _checked_shape
 
 __all__ = [
     "ParamPoint", "psi_forward", "psi_forward_complex", "jacobian_det",
@@ -42,8 +42,8 @@ class ParamPoint:
     @classmethod
     def from_xi(cls, xi: Sequence[float]) -> "ParamPoint":
         xi = tuple(float(v) for v in xi)
-        if any(v < 0 for v in xi):
-            raise ValueError(f"xi must be nonnegative, got {xi}")
+        if not all(0 <= v < math.inf for v in xi):
+            raise ValueError(f"xi must be finite and nonnegative, got {xi}")
         s = math.fsum(xi)
         return cls(xi=xi, s=s, W=1.0 + s)
 
@@ -55,11 +55,9 @@ class ParamPoint:
 
 
 def _check_shape(shape: Shape, p: int) -> tuple[int, tuple[int, ...]]:
-    n, exps = shape
-    if len(exps) != p:
-        raise ValueError(f"shape has {len(exps)} exponents but point has {p} components")
-    problem = Problem(n, exps, (0.0,) * p)  # reuse degree and exponent validation
-    return problem.shape
+    if len(shape[1]) != p:
+        raise ValueError(f"shape has {len(shape[1])} exponents but point has {p} components")
+    return _checked_shape(shape)
 
 
 def psi_forward(point: ParamPoint, shape: Shape) -> tuple[float, ...]:

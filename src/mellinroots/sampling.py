@@ -24,13 +24,10 @@ def random_problem(
     p_max: int = 5,
     n_max: int = 12,
     coeff_hi: float = 10.0,
-    coeff_lo: float = 0.0,
-    p: int | None = None,
 ) -> Problem:
-    if p is None:
-        p = int(rng.integers(1, p_max + 1))
+    p = int(rng.integers(1, p_max + 1))
     n, exps = random_shape(rng, p, n_max)
-    coeffs = rng.uniform(coeff_lo, coeff_hi, size=p)
+    coeffs = rng.uniform(0.0, coeff_hi, size=p)
     return Problem(n, exps, coeffs)
 
 

@@ -8,6 +8,7 @@ import pkgutil
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -16,7 +17,7 @@ import pytest
 import mellinroots
 from mellinroots import errors
 from mellinroots.cli import main
-from mellinroots.identities import det_rank_one
+from mellinroots.identities import det_cofactor, det_rank_one
 
 
 def _run_json(capsys, argv):
@@ -370,6 +371,41 @@ def test_verify_numerical_error_is_a_miss(capsys):
     assert "error:" not in capsys.readouterr().err
 
 
+def test_verify_miss_instances_pinned(capsys, monkeypatch):
+    # each suite's miss writes its instance: shapes as [n, [n_1, ...]], numpy
+    # arrays as float lists, complex numbers as [re, im], Fractions as text
+    code, report = _run_json(
+        capsys, ["verify", "--suite", "all", "--count", "2", "--tol", "0", "--seed", "5"])
+    assert code == 1
+    first = {}
+    for r in report["results"]:
+        if "instance" in r:
+            first.setdefault(r["method"], json.dumps(r["instance"]))
+    assert first == {
+        "jacobian": '{"shape": [8, [5, 4, 1]], '
+                    '"xi": [0.26965351190828213, 1.9168444039275911, 2.0423660270999933]}',
+        "mellin": '{"shape": [5, [3, 1]], "alpha": 3.1450325382160464, '
+                  '"u": [0.7153255610421421, 0.4858013800881416]}',
+        "dirichlet": '{"u": [[0.8342524851835732, 0.0]], "omega": 2.5256314999973566}',
+        "funceq": '{"shape": [6, [4, 3, 1]], "alpha": 0.6887574583357975, '
+                  '"u": [[0.7600426569426219, 0.526778564335999], '
+                  '[0.3543302326829342, 0.23900616858173446], '
+                  '[1.4990113380780856, 0.7218952892703903]]}',
+        "pde": '{"n": 4, "exps": [3, 1], '
+               '"coeffs": [0.4286411040705133, 0.24314456190532516], "alpha": 2.0}',
+        "epsilon": '{"n": 8, "exps": [5, 4, 1], '
+                   '"coeffs": [0.031032973928846005, 0.15951386350635213, 0.1693045501137995]}',
+    }
+    # det is exact, so it misses only against a wrong determinant
+    monkeypatch.setattr("mellinroots.cli.det_cofactor",
+                        lambda matrix: det_cofactor(matrix) + Fraction(1, 3))
+    code, report = _run_json(
+        capsys, ["verify", "--suite", "det", "--count", "1", "--tol", "0", "--seed", "5"])
+    assert code == 1
+    assert json.dumps(report["results"][0]["instance"]) == (
+        '{"y": ["2", "-1", "6", "-1/3", "0", "1/3"]}')
+
+
 def test_verify_tol_applies_to_det(capsys, monkeypatch):
     monkeypatch.setattr("mellinroots.cli.det_rank_one",
                         lambda y: det_rank_one(y) + Fraction(1, 10**6))
@@ -488,6 +524,29 @@ def test_contour_grid_too_large_exit_3(argv, tmp_path, capsys):
     assert captured.err.startswith("error: ") and "points exceeds" in captured.err
     assert "Traceback" not in captured.err and captured.out == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize("shape, alpha", [
+    ("--n 2 --exps 1 --coeffs 1", "1e-5"),
+    ("--n 3 --exps 2,1 --coeffs 1,1", "1e-5"),
+    ("--n 3 --exps 2,1 --coeffs 1,1", "1e-300"),
+    ("--n 2 --exps 1 --coeffs 1", "1e-320"),
+])
+def test_contour_nodes_per_line_cap_exit_3(shape, alpha, capsys):
+    # a small alpha narrows the strip and so the step: the grid is refused
+    # before its line (up to 94 M nodes at 1e-5) or its tables are allocated
+    tracemalloc.start()
+    try:
+        code = main(["root", *shape.split(), "--alpha", alpha, "--method", "mb"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: contour grid of ")
+    assert captured.err.endswith(" nodes per line exceeds 1048576\n")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+    assert peak < 2 ** 20
 
 
 def test_contour_trace_zero_coefficient_exit_3(tmp_path, capsys):

@@ -15,6 +15,7 @@ from mellinroots import (ConvergenceConditionError, NumericalError, Problem,
                          principal_root, principal_root_mb,
                          principal_root_param, quadratic_mb_check)
 from mellinroots import mellin, sampling
+from mellinroots.hyper import shift_ratio_factors
 from mellinroots.mellin import (Contour, _kernel_args, _lattice_integrand, _lattice_tables,
                                 _line_nodes, contour_integrand)
 
@@ -59,6 +60,20 @@ def test_kernel_args_length_mismatch(call):
     # one argument per exponent: zip must not drop the extra ones silently
     with pytest.raises(ValueError, match="arguments for . exponents"):
         call()
+
+
+@pytest.mark.parametrize("shape", [(2, (3,)), (3, (1, 2))])
+@pytest.mark.parametrize("call", [
+    lambda shape: kernel_value(shape, 3.0, [0.5] * len(shape[1])),
+    lambda shape: forward_mellin_check(shape, 3.0, [0.5] * len(shape[1])),
+    lambda shape: i0_ii_decomposition_check([0.5] * len(shape[1]), 3.0, shape),
+    lambda shape: shift_ratio_factors(shape, 3.0),
+], ids=["kernel_value", "forward_mellin_check", "i0_ii_decomposition_check",
+        "shift_ratio_factors"])
+def test_raw_shapes_checked_as_problem(call, shape):
+    # a shape passed without a Problem is held to Problem's rule 0 < n_p < ... < n_1 < n
+    with pytest.raises(ValueError, match="exponents must satisfy"):
+        call(shape)
 
 
 def _no_quadrature(*args, **kwargs):
@@ -420,9 +435,9 @@ def test_contour_rejects_non_finite_values(abscissas, height):
 
 
 def test_mb_refuses_too_many_rows():
-    # a tall, fine contour keeps few points but would scan 2^20 + 1 rows first
+    # a tall, fine contour keeps few points but sums 2^21 + 1 nodes per line
     contour = Contour(abscissas=(0.25, 0.25), height=1e9, nodes_per_line=2 ** 20 + 1)
-    with pytest.raises(QuadratureError, match="rows exceeds"):
+    with pytest.raises(QuadratureError, match="of 2097153 nodes per line exceeds 1048576"):
         principal_root_mb(Problem(3, [2, 1], [0.5, 1.0]), contour=contour)
 
 

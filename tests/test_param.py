@@ -19,6 +19,9 @@ def test_param_point_invariants():
     assert pt.s == 3.0 and pt.W == 4.0
     with pytest.raises(ValueError):
         ParamPoint.from_xi([-1.0])
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="xi must be finite and nonnegative"):
+            ParamPoint.from_xi([1.0, bad])
     with pytest.raises(ValueError):
         ParamPoint(xi=(1.0,), s=2.0, W=3.0)  # s != sum(xi)
 
