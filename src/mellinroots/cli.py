@@ -125,29 +125,46 @@ def _problem_from_args(args) -> Problem:
 
 # ----------------------------- root -----------------------------------------
 
+def _root_power(problem: Problem, method: str, alpha: float) -> tuple[float, float]:
+    """(Z^alpha, error estimate) by one method."""
+    if method == "mb":
+        res = principal_root_mb(problem, alpha=alpha)
+        return res.value.real, res.err_estimate
+    # looked up per call, so a solver rebound on this module is the one run
+    z = {"param": principal_root_param, "oracle": principal_root}[method](problem)
+    try:
+        return z ** alpha, 1e-13  # accuracy bound of Newton in log space
+    except OverflowError as exc:
+        raise GammaOverflowError(
+            f"{method}: root {z!r} to the power alpha = {alpha!r} overflows") from exc
+
+
 def _solve_one(problem: Problem, methods: list[str], alpha: float, tol: float,
-               report: _Report, label: str = "") -> None:
-    values = {}
+               report: _Report, label: str = "") -> list[NumericalError]:
+    """Solve by each method and compare the values; return the errors raised.
+
+    A method that raises a NumericalError gets a NaN entry carrying the error
+    and takes no part in the comparisons.
+    """
+    values, errors = {}, []
     for method in methods:
         t0 = time.perf_counter()
-        if method == "mb":
-            res = principal_root_mb(problem, alpha=alpha)
-            value, err = res.value.real, res.err_estimate
-        else:  # looked up per call, so a solver rebound on this module is the one run
-            z = {"param": principal_root_param, "oracle": principal_root}[method](problem)
-            try:
-                value, err = z ** alpha, 1e-13  # accuracy bound of Newton in log space
-            except OverflowError as exc:
-                raise GammaOverflowError(
-                    f"{method}: root {z!r} to the power alpha = {alpha!r} overflows") from exc
-        values[method] = (value, err)
-        report.add(_entry(f"{label}root^alpha[{method}]", method, value, err=err))
+        name = f"{label}root^alpha[{method}]"
+        try:
+            value, err = _root_power(problem, method, alpha)
+        except NumericalError as exc:
+            errors.append(exc)
+            report.add(_entry(name, method, math.nan, error=str(exc)))
+        else:
+            values[method] = (value, err)
+            report.add(_entry(name, method, value, err=err))
         report.step(f"{label}{method}", t0)
 
     for (name_a, (a, ea)), (name_b, (b, eb)) in itertools.combinations(values.items(), 2):
         diff, bound = abs(a - b), max(tol, ea + eb)
         report.add(_entry(f"{label}|{name_a} - {name_b}|", "compare", diff,
                           tol=bound, passed=diff <= bound))
+    return errors
 
 
 def _read_spec(path: str, alpha: float) -> list[tuple[Problem, float]]:
@@ -180,15 +197,22 @@ def cmd_root(args) -> int:
                   "alpha": alpha, "method": args.method, "tol": tol}
     report = _Report("root", inputs)
 
+    errors, solved = [], False
     for k, (problem, a) in enumerate(problems):
         label = f"[{k}]" if len(problems) > 1 else ""
         if args.method == "all":
             methods = ["param", "oracle"] + (["mb"] if problem.p <= 2 else [])
         else:
             methods = [args.method]
-        _solve_one(problem, methods, a, tol, report, label)
+        raised = _solve_one(problem, methods, a, tol, report, label)
+        errors += raised
+        solved = solved or len(raised) < len(methods)
 
-    _emit(report.finish(), args)
+    # a report with no value in it is not written; the first error is the exit
+    if solved or not errors:
+        _emit(report.finish(), args)
+    if errors:
+        raise errors[0]
     return 1 if report.failed else 0
 
 

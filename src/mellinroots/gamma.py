@@ -6,9 +6,11 @@ where the individual |Gamma| values underflow or overflow long before the
 ratio does.  All ratios are therefore formed in log space.
 
 ``log_gamma`` is the principal branch: analytic on C minus (-inf, 0] and
-real on the positive real axis.  A Lanczos rational approximation
-(g = 607/128, 15 coefficients) covers Re z >= 0.5; the reflection formula
-with a branch-continuous log-sine covers the rest of the plane.
+real on the positive real axis.  One pass picks the branch by Re z alone:
+a Lanczos rational approximation (g = 607/128, 15 coefficients) runs once,
+at z where Re z >= 0.5 and at 1 - z elsewhere; only the Re z < 0.5 elements
+(the only ones that can be poles) then take the reflection formula, with a
+log-sine formed in the upper half-plane.  ``gamma_ratio`` is one such call.
 """
 
 from __future__ import annotations
@@ -81,21 +83,17 @@ def log_gamma_array(z) -> np.ndarray:
     z = np.asarray(z, dtype=np.complex128)
     shape = z.shape
     z = np.atleast_1d(z)
-    out = np.empty_like(z)
-    if np.any(is_pole(z)):
+    left = z.real < 0.5
+    zl = z[left]
+    if np.any(is_pole(zl)):     # a pole has Re z <= 0
         raise PoleError("log_gamma argument at a nonpositive integer")
 
-    lower = z.imag < 0.0
-    zu = np.where(lower, np.conj(z), z)
+    out = _lanczos(np.where(left, 1.0 - z, z))
+    lower = zl.imag < 0.0
+    logsin = _logsinpi_upper(np.where(lower, np.conj(zl), zl))
+    logsin[lower] = np.conj(logsin[lower])
+    out[left] = _LOG_PI - logsin - out[left]
 
-    right = zu.real >= 0.5
-    if np.any(right):
-        out[right] = _lanczos(zu[right])
-    if not np.all(right):
-        zl = zu[~right]
-        out[~right] = _LOG_PI - _logsinpi_upper(zl) - _lanczos(1.0 - zl)
-
-    out[lower] = np.conj(out[lower])
     positive_real = (z.imag == 0.0) & (z.real > 0.0)
     out.imag[positive_real] = 0.0
     return out.reshape(shape)
@@ -113,11 +111,12 @@ def gamma_ratio(numerators: Sequence[complex], denominators: Sequence[complex]) 
     PoleError if any argument (either side) is at a pole of its factor and
     GammaOverflowError if the ratio exceeds double range.
     """
+    lg = log_gamma_array([*numerators, *denominators]).tolist()
     total = 0.0 + 0.0j
-    for z in numerators:
-        total += log_gamma(z)
-    for z in denominators:
-        total -= log_gamma(z)
+    for v in lg[:len(numerators)]:
+        total += v
+    for v in lg[len(numerators):]:
+        total -= v
     if total.real > _EXP_OVERFLOW:
         raise GammaOverflowError(
             f"gamma ratio magnitude exp({total.real:.1f}) exceeds double range")

@@ -42,12 +42,13 @@ class ParamPoint:
     @classmethod
     def from_xi(cls, xi: Sequence[float]) -> "ParamPoint":
         xi = tuple(float(v) for v in xi)
-        if not all(0 <= v < math.inf for v in xi):
-            raise ValueError(f"xi must be finite and nonnegative, got {xi}")
-        s = math.fsum(xi)
+        # fsum raises on inf - inf; __post_init__ rejects any xi not finite
+        s = math.fsum(xi) if all(map(math.isfinite, xi)) else math.nan
         return cls(xi=xi, s=s, W=1.0 + s)
 
     def __post_init__(self):
+        if not all(0 <= v < math.inf for v in self.xi):
+            raise ValueError(f"xi must be finite and nonnegative, got {self.xi}")
         if abs(self.s - math.fsum(self.xi)) > 1e-14 * (1.0 + abs(self.s)):
             raise ValueError("s is not the sum of xi")
         if self.W != 1.0 + self.s or self.W < 1.0:

@@ -526,6 +526,20 @@ def test_contour_grid_too_large_exit_3(argv, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_root_all_keeps_the_methods_that_succeed(capsys):
+    # the contour refuses this grid; param and oracle still report the root
+    code = main(["root", "--n", "1000", "--exps", "5", "--coeffs", "5e-324",
+                 "--method", "all", "--json"])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.err == "error: contour grid of 16204585 nodes per line exceeds 1048576\n"
+    results = {r["name"]: r for r in json.loads(captured.out)["results"]}
+    assert results["root^alpha[param]"]["value"] == results["root^alpha[oracle]"]["value"] == 1.0
+    mb = results["root^alpha[mb]"]
+    assert math.isnan(mb["value"]) and captured.err == f"error: {mb['error']}\n"
+    assert list(results)[3:] == ["|param - oracle|"] and results["|param - oracle|"]["passed"]
+
+
 @pytest.mark.parametrize("shape, alpha", [
     ("--n 2 --exps 1 --coeffs 1", "1e-5"),
     ("--n 3 --exps 2,1 --coeffs 1,1", "1e-5"),

@@ -69,6 +69,48 @@ def test_conjugate_symmetry(z):
     assert log_gamma(z.conjugate()) == pytest.approx(log_gamma(z).conjugate(), rel=1e-12, abs=1e-12)
 
 
+def _bits(values):
+    return np.asarray(values, dtype=np.complex128).view(np.int64).tolist()
+
+
+def _one_pass_sample():
+    # both half-planes, both sides of Re z = 1/2 and the positive real axis;
+    # off the axis every point is at least 1e-3 from it, so none is near a
+    # pole or the cut
+    rng = np.random.default_rng(16)
+    n = 1500
+    re = np.concatenate([rng.uniform(-15, 15, n), 0.5 + rng.uniform(-0.1, 0.1, n)])
+    im = rng.choice([-1, 1], 2 * n) * rng.uniform(1e-3, 40, 2 * n)
+    return np.concatenate([re + 1j * im, rng.uniform(1e-3, 0.5, 200),
+                           rng.uniform(0.5, 40, 200).astype(complex)])
+
+
+def test_array_matches_scalar_bit_for_bit():
+    z = _one_pass_sample()
+    assert _bits(log_gamma_array(z)) == _bits([log_gamma(v) for v in z])
+
+
+def test_conjugation_is_exact_off_the_axis():
+    z = _one_pass_sample()
+    z = z[z.imag != 0.0]
+    assert _bits(log_gamma_array(z.conj())) == _bits(log_gamma_array(z).conj())
+
+
+def test_gamma_ratio_is_the_in_order_sum_of_scalar_log_gammas():
+    z = _one_pass_sample()
+    z = z[np.abs(z) < 12]
+    rng = np.random.default_rng(17)
+    for _ in range(300):
+        num = list(rng.choice(z, rng.integers(0, 4)))
+        den = list(rng.choice(z, rng.integers(0, 3)))
+        total = 0.0 + 0.0j
+        for v in num:
+            total += log_gamma(v)
+        for v in den:
+            total -= log_gamma(v)
+        assert _bits([gamma_ratio(num, den)]) == _bits([cmath.exp(total)])
+
+
 @pytest.mark.parametrize("z", [0.0, -1.0, -3.0, -7 + 1e-14j, -2.0 + 0.5e-12])
 def test_pole_raises(z):
     with pytest.raises(PoleError):

@@ -22,6 +22,10 @@ def test_param_point_invariants():
     for bad in (math.inf, math.nan):
         with pytest.raises(ValueError, match="xi must be finite and nonnegative"):
             ParamPoint.from_xi([1.0, bad])
+        with pytest.raises(ValueError, match="xi must be finite and nonnegative"):
+            ParamPoint(xi=(bad,), s=bad, W=bad)
+    with pytest.raises(ValueError, match="xi must be finite and nonnegative"):
+        ParamPoint.from_xi([math.inf, -math.inf])
     with pytest.raises(ValueError):
         ParamPoint(xi=(1.0,), s=2.0, W=3.0)  # s != sum(xi)
 
