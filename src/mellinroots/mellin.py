@@ -17,6 +17,13 @@ truncation height comes from the Stirling decay of the kernel: the count of
 gamma factors upstairs exceeds downstairs by p, giving exponential decay at
 rate at least pi*n_s/n per line (minus |arg x_s| for complex coefficients,
 whence the validity sector |arg x_s| < pi*n_s/n, where that rate is positive).
+The step is sized for the value returned, the finest of three nested grids
+(steps h_f, 2 h_f and 4 h_f, summed in one pass).  The trapezoid error falls
+like C exp(-beta/h), so each halving of the step squares it, and the three
+levels' differences give the finest level's error.  err_estimate adds to that
+fit the tail beyond the height, the rounding floor eps (h_f/2 pi)^p sum |f|,
+and a bound on the points the Stirling mask dropped, whose cut is set from
+the same tolerance as the step.
 
 On the trapezoid grid u_s = a_s + i k_s h the derived arguments are lattice
 values too: Im u = -(sum n_s k_s) h/n and Im omega = (sum (n-n_s) k_s) h/n.
@@ -54,11 +61,23 @@ __all__ = [
 
 Shape = tuple[int, tuple[int, ...]]
 
-# drop grid points whose Stirling-bound magnitude is below e^-50 of the center
+# the Stirling mask's cut never exceeds 50: grid points whose Stirling-bound
+# magnitude is below e^-50 of the center are always dropped
 _MASK_CUT = 50.0
 
+# |f| <= _MASK_SPREAD e^-E |f(0)| on the grid, E the Stirling exponent
+# (_stirling_exponent).  The largest |f|/(|f(0)| e^-E) over the points with
+# E > 10 was 2.83 at p = 2 and 0.50 at p = 1, over 240 default grids with
+# alpha from 0.3 to 3 and x_s from 1e-3 to 1e3.  It grows with alpha (125 on a
+# p = 2 grid at alpha = 7), where the other terms of err_estimate dominated in
+# every solve tried
+_MASK_SPREAD = 4.0
+
+# unit roundoff of the contour sums: the rounding floor is _EPS (h/2 pi)^p sum |f|
+_EPS = float(np.finfo(float).eps)
+
 # points evaluated by one contour solve, after the mask and the fold (at most
-# 2.0 M on criterion-02, 6.1 M on (5, (4, 1)) at tol 1e-12); checked before any
+# 0.52 M on criterion-02, 2.6 M on (5, (4, 1)) at tol 1e-12); checked before any
 # point is evaluated.  A solve walks its points in blocks of fixed memory, so
 # the cap bounds time (about 50 ns a point)
 _MAX_SOLVE_POINTS = 2 ** 25
@@ -69,8 +88,8 @@ _MAX_SOLVE_POINTS = 2 ** 25
 # before anything is allocated
 _MAX_TRACE_POINTS = 2 ** 20
 
-# nodes per line of the grid one solve sums (8,505 at most over 3,000
-# random_mb_problem draws, 521,401 for (8, (1,)) at x = 1e+-300); the line's
+# nodes per line of the grid one solve sums (7,129 at most over 3,000
+# random_mb_problem draws, 262,369 for (8, (1,)) at x = 1e+-300); the line's
 # nodes, the rows scanned for kept runs (at p = 2) and the lattice tables all
 # grow with it, so it is checked before any of them is allocated
 _MAX_LINE_NODES = 2 ** 20
@@ -220,8 +239,11 @@ def default_contour(
 
     Abscissas balance the two analyticity-strip constraints (the poles of
     Gamma(u_s) at 0 and of Gamma(u) at 0): a = alpha/(n_1 + sum n_k), capped
-    at 1/2; the trapezoid step then resolves the strip to the same tolerance.
-    m = 1 (mod 4), so the grids of step h/2, h and 2h all end at +-T.
+    at 1/2.  The solve sums the fine grid of step h_f = h/2, so h_f is sized
+    from the alias error exp(-strip (2 pi/h_f - 2 osc)) <= tol/30 of the
+    trapezoid rule on a strip of half-width ``strip``, where |x^-u| grows like
+    exp(strip osc) toward its edges.  m = 1 (mod 4), so the grids of step
+    h/2, h and 2h all end at +-T.
     """
     _check_alpha(alpha)
     n, exps = problem.shape
@@ -233,10 +255,10 @@ def default_contour(
     # x^-u oscillates like exp(-i t ln|x|), which eats into the alias margin
     osc = max(abs(cmath.log(abs(xv))) for xv in x)
     height = (0.8 * math.log(30.0 / tol) + 5.0 + 0.3 * osc) / rate
-    step = 3.0 * math.pi * strip / (math.log(30.0 / tol) + 3.0 + 3.0 * strip * osc)
+    fine_step = 2.0 * math.pi * strip / (math.log(30.0 / tol) + 2.0 * strip * osc)
     # a tiny alpha narrows the strip and so the step; m stays finite (2^62 + 1
     # at most), so that _grid_sum's cap, not an overflow, refuses the grid
-    half = height / (2.0 * step) if step > 0 else math.inf
+    half = height / (4.0 * fine_step) if fine_step > 0 else math.inf
     m = max(9, 4 * math.ceil(min(half, 2.0 ** 60)) + 1)
     return Contour(abscissas=(a,) * len(exps), height=height, nodes_per_line=m)
 
@@ -313,8 +335,8 @@ def _stirling_exponent(shape, ts, argx):
     return E - sum(t * ax for t, ax in zip(ts, argx))
 
 
-def _kept_runs(shape, argx, t, lead, lo):
-    """Runs of last-axis offsets whose Stirling exponent is at most _MASK_CUT.
+def _kept_runs(shape, argx, t, lead, lo, cut):
+    """Runs of last-axis offsets whose Stirling exponent is at most ``cut``.
 
     Row r fixes the leading offsets lead[s][r] and spans k_p = lo[r]..c.  Along
     the row the exponent is linear in k_p between the sign changes of k_p,
@@ -341,41 +363,44 @@ def _kept_runs(shape, argx, t, lead, lo):
         return _stirling_exponent(shape, [t[k[ri] + c] for k in lead] + [t[j + c]], argx)
 
     E_first, E_last = exponent(r, first), exponent(r, last)
-    keep_first, keep_last = E_first <= _MASK_CUT, E_last <= _MASK_CUT
+    keep_first, keep_last = E_first <= cut, E_last <= cut
     # one end kept: walk from it (a) toward the other (b) to the last kept offset j
     i = np.flatnonzero(keep_first != keep_last)
     a = np.where(keep_first[i], first[i], last[i])
     b = np.where(keep_first[i], last[i], first[i])
     E_a, E_b = np.minimum(E_first[i], E_last[i]), np.maximum(E_first[i], E_last[i])
     d = np.sign(b - a)
-    step = np.floor((_MASK_CUT - E_a) / (E_b - E_a) * abs(b - a)).astype(np.int64)
+    step = np.floor((cut - E_a) / (E_b - E_a) * abs(b - a)).astype(np.int64)
     j = a + d * np.minimum(step, abs(b - a) - 1)
-    while (out := exponent(r[i], j) > _MASK_CUT).any():
+    while (out := exponent(r[i], j) > cut).any():
         j[out] -= d[out]
-    while (more := exponent(r[i], j + d) <= _MASK_CUT).any():
+    while (more := exponent(r[i], j + d) <= cut).any():
         j[more] += d[more]
     first[i], last[i] = np.minimum(a, j), np.maximum(a, j)
     return r, first, np.where(keep_first | keep_last, last - first + 1, 0)
 
 
-def _grid_sum(shape, alpha, x, a, T, m, full_grid=False):
+def _grid_sum(shape, alpha, x, a, T, m, tol, full_grid=False):
     """Stirling-masked trapezoid sums over the p-fold grid, from one pass.
 
-    Returns (v_f, v_b, v_c, ring, points summed): (step/2 pi)^p times the sums
-    at steps h, 2h and 4h (every node, every second and every fourth from
-    t = 0), and (h/2 pi)^p times the sum of |f| on the ring max_s |t_s| = T.
-    Points whose Stirling bound lies below e^-_MASK_CUT of the center are
-    dropped: the grid is walked in rows along the last axis, and each row's
-    kept points are a few runs in closed form (_kept_runs).  The factor
-    tables are built once, over the lattice values the runs span; the runs
-    are then walked in blocks of whole runs of at most _BLOCK_POINTS points
-    (a longer run is cut into pieces first), so every per-point array fits
-    in cache.  Each block gathers |f| and f/|f| from the tables
-    (_lattice_integrand) and takes its masked sums, each a pairwise sum; the
-    blocks' sums are then summed pairwise too.  For real positive x,
-    f(-t) = conj f(t): the rows k_1 >= 0 are summed, row 0 from k_p = 0, with
-    weight 1/2 at the center; only the real part of f is formed, and the sums
-    are doubled.
+    Returns (v_f, v_b, v_c, ring, total, masked, points summed): (step/2 pi)^p
+    times the sums at steps h, 2h and 4h (every node, every second and every
+    fourth from t = 0); (h/2 pi)^p times the sums of |f| on the ring
+    max_s |t_s| = T and over every point summed; and a bound on the
+    (h/2 pi)^p-weighted |f| of the points the mask dropped.  A point is
+    dropped when its Stirling exponent E exceeds the cut min(50, log(10 N/tol)),
+    N the points of the (folded) box; there |f| <= _MASK_SPREAD e^-E |f(0)|, so
+    the bound is _MASK_SPREAD e^-cut |f(0)| per dropped point.  The grid is
+    walked in rows along the last axis, and each row's kept points are a few
+    runs in closed form (_kept_runs).  The factor tables are built once, over
+    the lattice values the runs span; the runs are then walked in blocks of
+    whole runs of at most _BLOCK_POINTS points (a longer run is cut into
+    pieces first), so every per-point array fits in cache.  Each block gathers
+    |f| and f/|f| from the tables (_lattice_integrand) and takes its masked
+    sums, each a pairwise sum; the blocks' sums are then summed pairwise too.
+    For real positive x, f(-t) = conj f(t): the rows k_1 >= 0 are summed, row
+    0 from k_p = 0, with weight 1/2 at the center; only the real part of f is
+    formed, and the sums and the bound are doubled.
     """
     p = len(x)
     if m > _MAX_LINE_NODES:
@@ -385,11 +410,15 @@ def _grid_sum(shape, alpha, x, a, T, m, full_grid=False):
     c = (m - 1) // 2
     argx = [cmath.phase(complex(v)) for v in x]
     fold = not full_grid and all(v.imag == 0.0 and v.real > 0.0 for v in map(complex, x))
+    n_box = (m ** p + 1) // 2 if fold else m ** p
+    # the dropped points hold at most _MASK_SPREAD tol/10 |f(0)| (h/2 pi)^p; the
+    # center, at E = 0, is always kept
+    mask_cut = min(_MASK_CUT, max(0.0, math.log(10.0 * n_box / tol)))
     lead = [np.arange(0 if fold else -c, c + 1)] if p == 2 else []
     lo = np.full(len(lead[0]) if lead else 1, -c)
     if fold:
         lo[0] = 0
-    row, start, length = _kept_runs(shape, argx, t, lead, lo)
+    row, start, length = _kept_runs(shape, argx, t, lead, lo, mask_cut)
     count = int(length.sum())
     if count > _MAX_SOLVE_POINTS:
         raise QuadratureError(f"contour grid of {count} points exceeds {_MAX_SOLVE_POINTS}")
@@ -410,7 +439,7 @@ def _grid_sum(shape, alpha, x, a, T, m, full_grid=False):
         done = ends[bounds[-1] - 1] if bounds[-1] else 0
         bounds.append(int(np.searchsorted(ends, done + _BLOCK_POINTS, side="right")))
     offsets = np.arange(min(count, _BLOCK_POINTS))
-    parts = []  # per block: the three sums and the ring's
+    parts = []  # per block: the three sums, the ring's and the |f| sum
     for b0, b1 in zip(bounds, bounds[1:]):
         run_len = length[b0:b1]
         first = np.cumsum(run_len) - run_len  # each run's position in the block
@@ -418,7 +447,7 @@ def _grid_sum(shape, alpha, x, a, T, m, full_grid=False):
         k.append(np.repeat(start[b0:b1] - first, run_len) + offsets[:first[-1] + run_len[-1]])
         mag, phase = _lattice_integrand(tables, k)
         edge = [np.abs(ks) == c for ks in k]
-        ring = mag[functools.reduce(np.logical_or, edge)].sum()
+        ring, total = mag[functools.reduce(np.logical_or, edge)].sum(), mag.sum()
         for on_edge in edge:
             mag[on_edge] *= 0.5
         if fold and b0 == 0:
@@ -427,13 +456,28 @@ def _grid_sum(shape, alpha, x, a, T, m, full_grid=False):
         # the low bit (two bits) of k_1 | ... | k_p is clear iff every k_s is even (0 mod 4)
         bits = functools.reduce(np.bitwise_or, k)
         parts.append([f.sum(), np.compress(bits & 1 == 0, f).sum(),
-                      np.compress(bits & 3 == 0, f).sum(), ring])
+                      np.compress(bits & 3 == 0, f).sum(), ring, total])
     # pairwise over the blocks too: a C-ordered copy puts each sum's parts in one row
     s = np.array(parts, dtype=complex).T.copy().sum(axis=1)
+    # |f(0)|: each table's log-magnitude at K = 0
+    f0 = np.exp(sum(log_mag[-k0] for _, k0, log_mag, _ in tables))
+    s = np.append(s, _MASK_SPREAD * (n_box - count) * math.exp(-mask_cut) * f0)
     if fold:
         s = 2.0 * s.real
-    s *= (h / (2.0 * math.pi)) ** p * np.array([1, 2 ** p, 4 ** p, 1])
-    return complex(s[0]), complex(s[1]), complex(s[2]), float(s[3].real), count
+    s *= (h / (2.0 * math.pi)) ** p * np.array([1, 2 ** p, 4 ** p, 1, 1, 1])
+    return (complex(s[0]), complex(s[1]), complex(s[2]), *map(float, s[3:].real), count)
+
+
+def _fine_error(d_f: float, d_b: float) -> float:
+    """Error of the finest of three trapezoid levels from its two differences.
+
+    The error falls like C exp(-beta/h), so each halving of the step squares
+    it: with d_b = |v_b - v_c| and d_f = |v_f - v_b| (about the errors of the
+    levels of step 4h and 2h), the finest level's is about d_f^3/d_b^2.  The
+    factor 10 keeps the fit a bound; where d_b <= d_f the levels have not
+    begun to converge and d_f is kept.
+    """
+    return 10.0 * d_f * (d_f / d_b) ** 2 if d_b > d_f else d_f
 
 
 def principal_root_mb(
@@ -446,36 +490,38 @@ def principal_root_mb(
     """Z(x)^alpha by the p-fold vertical-line integral of the kernel.
 
     One pass over 2m-1 nodes per line (step h/2 for the contour's m) gives
-    the value v_f and the sub-sums v_b (step h) and v_c (2h).  Halving the
-    step squares the error, so err_estimate is d_f^2/d_b (d_f if d_b <= d_f;
-    d_f = |v_f - v_b|, d_b = |v_b - v_c|) plus the boundary ring's |f| sum
-    continued geometrically at the sector decay rate plus 1e-15 (1 + |v_f|);
-    above ``tol`` it raises QuadratureError.  For real positive coefficients
-    the imaginary part is bounded by it too.  ``coeffs`` overrides the
-    problem's coefficients, for complex points inside the validity sector
-    |arg x_s| < pi*n_s/n.
+    the value v_f and the sub-sums v_b (step h) and v_c (2h).  err_estimate
+    is the sum of four terms: the fine level's discretisation error fitted
+    to the three levels (_fine_error); the boundary ring's |f| sum continued
+    geometrically at the sector decay rate; the rounding floor
+    eps (h/2 pi)^p sum |f|; and the bound on what the Stirling mask dropped.
+    Above ``tol`` it raises QuadratureError.  ``tol`` (1e-7 when None) also
+    sizes the default contour and the mask's cut.  For real positive
+    coefficients the imaginary part is bounded by the estimate too.
+    ``coeffs`` overrides the problem's coefficients, for complex points
+    inside the validity sector |arg x_s| < pi*n_s/n.
     """
     p = problem.p
     _check_alpha(alpha)
     if p > 2:
         raise ValueError("contour evaluation is implemented for p <= 2 "
                          "(use the parametric solver for higher p)")
+    if tol is not None and not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     x = [complex(c) for c in (coeffs if coeffs is not None else problem.coeffs)]
     if len(x) != p:
         raise ValueError(f"{len(x)} coefficients for p = {p}")
     rate = _sector_rate(problem.shape, x)
+    size_tol = tol if tol is not None else 1e-7
     if contour is None:
-        contour = default_contour(problem, alpha, tol if tol is not None else 1e-7,
-                                  coeffs=x)
+        contour = default_contour(problem, alpha, size_tol, coeffs=x)
     _strip(problem.shape, alpha, contour.abscissas)
 
     T, m = contour.height, contour.nodes_per_line
-    v_f, v_b, v_c, ring, count = _grid_sum(problem.shape, alpha, x, contour.abscissas,
-                                           T, 2 * m - 1)
-    d_f, d_b = abs(v_f - v_b), abs(v_b - v_c)
-    disc = d_f * d_f / d_b if d_b > d_f else d_f
+    v_f, v_b, v_c, ring, total, masked, count = _grid_sum(
+        problem.shape, alpha, x, contour.abscissas, T, 2 * m - 1, size_tol)
     tail = ring / -math.expm1(-rate * T / (m - 1))
-    err = disc + tail + 1e-15 * (1.0 + abs(v_f))
+    err = _fine_error(abs(v_f - v_b), abs(v_b - v_c)) + tail + _EPS * total + masked
     if tol is not None and err > tol:
         raise QuadratureError(
             f"contour integral error estimate {err:g} exceeds requested {tol:g}")

@@ -31,6 +31,16 @@ _MAX_NEWTON = 300
 _LOG_MAX = math.log(sys.float_info.max) - 1e-9
 
 
+def _xi_sum(xi: tuple[float, ...]) -> float:
+    """sum(xi) for xi finite and nonnegative, with a sum in double range; ValueError otherwise."""
+    if not all(0 <= v < math.inf for v in xi):
+        raise ValueError(f"xi must be finite and nonnegative, got {xi}")
+    try:
+        return math.fsum(xi)
+    except OverflowError:
+        raise ValueError(f"sum(xi) overflows double range, xi = {xi}") from None
+
+
 @dataclass(frozen=True)
 class ParamPoint:
     """A point xi in [0, inf)^p together with s = sum(xi) and W = 1 + s."""
@@ -42,14 +52,11 @@ class ParamPoint:
     @classmethod
     def from_xi(cls, xi: Sequence[float]) -> "ParamPoint":
         xi = tuple(float(v) for v in xi)
-        # fsum raises on inf - inf; __post_init__ rejects any xi not finite
-        s = math.fsum(xi) if all(map(math.isfinite, xi)) else math.nan
+        s = _xi_sum(xi)
         return cls(xi=xi, s=s, W=1.0 + s)
 
     def __post_init__(self):
-        if not all(0 <= v < math.inf for v in self.xi):
-            raise ValueError(f"xi must be finite and nonnegative, got {self.xi}")
-        if abs(self.s - math.fsum(self.xi)) > 1e-14 * (1.0 + abs(self.s)):
+        if abs(self.s - _xi_sum(self.xi)) > 1e-14 * (1.0 + abs(self.s)):
             raise ValueError("s is not the sum of xi")
         if self.W != 1.0 + self.s or self.W < 1.0:
             raise ValueError("W must equal 1 + s and be >= 1")

@@ -532,7 +532,7 @@ def test_root_all_keeps_the_methods_that_succeed(capsys):
                  "--method", "all", "--json"])
     assert code == 3
     captured = capsys.readouterr()
-    assert captured.err == "error: contour grid of 16204585 nodes per line exceeds 1048576\n"
+    assert captured.err == "error: contour grid of 8325065 nodes per line exceeds 1048576\n"
     results = {r["name"]: r for r in json.loads(captured.out)["results"]}
     assert results["root^alpha[param]"]["value"] == results["root^alpha[oracle]"]["value"] == 1.0
     mb = results["root^alpha[mb]"]

@@ -8,6 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mellinroots import (ConvergenceConditionError, NumericalError, Problem,
                          QuadratureError, check_functional_equation, default_contour,
@@ -237,18 +238,18 @@ def test_lattice_integrand_matches_kernel_complex_coefficient():
 
 
 @pytest.mark.parametrize("problem, alpha, evaluations", [
-    (Problem(5, [3], [0.7]), 2.0, 165),
-    (Problem(3, [2, 1], [0.4, 0.9]), 3.0, 73708),
+    (Problem(5, [3], [0.7]), 2.0, 105),
+    (Problem(3, [2, 1], [0.4, 0.9]), 3.0, 16144),
 ])
 def test_mb_grid_pinned(problem, alpha, evaluations):
     # points summed after the Stirling mask and the conjugate-symmetry fold
     assert principal_root_mb(problem, alpha=alpha).evaluations == evaluations
 
 
-def _stirling_kept(shape, x, T, m, fold):
+def _stirling_kept(shape, x, T, m, fold, cut):
     """Reference mask: the offsets (k_1, ..., k_p) whose Stirling exponent is at
-    most 50, found point by point over the full m^p tensor, in row-major order;
-    with the fold, only those whose first nonzero offset is positive, and 0."""
+    most ``cut``, found point by point over the full m^p tensor, in row-major
+    order; with the fold, only those whose first nonzero offset is positive, and 0."""
     n, exps = shape
     t, _ = _line_nodes(T, m)
     ts = [t[ix] for ix in np.ix_(*[np.arange(m)] * len(x))]
@@ -256,7 +257,7 @@ def _stirling_kept(shape, x, T, m, fold):
     im_om = sum(ts, im_u)
     E = (math.pi / 2.0) * (sum(map(np.abs, ts), np.abs(im_u)) - np.abs(im_om))
     E = E - sum(tv * cmath.phase(xv) for tv, xv in zip(ts, x))
-    k = np.stack(np.nonzero(E <= 50.0), axis=1) - (m - 1) // 2
+    k = np.stack(np.nonzero(E <= cut), axis=1) - (m - 1) // 2
     if fold:
         k = k[np.where(k[:, 0] != 0, k[:, 0], k[:, -1]) >= 0]
     return k
@@ -280,13 +281,19 @@ def test_grid_sum_keeps_reference_mask(monkeypatch, shape, x, full_grid):
     problem = Problem(shape[0], list(shape[1]), [abs(v) for v in x])
     contour = default_contour(problem, 1.0, coeffs=x)
     fold = not full_grid and all(v.imag == 0.0 for v in x)
-    seen = []
+    seen, cuts = [], []
+    kept_runs = mellin._kept_runs
 
     def spy(*args):
         seen.append(np.stack(args[-1], axis=1))
         return _lattice_integrand(*args)
 
+    def cut_spy(*args):
+        cuts.append(args[-1])
+        return kept_runs(*args)
+
     monkeypatch.setattr(mellin, "_lattice_integrand", spy)
+    monkeypatch.setattr(mellin, "_kept_runs", cut_spy)
     # each height puts the cut somewhere else along the rows; the last drops points.
     # A block of 23 points is shorter than most runs, so runs are cut across blocks
     for (scale, m), block in itertools.product([(1.0, 101), (2.5, 201), (3.0, 61)],
@@ -294,8 +301,9 @@ def test_grid_sum_keeps_reference_mask(monkeypatch, shape, x, full_grid):
         monkeypatch.setattr(mellin, "_BLOCK_POINTS", block)
         T = scale * contour.height
         seen.clear()
-        *_, count = mellin._grid_sum(shape, 1.0, x, contour.abscissas, T, m, full_grid=full_grid)
-        ref = _stirling_kept(shape, x, T, m, fold)
+        *_, count = mellin._grid_sum(shape, 1.0, x, contour.abscissas, T, m, 1e-7,
+                                     full_grid=full_grid)
+        ref = _stirling_kept(shape, x, T, m, fold, cuts[-1])
         assert len(seen) >= 1 and count == len(ref)
         assert np.array_equal(np.concatenate(seen), ref), (scale, m, block)
     assert count < m ** len(x) // (2 if fold else 1)
@@ -316,10 +324,11 @@ def test_grid_sum_block_boundaries(monkeypatch, shape, x, full_grid):
     for block in (7, 2 ** 25):
         monkeypatch.setattr(mellin, "_BLOCK_POINTS", block)
         sums.append(mellin._grid_sum(shape, 1.0, x, contour.abscissas, contour.height, 201,
-                                     full_grid=full_grid))
+                                     1e-7, full_grid=full_grid))
     (*small, count_small), (*one, count_one) = sums
     assert count_small == count_one
-    for name, v_small, v_one in zip(["v_f", "v_b", "v_c", "ring"], small, one):
+    for name, v_small, v_one in zip(["v_f", "v_b", "v_c", "ring", "total", "masked"],
+                                    small, one, strict=True):
         assert abs(v_small - v_one) <= 2e-15 * abs(v_one), (name, v_small, v_one)
 
 
@@ -379,7 +388,7 @@ def test_mb_rejects_direction_outside_sector():
     with pytest.raises(ConvergenceConditionError, match="every direction"):
         default_contour(problem, 1.0, coeffs=coeffs(1.0))
     # at 0.8 of those arguments the exponent is positive on every direction
-    assert principal_root_mb(problem, coeffs=coeffs(0.8)).evaluations == 2979646
+    assert principal_root_mb(problem, coeffs=coeffs(0.8)).evaluations == 809710
 
 
 def test_mb_rejects_zero_coefficient():
@@ -442,15 +451,15 @@ def test_mb_refuses_too_many_rows():
 
 
 def test_mb_memory_does_not_scale_with_the_grid():
-    # criterion-02's (5, (4, 1)) instance at tol 1e-12 sums 6.1 M points; a
-    # complex per-point array of them alone is 98 MB
+    # criterion-02's (5, (4, 1)) instance at tol 1e-12 sums 2.6 M points; a
+    # complex per-point array of them alone is 41 MB
     tracemalloc.start()
     try:
         res = principal_root_mb(Problem(5, [4, 1], [1.914, 0.713]), tol=1e-12)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert res.evaluations == 6143435
+    assert res.evaluations == 2587901
     assert peak < 32 * 2 ** 20
 
 
@@ -461,17 +470,68 @@ def test_mb_tol_enforcement():
         principal_root_mb(problem, contour=coarse, tol=1e-10)
 
 
+def _criterion_02_head(count=20):
+    """The first ``count`` criterion-02 instances, (problem, alpha)."""
+    rng = np.random.default_rng(1002)
+    for _ in range(count):
+        problem = sampling.random_mb_problem(rng)
+        yield problem, float(rng.choice([1.0, 2.0, 3.0]))
+
+
 @pytest.mark.parametrize("tol", [1e-4, 1e-6, 1e-8, 1e-10, 1e-12])
 def test_mb_honours_tol(tol):
-    # err_estimate bounds the error of the returned value, so tol is met, not refused;
-    # the first 20 criterion-02 instances
-    rng = np.random.default_rng(1002)
-    for _ in range(20):
-        problem = sampling.random_mb_problem(rng)
-        alpha = float(rng.choice([1.0, 2.0, 3.0]))
+    # err_estimate bounds the error of the returned value, so tol is met, not refused
+    for problem, alpha in _criterion_02_head():
         res = principal_root_mb(problem, alpha, tol=tol)
         observed = abs(res.value - principal_root_param(problem) ** alpha)
         assert observed <= res.err_estimate <= tol, (problem, alpha)
+
+
+def test_mb_estimate_is_close_to_the_error():
+    # a bound, not a gross overestimate: the median est/obs lies in [1, 100]
+    ratios = []
+    for problem, alpha in _criterion_02_head():
+        res = principal_root_mb(problem, alpha, tol=1e-7)
+        ratios.append(res.err_estimate / abs(res.value - principal_root_param(problem) ** alpha))
+    assert 1.0 <= float(np.median(ratios)) <= 100.0, sorted(ratios)
+
+
+@st.composite
+def _criterion_02_draws(draw):
+    """A criterion-02 shape (p = 1 with n <= 8, p = 2 with n <= 5), log10 x_s
+    uniform on [-1, 1], alpha and tol."""
+    p = draw(st.integers(1, 2))
+    n = draw(st.integers(p + 1, 8 if p == 1 else 5))
+    exps = sorted(draw(st.sets(st.integers(1, n - 1), min_size=p, max_size=p)), reverse=True)
+    logs = draw(st.lists(st.floats(-1.0, 1.0), min_size=p, max_size=p))
+    return (Problem(n, exps, [10.0 ** v for v in logs]), draw(st.sampled_from([1.0, 2.0, 3.0])),
+            draw(st.sampled_from([1e-6, 1e-9, 1e-12])))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_criterion_02_draws())
+def test_mb_value_within_its_estimate(draw):
+    # a value within err_estimate <= tol of the root, or a typed refusal
+    problem, alpha, tol = draw
+    try:
+        res = principal_root_mb(problem, alpha, tol=tol)
+    except NumericalError:
+        return
+    observed = abs(res.value - principal_root_param(problem) ** alpha)
+    assert observed <= res.err_estimate <= tol
+
+
+def test_mb_small_coefficient_rounding_counted():
+    # x^-a = 1e10 at a = 0.1, and the sum cancels down to 1: its rounding is counted
+    problem = Problem(40, [5], [1e-100])
+    res = principal_root_mb(problem)
+    assert abs(res.value - principal_root_param(problem)) <= res.err_estimate
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-7, float("nan"), float("inf")])
+def test_mb_rejects_bad_tol(tol):
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        principal_root_mb(Problem(2, [1], [1.0]), tol=tol)
 
 
 def test_mb_deterministic():

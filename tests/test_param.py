@@ -26,6 +26,10 @@ def test_param_point_invariants():
             ParamPoint(xi=(bad,), s=bad, W=bad)
     with pytest.raises(ValueError, match="xi must be finite and nonnegative"):
         ParamPoint.from_xi([math.inf, -math.inf])
+    with pytest.raises(ValueError, match=r"sum\(xi\) overflows double range"):
+        ParamPoint.from_xi([1e308, 1e308])
+    with pytest.raises(ValueError, match=r"sum\(xi\) overflows double range"):
+        ParamPoint(xi=(1e308, 1e308), s=math.inf, W=math.inf)
     with pytest.raises(ValueError):
         ParamPoint(xi=(1.0,), s=2.0, W=3.0)  # s != sum(xi)
 
