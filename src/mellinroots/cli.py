@@ -125,10 +125,11 @@ def _problem_from_args(args) -> Problem:
 
 # ----------------------------- root -----------------------------------------
 
-def _root_power(problem: Problem, method: str, alpha: float) -> tuple[float, float]:
-    """(Z^alpha, error estimate) by one method."""
+def _root_power(problem: Problem, method: str, alpha: float,
+                mb_tol: float | None) -> tuple[float, float]:
+    """(Z^alpha, error estimate) by one method; ``mb_tol`` sizes and bounds the contour."""
     if method == "mb":
-        res = principal_root_mb(problem, alpha=alpha)
+        res = principal_root_mb(problem, alpha=alpha, tol=mb_tol)
         return res.value.real, res.err_estimate
     # looked up per call, so a solver rebound on this module is the one run
     z = {"param": principal_root_param, "oracle": principal_root}[method](problem)
@@ -140,18 +141,19 @@ def _root_power(problem: Problem, method: str, alpha: float) -> tuple[float, flo
 
 
 def _solve_one(problem: Problem, methods: list[str], alpha: float, tol: float,
-               report: _Report, label: str = "") -> list[NumericalError]:
+               mb_tol: float | None, report: _Report, label: str = "") -> list[NumericalError]:
     """Solve by each method and compare the values; return the errors raised.
 
     A method that raises a NumericalError gets a NaN entry carrying the error
-    and takes no part in the comparisons.
+    and takes no part in the comparisons.  ``mb_tol`` goes to the contour
+    (None: its own default).
     """
     values, errors = {}, []
     for method in methods:
         t0 = time.perf_counter()
         name = f"{label}root^alpha[{method}]"
         try:
-            value, err = _root_power(problem, method, alpha)
+            value, err = _root_power(problem, method, alpha, mb_tol)
         except NumericalError as exc:
             errors.append(exc)
             report.add(_entry(name, method, math.nan, error=str(exc)))
@@ -186,6 +188,8 @@ def _read_spec(path: str, alpha: float) -> list[tuple[Problem, float]]:
 
 
 def cmd_root(args) -> int:
+    # an explicit --tol also sizes and bounds the contour; without it the
+    # contour keeps its own default
     tol = _resolve_tol(args.tol, 1e-9)
     alpha = _finite_alpha(args.alpha)
     if args.spec:
@@ -204,7 +208,7 @@ def cmd_root(args) -> int:
             methods = ["param", "oracle"] + (["mb"] if problem.p <= 2 else [])
         else:
             methods = [args.method]
-        raised = _solve_one(problem, methods, a, tol, report, label)
+        raised = _solve_one(problem, methods, a, tol, args.tol, report, label)
         errors += raised
         solved = solved or len(raised) < len(methods)
 

@@ -27,21 +27,18 @@ the same tolerance as the step.
 
 On the trapezoid grid u_s = a_s + i k_s h the derived arguments are lattice
 values too: Im u = -(sum n_s k_s) h/n and Im omega = (sum (n-n_s) k_s) h/n.
-Each gamma factor is therefore a table over the occupied range of its integer
-index, gathered at the grid points, so log-gamma is evaluated O((n_1+n_2) m)
-times rather than once per grid point.  The Stirling bound that masks the
-grid is piecewise linear along each row of it, so the kept points are found
-as a few runs per row in closed form, and only they are evaluated.  Each table
-is split into a real log-magnitude and a unit phase: a point costs one real
-exp of its summed magnitude gathers and a product of its phase gathers, not a
-complex exp, and the runs are summed in blocks that fit in cache, so memory
-does not grow with the grid.
+Each gamma factor is therefore a table over its integer index, a combination
+of the k_s with coefficients >= 0: log-gamma runs O((n_1+n_2) m) times, not
+once per grid point, and over a rectangle of the grid each table is one
+strided view.  The Stirling bound that masks the grid is piecewise linear
+along each row, so each row's kept span is found in closed form and covered
+by cache-sized rectangles of a few whole rows.  A point costs one real exp of
+its summed log-magnitude views and a product of its unit-phase views.
 """
 
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -76,28 +73,28 @@ _MASK_SPREAD = 4.0
 # unit roundoff of the contour sums: the rounding floor is _EPS (h/2 pi)^p sum |f|
 _EPS = float(np.finfo(float).eps)
 
-# points evaluated by one contour solve, after the mask and the fold (at most
-# 0.52 M on criterion-02, 2.6 M on (5, (4, 1)) at tol 1e-12); checked before any
-# point is evaluated.  A solve walks its points in blocks of fixed memory, so
-# the cap bounds time (about 50 ns a point)
+# points of the rectangles one contour solve sums (at most 0.52 M on
+# criterion-02, 2.6 M on (5, (4, 1)) at tol 1e-12), checked before any is
+# evaluated; memory is fixed per rectangle, so it bounds time (~20 ns a point)
 _MAX_SOLVE_POINTS = 2 ** 25
 
-# points of one trace, which holds every point at once: about 88 B a point at
-# p = 2 and 422 B at p = 1, and writing its CSV takes about 14 us a row (a
+# points of one trace, which holds every point at once: about 73 B a point at
+# p = 2 and 427 B at p = 1, and writing its CSV takes about 14 us a row (a
 # 1,048,577-node p = 1 trace took 14.9 s and peaked at 407 MB RSS); checked
 # before anything is allocated
 _MAX_TRACE_POINTS = 2 ** 20
 
 # nodes per line of the grid one solve sums (7,129 at most over 3,000
 # random_mb_problem draws, 262,369 for (8, (1,)) at x = 1e+-300); the line's
-# nodes, the rows scanned for kept runs (at p = 2) and the lattice tables all
+# nodes, the rows scanned for kept spans (at p = 2) and the lattice tables all
 # grow with it, so it is checked before any of them is allocated
 _MAX_LINE_NODES = 2 ** 20
 
-# points of one block of the contour sum, whole runs of the last axis: each
-# block's per-point arrays (a few dozen bytes a point) stay in cache, and the
-# Python cost per block is small beside its numpy work
+# points and rows of one rectangle of the contour sum, whose buffers stay in
+# cache; its columns are the union of its rows' kept spans (16 rows covered 1.005
+# to 1.10 times their points on the grids measured, no row cap up to 1.5 times)
 _BLOCK_POINTS = 2 ** 15
+_BLOCK_ROWS = 16
 
 
 def _check_alpha(alpha: float) -> None:
@@ -199,15 +196,22 @@ def forward_mellin_check(
     return lhs, rhs
 
 
-def _sector_rate(shape: Shape, x: Sequence[complex]) -> float:
-    """Decay rate of the contour integrand per line; raises for x_s = 0 or rate <= 0.
+def _ring_exponent(shape: Shape, argx: Sequence[float]) -> np.ndarray:
+    """The Stirling exponent at the corners of the ring max_s |t_s| = 1 and,
+    at p = 2, where t_1, t_2, Im u or Im omega change sign: between them it is
+    linear, so its extremes on the ring are among these."""
+    n, exps = shape
+    ring = np.array([[1.0], [-1.0]])
+    if len(exps) == 2:
+        normals = np.array([(1, 0), (0, 1), exps, [n - e for e in exps]], dtype=float)
+        turns = normals[:, ::-1] * [1, -1] / np.abs(normals).max(axis=1, keepdims=True)
+        ring = np.concatenate([turns, -turns, [(1, 1), (1, -1), (-1, 1), (-1, -1)]])
+    return _stirling_exponent(shape, list(ring.T), argx)
 
-    At p = 2 the lines' rates can be positive while the integrand grows along a
-    diagonal direction, so the Stirling exponent is also checked over the ring
-    max_s |t_s| = 1.  It is piecewise linear there, with its minimum at a
-    corner or where one of its terms changes sign; the rate, which sizes the
-    contour, stays the per-line minimum.
-    """
+
+def _sector_rate(shape: Shape, x: Sequence[complex]) -> float:
+    """Decay rate of the contour integrand per line; raises for x_s = 0 or rate <= 0,
+    or at p = 2 for growth along a diagonal direction (_ring_exponent <= 0)."""
     if any(xv == 0 for xv in x):
         raise ConvergenceConditionError(
             "contour evaluation needs strictly positive |x_s| (x^-u undefined at 0)")
@@ -217,15 +221,10 @@ def _sector_rate(shape: Shape, x: Sequence[complex]) -> float:
     if rate <= 0:
         raise ConvergenceConditionError(
             "coefficients outside the validity sector |arg x_s| < pi*n_s/n")
-    if len(exps) == 2:
-        # t_1, t_2, Im u and Im omega change sign across these normals
-        normals = np.array([(1, 0), (0, 1), exps, [n - e for e in exps]], dtype=float)
-        turns = normals[:, ::-1] * [1, -1] / np.abs(normals).max(axis=1, keepdims=True)
-        ring = np.concatenate([turns, -turns, [(1, 1), (1, -1), (-1, 1), (-1, -1)]])
-        if _stirling_exponent(shape, list(ring.T), argx).min() <= 0:
-            raise ConvergenceConditionError(
-                "coefficients outside the validity domain: the contour integrand "
-                "does not decay along every direction of the double integral")
+    if len(exps) == 2 and _ring_exponent(shape, argx).min() <= 0:
+        raise ConvergenceConditionError(
+            "coefficients outside the validity domain: the contour integrand "
+            "does not decay along every direction of the double integral")
     return rate
 
 
@@ -273,16 +272,14 @@ def _lattice_tables(shape: Shape, alpha: float, x: Sequence[complex], a: Sequenc
                     h: float, ends: Sequence[np.ndarray]) -> list[tuple]:
     """Tables of the integrand's factors over the lattice values the grid spans.
 
-    On the grid u_s = a_s + i k_s h, Im u = -(sum n_s k_s) h/n and
-    Im omega = (sum (n-n_s) k_s) h/n with fixed real parts, so each factor of
-    F(u) prod x_s^-u_s depends on one integer index K = sum coef_s k_s (coef
-    reduced by its gcd): log Gamma(u) + log(alpha/n), -log Gamma(omega) and,
-    per line, log Gamma(u_s) - u_s log x_s.  Each is tabulated from the least
-    to the greatest K at the offsets ``ends`` (one array per axis); K is
-    linear along a run of the last axis, so a run's two ends bound it.  All
-    tables go through one log-gamma call: on small grids its fixed cost
-    dominates.  Returns (coef, lo, log_mag, phase) per factor, the real part
-    of the factor's log and exp(i times its imaginary part), at index K - lo.
+    Each factor of F(u) prod x_s^-u_s depends on one integer index
+    K = sum coef_s k_s (coef reduced by its gcd): log Gamma(u) + log(alpha/n),
+    -log Gamma(omega) and, per line, log Gamma(u_s) - u_s log x_s.  Each is
+    tabulated from the least to the greatest K at the offsets ``ends`` (one
+    array per axis; every coef_s is >= 0, so a rectangle's corners bound K),
+    all in one log-gamma call, whose fixed cost dominates on small grids.
+    Returns ((c_1, c_p), lo, log_mag, phase) per factor (c_1 = 0 at p = 1),
+    the real part of its log and exp(i times its imaginary part) at K - lo.
     """
     n, exps = shape
     u0, om0 = _kernel_args(shape, alpha, a)
@@ -291,39 +288,35 @@ def _lattice_tables(shape: Shape, alpha: float, x: Sequence[complex], a: Sequenc
     coefs, los, zs = [], [], []
     for coef, re, step in factors:
         g = math.gcd(*coef)
-        coef = [cs // g for cs in coef]
-        K = sum(cs * ks for cs, ks in zip(coef, ends))
-        lo = int(K.min())
-        coefs.append(coef)
-        los.append(lo)
-        zs.append(re + step * (g * np.arange(lo, int(K.max()) + 1)))
+        coefs.append([cs // g for cs in coef])
+        K = sum(cs * ks for cs, ks in zip(coefs[-1], ends))
+        los.append(int(K.min()))
+        zs.append(re + step * (g * np.arange(los[-1], int(K.max()) + 1)))
     lg = np.split(log_gamma_array(np.concatenate(zs)), np.cumsum([z.size for z in zs[:-1]]))
     lg[0] += math.log(alpha / n)
     lg[1] = -lg[1]
     for z, lg_s, xv in zip(zs[2:], lg[2:], x):
         lg_s -= z * cmath.log(complex(xv))
-    return [(coef, lo, v.real.copy(), np.exp(1j * v.imag))
+    return [((0, *coef)[-2:], lo, v.real.copy(), np.exp(1j * v.imag))
             for coef, lo, v in zip(coefs, los, lg)]
 
 
-def _lattice_integrand(tables: list[tuple],
-                       k: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """|f| and f/|f| at the grid offsets k (one integer array per axis).
-
-    f = F(u) prod x_s^-u_s is a product of the factors in ``tables``: |f| is
-    one real exp of the summed log-magnitude gathers and f/|f| the product
-    of the unit-phase gathers, so no complex exp runs per point.
-    """
-    log_mag = phase = None
-    for coef, lo, lm, ph in tables:
-        i = functools.reduce(np.add, (ks if cs == 1 else cs * ks
-                                      for cs, ks in zip(coef, k) if cs)) - lo
-        if log_mag is None:
-            log_mag, phase = lm.take(i), ph.take(i)
-        else:
-            log_mag += lm.take(i)
-            phase *= ph.take(i)
-    return np.exp(log_mag, out=log_mag), phase
+def _rect_integrand(tables: list[tuple], k1: int, kp: int, mag: np.ndarray,
+                    phase: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """|f| and f/|f| into ``mag`` and ``phase`` at the offsets (k1 + i, kp + j) of their
+    shape (k1 = 0 at p = 1), read from each table as a strided view numpy checks."""
+    mags, phases = [], []
+    for (c1, cp), lo, *pair in tables:
+        at = c1 * k1 + cp * kp - lo
+        for v, views in zip(pair, (mags, phases)):
+            views.append(np.ndarray(mag.shape, v.dtype, v, at * v.itemsize,
+                                    (c1 * v.itemsize, cp * v.itemsize)))
+    np.add(mags[0], mags[1], out=mag)
+    np.multiply(phases[0], phases[1], out=phase)
+    for lm, ph in zip(mags[2:], phases[2:]):
+        mag += lm
+        phase *= ph
+    return np.exp(mag, out=mag), phase
 
 
 def _stirling_exponent(shape, ts, argx):
@@ -336,21 +329,20 @@ def _stirling_exponent(shape, ts, argx):
 
 
 def _kept_runs(shape, argx, t, lead, lo, cut):
-    """Runs of last-axis offsets whose Stirling exponent is at most ``cut``.
+    """Each row's span of last-axis offsets with Stirling exponent at most ``cut``.
 
-    Row r fixes the leading offsets lead[s][r] and spans k_p = lo[r]..c.  Along
-    the row the exponent is linear in k_p between the sign changes of k_p,
-    K_u = sum n_s k_s and K_omega = sum (n-n_s) k_s, so each of the 4 pieces
-    keeps one run.  Where a piece crosses the cut, the crossing interpolated
-    from its ends is settled with _stirling_exponent itself, so the runs hold
-    exactly the points a per-point mask would keep.  Returns (row, start,
-    length) per piece.
+    Row r fixes the leading offsets lead[s][r] and spans k_p = lo[r]..c.  The
+    exponent is linear in k_p between the sign changes of k_p, K_u = sum n_s k_s
+    and K_omega = sum (n-n_s) k_s, so each of the 4 pieces keeps one run; a
+    crossing of the cut interpolated from a piece's ends is settled with
+    _stirling_exponent itself, as a per-point mask would.  Returns (row,
+    first, last), the first and last kept offsets, per row that keeps a point.
     """
     n, exps = shape
     c = (len(t) - 1) // 2
     rows = len(lo)
-    K_u = sum((n_s * k for n_s, k in zip(exps, lead)), np.zeros(rows, dtype=np.int64))
-    K_om = sum(((n - n_s) * k for n_s, k in zip(exps, lead)), np.zeros(rows, dtype=np.int64))
+    K_u, K_om = (sum((cs * k for cs, k in zip(coef, lead)), np.zeros(rows, dtype=np.int64))
+                 for coef in (exps, [n - e for e in exps]))
     # the three sign changes along the row, each rounded up to an integer k_p
     brk = np.sort(np.column_stack(
         [np.zeros(rows, dtype=np.int64), -(K_u // exps[-1]), -(K_om // (n - exps[-1]))]), axis=1)
@@ -377,7 +369,38 @@ def _kept_runs(shape, argx, t, lead, lo, cut):
     while (more := exponent(r[i], j + d) <= cut).any():
         j[more] += d[more]
     first[i], last[i] = np.minimum(a, j), np.maximum(a, j)
-    return r, first, np.where(keep_first | keep_last, last - first + 1, 0)
+    r, first, last = (v[keep_first | keep_last] for v in (r, first, last))
+    at = np.flatnonzero(np.diff(r, prepend=-1))  # a row's runs are in order along it
+    return r[at], first[at], last[np.append(at[1:], len(r)) - 1]
+
+
+def _cover(shape, argx, t, fold, cut):
+    """(k_1, k_p, rows, columns) of rectangles of whole rows holding every point with E <= cut.
+
+    E is positively homogeneous, E(lambda t) = lambda E(t), and positive on
+    the ring max_s |t_s| = 1, so the whole box is kept when T max E there is
+    at most the cut; else the rows' kept spans come from _kept_runs.  At p = 1
+    the one row has k_1 = 0; under the fold the rows are k_1 >= 0, row 0 alone.
+    """
+    c = (len(t) - 1) // 2
+    lead = np.arange(0 if fold else -c, c + 1) if len(argx) == 2 else np.zeros(1, dtype=int)
+    lo = np.where(fold & (lead == 0), 0, -c)
+    whole = t[-1] * _ring_exponent(shape, argx).max() <= cut
+    row, first, last = ((np.arange(len(lo)), lo, np.full(len(lo), c)) if whole
+                        else _kept_runs(shape, argx, t, [lead][:len(argx) - 1], lo, cut))
+    # up to _BLOCK_ROWS rows and _BLOCK_POINTS points; a longer row is cut
+    rows, first, last = lead[row].tolist(), first.tolist(), last.tolist()
+    rects, i = [], 0
+    while i < len(rows):
+        j0, j1, k = first[i], last[i], i + 1
+        while (k < len(rows) and k - i < _BLOCK_ROWS and rows[k] == rows[k - 1] + 1
+               and not (fold and rows[i] == 0)
+               and (k - i + 1) * (max(j1, last[k]) - min(j0, first[k]) + 1) <= _BLOCK_POINTS):
+            j0, j1, k = min(j0, first[k]), max(j1, last[k]), k + 1
+        rects += [(rows[i], s, k - i, min(_BLOCK_POINTS, j1 + 1 - s))
+                  for s in range(j0, j1 + 1, _BLOCK_POINTS)]
+        i = k
+    return np.array(rects, dtype=np.int64).reshape(-1, 4)
 
 
 def _grid_sum(shape, alpha, x, a, T, m, tol, full_grid=False):
@@ -387,79 +410,54 @@ def _grid_sum(shape, alpha, x, a, T, m, tol, full_grid=False):
     times the sums at steps h, 2h and 4h (every node, every second and every
     fourth from t = 0); (h/2 pi)^p times the sums of |f| on the ring
     max_s |t_s| = T and over every point summed; and a bound on the
-    (h/2 pi)^p-weighted |f| of the points the mask dropped.  A point is
-    dropped when its Stirling exponent E exceeds the cut min(50, log(10 N/tol)),
-    N the points of the (folded) box; there |f| <= _MASK_SPREAD e^-E |f(0)|, so
-    the bound is _MASK_SPREAD e^-cut |f(0)| per dropped point.  The grid is
-    walked in rows along the last axis, and each row's kept points are a few
-    runs in closed form (_kept_runs).  The factor tables are built once, over
-    the lattice values the runs span; the runs are then walked in blocks of
-    whole runs of at most _BLOCK_POINTS points (a longer run is cut into
-    pieces first), so every per-point array fits in cache.  Each block gathers
-    |f| and f/|f| from the tables (_lattice_integrand) and takes its masked
-    sums, each a pairwise sum; the blocks' sums are then summed pairwise too.
-    For real positive x, f(-t) = conj f(t): the rows k_1 >= 0 are summed, row
-    0 from k_p = 0, with weight 1/2 at the center; only the real part of f is
-    formed, and the sums and the bound are doubled.
+    (h/2 pi)^p-weighted |f| of the points left out: those outside the
+    rectangles (_cover) holding every point whose Stirling exponent E is at
+    most min(50, log(10 N/tol)), N the points of the (folded) box, where
+    |f| <= _MASK_SPREAD e^-E |f(0)|.  Each rectangle (_rect_integrand) gives
+    its sums, at 2h and 4h from [i::2, j::2] and [i::4, j::4] slices.  For
+    real positive x, f(-t) = conj f(t): the rows k_1 >= 0 are summed, row 0
+    from k_p = 0 with weight 1/2 at the center, only Re f is formed, and the
+    sums and the bound are doubled.
     """
     p = len(x)
     if m > _MAX_LINE_NODES:
-        raise QuadratureError(
-            f"contour grid of {m} nodes per line exceeds {_MAX_LINE_NODES}")
+        raise QuadratureError(f"contour grid of {m} nodes per line exceeds {_MAX_LINE_NODES}")
     t, h = _line_nodes(T, m)
     c = (m - 1) // 2
     argx = [cmath.phase(complex(v)) for v in x]
     fold = not full_grid and all(v.imag == 0.0 and v.real > 0.0 for v in map(complex, x))
     n_box = (m ** p + 1) // 2 if fold else m ** p
-    # the dropped points hold at most _MASK_SPREAD tol/10 |f(0)| (h/2 pi)^p; the
-    # center, at E = 0, is always kept
+    # the points left out hold at most _MASK_SPREAD tol/10 |f(0)| (h/2 pi)^p
     mask_cut = min(_MASK_CUT, max(0.0, math.log(10.0 * n_box / tol)))
-    lead = [np.arange(0 if fold else -c, c + 1)] if p == 2 else []
-    lo = np.full(len(lead[0]) if lead else 1, -c)
-    if fold:
-        lo[0] = 0
-    row, start, length = _kept_runs(shape, argx, t, lead, lo, mask_cut)
-    count = int(length.sum())
+    rects = _cover(shape, argx, t, fold, mask_cut)
+    k1, kp, rows, cols = rects.T
+    sizes = rows * cols
+    count = int(sizes.sum())
     if count > _MAX_SOLVE_POINTS:
         raise QuadratureError(f"contour grid of {count} points exceeds {_MAX_SOLVE_POINTS}")
-    row, start, length = row[length > 0], start[length > 0], length[length > 0]
-    heads = [kl[row] for kl in lead]
-    tables = _lattice_tables(shape, alpha, x, a, h,
-                             [np.concatenate([kh, kh]) for kh in heads]
-                             + [np.concatenate([start, start + length - 1])])
-    # cut runs longer than a block into pieces, then group whole pieces into blocks
-    pieces = -(-length // _BLOCK_POINTS)
-    run = np.repeat(np.arange(len(length)), pieces)
-    cut = _BLOCK_POINTS * (np.arange(len(run)) - np.repeat(np.cumsum(pieces) - pieces, pieces))
-    heads = [kh[run] for kh in heads]
-    start, length = start[run] + cut, np.minimum(length[run] - cut, _BLOCK_POINTS)
-    ends = np.cumsum(length)
-    bounds = [0]
-    while bounds[-1] < len(ends):
-        done = ends[bounds[-1] - 1] if bounds[-1] else 0
-        bounds.append(int(np.searchsorted(ends, done + _BLOCK_POINTS, side="right")))
-    offsets = np.arange(min(count, _BLOCK_POINTS))
-    parts = []  # per block: the three sums, the ring's and the |f| sum
-    for b0, b1 in zip(bounds, bounds[1:]):
-        run_len = length[b0:b1]
-        first = np.cumsum(run_len) - run_len  # each run's position in the block
-        k = [np.repeat(kh[b0:b1], run_len) for kh in heads]
-        k.append(np.repeat(start[b0:b1] - first, run_len) + offsets[:first[-1] + run_len[-1]])
-        mag, phase = _lattice_integrand(tables, k)
-        edge = [np.abs(ks) == c for ks in k]
-        ring, total = mag[functools.reduce(np.logical_or, edge)].sum(), mag.sum()
-        for on_edge in edge:
-            mag[on_edge] *= 0.5
-        if fold and b0 == 0:
-            mag[0] *= 0.5  # the center: row 0 starts there
-        f = mag * (phase.real if fold else phase)
-        # the low bit (two bits) of k_1 | ... | k_p is clear iff every k_s is even (0 mod 4)
-        bits = functools.reduce(np.bitwise_or, k)
-        parts.append([f.sum(), np.compress(bits & 1 == 0, f).sum(),
-                      np.compress(bits & 3 == 0, f).sum(), ring, total])
-    # pairwise over the blocks too: a C-ordered copy puts each sum's parts in one row
+    ends = [np.concatenate([k1, k1 + rows - 1])] * (p - 1) + [np.concatenate([kp, kp + cols - 1])]
+    tables = _lattice_tables(shape, alpha, x, a, h, ends)
+    parts = []  # per rectangle: the three sums, the ring's and the |f| sum
+    bufs = np.empty(sizes.max()), np.empty(sizes.max(), dtype=complex)
+    for r0, j0, r, j in rects.tolist():
+        mag, phase = _rect_integrand(tables, r0, j0, *(b[:r * j].reshape(r, j) for b in bufs))
+        total, ring = mag.sum(), 0.0
+        # edge rows (none at p = 1) and columns: on the ring, with weight 1/2
+        top, bottom = int(r0 == -c), int(r0 + r - 1 == c)
+        for i in [0] * top + [-1] * bottom:
+            ring += mag[i].sum()
+            mag[i] *= 0.5
+        for i in [0] * (j0 == -c) + [-1] * (j0 + j - 1 == c):
+            ring += mag[top:r - bottom, i].sum()
+            mag[:, i] *= 0.5
+        if fold and r0 == j0 == 0:
+            mag[0, 0] *= 0.5  # the center: row 0 starts there
+        f = np.multiply(mag, phase.real, out=mag) if fold else np.multiply(phase, mag, out=phase)
+        # the sub-grids of steps 2h and 4h start at the first offsets = 0 mod 2 and 4
+        parts.append([f.sum(), *(f[-r0 % q::q, -j0 % q::q].sum() for q in (2, 4)), ring, total])
+    # pairwise over the rectangles too: a C-ordered copy puts each sum's parts in one row
     s = np.array(parts, dtype=complex).T.copy().sum(axis=1)
-    # |f(0)|: each table's log-magnitude at K = 0
+    # |f(0)|: each table's log-magnitude at K = 0 (the center, at E = 0, is kept)
     f0 = np.exp(sum(log_mag[-k0] for _, k0, log_mag, _ in tables))
     s = np.append(s, _MASK_SPREAD * (n_box - count) * math.exp(-mask_cut) * f0)
     if fold:
@@ -561,8 +559,10 @@ def contour_integrand(
     if m ** p > _MAX_TRACE_POINTS:
         raise QuadratureError(f"contour trace of {m ** p} points exceeds {_MAX_TRACE_POINTS}")
     t, h = _line_nodes(contour.height, m)
+    c = (m - 1) // 2
+    tables = _lattice_tables(problem.shape, alpha, problem.coeffs, contour.abscissas, h,
+                             [np.array([-c, c])] * p)
+    mag, phase = _rect_integrand(tables, -c * (p - 1), -c,  # one row at p = 1
+                                 *(np.empty((m ** (p - 1), m), dtype=d) for d in (float, complex)))
     idx = np.indices((m,) * p).reshape(p, -1)
-    k = list(idx - (m - 1) // 2)
-    tables = _lattice_tables(problem.shape, alpha, problem.coeffs, contour.abscissas, h, k)
-    mag, phase = _lattice_integrand(tables, k)
-    return t[idx].T, mag * phase
+    return t[idx].T, (mag * phase).ravel()

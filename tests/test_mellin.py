@@ -17,8 +17,8 @@ from mellinroots import (ConvergenceConditionError, NumericalError, Problem,
                          principal_root_param, quadratic_mb_check)
 from mellinroots import mellin, sampling
 from mellinroots.hyper import shift_ratio_factors
-from mellinroots.mellin import (Contour, _kernel_args, _lattice_integrand, _lattice_tables,
-                                _line_nodes, contour_integrand)
+from mellinroots.mellin import (Contour, _kernel_args, _lattice_tables, _line_nodes,
+                                _rect_integrand, contour_integrand)
 
 # frozen 40-digit reference values
 KERNEL_A1_U05 = 3.496076739056159747286452786521492551577   # (1/2)G(.25)G(.5)/G(1.75)
@@ -229,9 +229,10 @@ def test_lattice_integrand_matches_kernel_complex_coefficient():
     shape, alpha, a = (3, (2,)), 1.0, [0.25]
     x = [0.9 * cmath.exp(0.5j * 2 * math.pi / 6)]  # inside |arg x| < pi n_1/n
     t, h = _line_nodes(10.0, 21)
-    k = np.arange(21) - 10
-    mag, phase = _lattice_integrand(_lattice_tables(shape, alpha, x, a, h, [k]), [k])
-    vals = mag * phase
+    tables = _lattice_tables(shape, alpha, x, a, h, [np.array([-10, 10])])
+    # the one row, k_1 = 0 at p = 1
+    mag, phase = _rect_integrand(tables, 0, -10, np.empty((1, 21)), np.empty((1, 21), complex))
+    vals = (mag * phase)[0]
     for tv, v in zip(t, vals):
         ref = _direct_integrand(shape, alpha, x, [a[0] + 1j * tv])
         assert abs(v - ref) <= 1e-13 * abs(ref)
@@ -239,10 +240,10 @@ def test_lattice_integrand_matches_kernel_complex_coefficient():
 
 @pytest.mark.parametrize("problem, alpha, evaluations", [
     (Problem(5, [3], [0.7]), 2.0, 105),
-    (Problem(3, [2, 1], [0.4, 0.9]), 3.0, 16144),
+    (Problem(3, [2, 1], [0.4, 0.9]), 3.0, 17674),
 ])
 def test_mb_grid_pinned(problem, alpha, evaluations):
-    # points summed after the Stirling mask and the conjugate-symmetry fold
+    # points of the rectangles covering the Stirling mask, after the conjugate-symmetry fold
     assert principal_root_mb(problem, alpha=alpha).evaluations == evaluations
 
 
@@ -277,36 +278,61 @@ def _stirling_kept(shape, x, T, m, fold, cut):
     ((4, (3, 1)), [0.7 * cmath.exp(0.9j), 1.3 * cmath.exp(-0.35j)], False),
 ])
 def test_grid_sum_keeps_reference_mask(monkeypatch, shape, x, full_grid):
+    # the rectangles cover every point the per-point mask keeps, once each, inside
+    # the (folded) box, and the points summed are theirs
     x = [complex(v) for v in x]
+    p = len(x)
     problem = Problem(shape[0], list(shape[1]), [abs(v) for v in x])
     contour = default_contour(problem, 1.0, coeffs=x)
     fold = not full_grid and all(v.imag == 0.0 for v in x)
-    seen, cuts = [], []
-    kept_runs = mellin._kept_runs
+    covers = []
+    cover = mellin._cover
 
     def spy(*args):
-        seen.append(np.stack(args[-1], axis=1))
-        return _lattice_integrand(*args)
+        covers.append((args[-1], cover(*args)))
+        return covers[-1][1]
 
-    def cut_spy(*args):
-        cuts.append(args[-1])
-        return kept_runs(*args)
-
-    monkeypatch.setattr(mellin, "_lattice_integrand", spy)
-    monkeypatch.setattr(mellin, "_kept_runs", cut_spy)
-    # each height puts the cut somewhere else along the rows; the last drops points.
-    # A block of 23 points is shorter than most runs, so runs are cut across blocks
-    for (scale, m), block in itertools.product([(1.0, 101), (2.5, 201), (3.0, 61)],
+    monkeypatch.setattr(mellin, "_cover", spy)
+    # each height puts the cut somewhere else along the rows: the first keeps the
+    # whole box, edges and corners included, and the last drops points.
+    # Rectangles of 23 points are narrower than most rows, so rows are cut in pieces
+    for (scale, m), block in itertools.product([(0.3, 41), (1.0, 101), (2.5, 201), (3.0, 61)],
                                                [mellin._BLOCK_POINTS, 23]):
         monkeypatch.setattr(mellin, "_BLOCK_POINTS", block)
         T = scale * contour.height
-        seen.clear()
-        *_, count = mellin._grid_sum(shape, 1.0, x, contour.abscissas, T, m, 1e-7,
-                                     full_grid=full_grid)
-        ref = _stirling_kept(shape, x, T, m, fold, cuts[-1])
-        assert len(seen) >= 1 and count == len(ref)
-        assert np.array_equal(np.concatenate(seen), ref), (scale, m, block)
-    assert count < m ** len(x) // (2 if fold else 1)
+        *sums, _, count = mellin._grid_sum(shape, 1.0, x, contour.abscissas, T, m, 1e-7,
+                                           full_grid=full_grid)
+        cut, rects = covers[-1]
+        c = (m - 1) // 2
+        hits = np.zeros((m,) * p, dtype=int)
+        for k1, kp, rows, cols in rects:
+            assert rows <= mellin._BLOCK_ROWS and rows * cols <= block
+            hits[(slice(k1 + c, k1 + c + rows),) * (p - 1) + (slice(kp + c, kp + c + cols),)] += 1
+        assert count == (rects[:, 2] * rects[:, 3]).sum() == hits.sum()
+        assert hits.max() == 1, (scale, m, block)
+        ref = _stirling_kept(shape, x, T, m, fold, cut)
+        assert hits[tuple((ref + c).T)].all(), (scale, m, block)
+        covered = np.stack(np.nonzero(hits), axis=1) - c
+        if fold:
+            assert (np.where(covered[:, 0] != 0, covered[:, 0], covered[:, -1]) >= 0).all()
+        # the sums against direct sums of f over the rectangles' points
+        h = _line_nodes(T, m)[1]
+        tables = _lattice_tables(shape, 1.0, x, contour.abscissas, h, [np.array([-c, c])] * p)
+        size = (m ** (p - 1), m)
+        mag, phase = _rect_integrand(tables, -c * (p - 1), -c, np.empty(size),
+                                     np.empty(size, complex))
+        f = (mag * phase).reshape((m,) * p)
+        k = np.indices((m,) * p) - c
+        w = np.prod(np.where(np.abs(k) == c, 0.5, 1.0), axis=0) * hits
+        w[(c,) * p] *= 0.5 if fold else 1.0
+        on = [hits.astype(bool)] + [(k % q == 0).all(axis=0) & (hits > 0) for q in (2, 4)]
+        direct = [q ** p * (w * f)[o].sum() for q, o in zip([1, 2, 4], on)]
+        direct += [np.abs(f)[(np.abs(k) == c).any(axis=0) & on[0]].sum(), np.abs(f)[on[0]].sum()]
+        scale = (2.0 if fold else 1.0) * (h / (2.0 * math.pi)) ** p
+        for v, d in zip(sums, direct, strict=True):
+            d = scale * (d.real if fold else d)
+            assert abs(v - d) <= 1e-13 * scale * np.abs(w * f).sum() * 4 ** p, (scale, m, block)
+    assert len(ref) <= count < m ** p // (2 if fold else 1)
 
 
 @pytest.mark.parametrize("shape, x, full_grid", [
@@ -316,20 +342,76 @@ def test_grid_sum_keeps_reference_mask(monkeypatch, shape, x, full_grid):
     ((4, (3, 1)), [0.7 * cmath.exp(0.9j), 1.3 * cmath.exp(-0.35j)], False),
 ])
 def test_grid_sum_block_boundaries(monkeypatch, shape, x, full_grid):
-    # blocks of 7 points cut most runs into pieces; one block of 2^25 holds every point
+    # one row per rectangle against the row cap, rectangles of 7 points against
+    # one of 2^25: a cover's extra points are true terms of the sums, so each sum
+    # moves by no more than the bound on them that the masked term drops
     x = [complex(v) for v in x]
+    p = len(x)
     problem = Problem(shape[0], list(shape[1]), [abs(v) for v in x])
     contour = default_contour(problem, 1.0, coeffs=x)
-    sums = []
-    for block in (7, 2 ** 25):
+    fold = not full_grid and all(v.imag == 0.0 for v in x)
+    n_box = (201 ** p + 1) // 2 if fold else 201 ** p
+    caps, sums = [(1, 2 ** 25), (mellin._BLOCK_ROWS, 2 ** 25), (mellin._BLOCK_ROWS, 7), (1, 7)], []
+    for rows, block in caps:
+        monkeypatch.setattr(mellin, "_BLOCK_ROWS", rows)
         monkeypatch.setattr(mellin, "_BLOCK_POINTS", block)
         sums.append(mellin._grid_sum(shape, 1.0, x, contour.abscissas, contour.height, 201,
                                      1e-7, full_grid=full_grid))
-    (*small, count_small), (*one, count_one) = sums
-    assert count_small == count_one
-    for name, v_small, v_one in zip(["v_f", "v_b", "v_c", "ring", "total", "masked"],
-                                    small, one, strict=True):
-        assert abs(v_small - v_one) <= 2e-15 * abs(v_one), (name, v_small, v_one)
+    (*ref, masked_ref, count_ref) = sums[0]
+    for cap, (*other, masked, count) in zip(caps[1:], sums[1:]):
+        assert count >= count_ref
+        # the same bound per point left out
+        assert masked * (n_box - count_ref) == pytest.approx(
+            masked_ref * (n_box - count), rel=2e-15, abs=0)
+        for name, weight, v, v_ref in zip(["v_f", "v_b", "v_c", "ring", "total"],
+                                          [1, 2 ** p, 4 ** p, 1, 1], other, ref, strict=True):
+            assert abs(v - v_ref) <= 2e-15 * abs(v_ref) + weight * (masked_ref - masked), (
+                name, cap, v, v_ref)
+
+
+@pytest.mark.parametrize("shape, x", [
+    ((3, (2,)), [0.7]),
+    ((8, (3,)), [1.5 * cmath.exp(0.5j)]),
+    ((3, (2, 1)), [0.4, 0.9]),
+    ((5, (4, 1)), [0.7 * cmath.exp(0.4j), 1.3 * cmath.exp(-0.2j)]),
+])
+def test_whole_box_rule(monkeypatch, shape, x):
+    # the rows are scanned unless the per-point mask keeps every node of the box,
+    # and then the rectangles hold the whole box
+    x = [complex(v) for v in x]
+    argx = [cmath.phase(v) for v in x]
+    scans = []
+    kept_runs = mellin._kept_runs
+    monkeypatch.setattr(mellin, "_kept_runs", lambda *args: scans.append(args) or kept_runs(*args))
+    m = 41
+    for T, cut in itertools.product([0.5, 2.0, 8.0], [2.0, 10.0, 30.0]):
+        t, _ = _line_nodes(T, m)
+        scans.clear()
+        rects = mellin._cover(shape, argx, t, False, cut)
+        whole = len(_stirling_kept(shape, x, T, m, False, cut)) == m ** len(x)
+        assert (not scans) == whole, (T, cut)
+        if whole:
+            assert (rects[:, 2] * rects[:, 3]).sum() == m ** len(x)
+
+
+@pytest.mark.parametrize("shape, x", [((3, (2,)), [0.9]), ((3, (2, 1)), [0.4, 0.9])])
+def test_view_past_its_table_raises(shape, x):
+    # the tables span offsets -10..10 on each axis: a rectangle reaching past
+    # them raises, where a gather past a table would read other memory
+    p = len(x)
+    _, h = _line_nodes(10.0, 21)
+    tables = _lattice_tables(shape, 1.0, x, [0.25] * p, h, [np.array([-10, 10])] * p)
+    k1 = -10 if p == 2 else 0
+
+    def rect(k1, kp, size):
+        return _rect_integrand(tables, k1, kp, np.empty(size), np.empty(size, complex))
+
+    mag, phase = rect(k1, -10, (21 if p == 2 else 1, 21))
+    assert np.isfinite(mag).all() and np.isfinite(phase).all()
+    for k1, kp, size in [(k1, -11, (1, 3)), (k1, 9, (1, 3)), (k1, -10, (1, 22))] + (
+            [(-11, 0, (1, 1)), (10, 0, (2, 1))] if p == 2 else []):
+        with pytest.raises(ValueError):
+            rect(k1, kp, size)
 
 
 def test_mb_fully_masked_blocks():
@@ -388,7 +470,7 @@ def test_mb_rejects_direction_outside_sector():
     with pytest.raises(ConvergenceConditionError, match="every direction"):
         default_contour(problem, 1.0, coeffs=coeffs(1.0))
     # at 0.8 of those arguments the exponent is positive on every direction
-    assert principal_root_mb(problem, coeffs=coeffs(0.8)).evaluations == 809710
+    assert principal_root_mb(problem, coeffs=coeffs(0.8)).evaluations == 984858
 
 
 def test_mb_rejects_zero_coefficient():
@@ -459,7 +541,7 @@ def test_mb_memory_does_not_scale_with_the_grid():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert res.evaluations == 2587901
+    assert res.evaluations == 2599744
     assert peak < 32 * 2 ** 20
 
 
@@ -499,11 +581,11 @@ def test_mb_estimate_is_close_to_the_error():
 @st.composite
 def _criterion_02_draws(draw):
     """A criterion-02 shape (p = 1 with n <= 8, p = 2 with n <= 5), log10 x_s
-    uniform on [-1, 1], alpha and tol."""
+    uniform on [-40, 0], alpha and tol."""
     p = draw(st.integers(1, 2))
     n = draw(st.integers(p + 1, 8 if p == 1 else 5))
     exps = sorted(draw(st.sets(st.integers(1, n - 1), min_size=p, max_size=p)), reverse=True)
-    logs = draw(st.lists(st.floats(-1.0, 1.0), min_size=p, max_size=p))
+    logs = draw(st.lists(st.floats(-40.0, 0.0), min_size=p, max_size=p))
     return (Problem(n, exps, [10.0 ** v for v in logs]), draw(st.sampled_from([1.0, 2.0, 3.0])),
             draw(st.sampled_from([1e-6, 1e-9, 1e-12])))
 
