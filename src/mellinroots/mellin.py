@@ -21,7 +21,7 @@ The step is sized for the value returned, the finest of three nested grids
 (steps h_f, 2 h_f and 4 h_f, summed in one pass).  The trapezoid error falls
 like C exp(-beta/h), so each halving of the step squares it, and the three
 levels' differences give the finest level's error.  err_estimate adds to that
-fit the tail beyond the height, the rounding floor eps (h_f/2 pi)^p sum |f|,
+fit the tail beyond the height, the rounding floor 4 eps (h_f/2 pi)^p sum |f|,
 and a bound on the points the Stirling mask dropped, whose cut is set from
 the same tolerance as the step.
 
@@ -70,8 +70,11 @@ _MASK_CUT = 50.0
 # every solve tried
 _MASK_SPREAD = 4.0
 
-# unit roundoff of the contour sums: the rounding floor is _EPS (h/2 pi)^p sum |f|
-_EPS = float(np.finfo(float).eps)
+# rounding floor _ROUNDING (h/2 pi)^p sum |f|: a term's summed logs and phase
+# (t_s log|x_s| reaches tens) round by several ulps.  The value's error was at
+# most 2.05 eps (h/2 pi)^p sum |f| over 270 rounding-bound p = 1 default grids
+# (n <= 8, alpha 1 to 3, x from 1e-40 to 1, tol 1e-6 to 1e-12)
+_ROUNDING = 4.0 * float(np.finfo(float).eps)
 
 # points of the rectangles one contour solve sums (at most 0.52 M on
 # criterion-02, 2.6 M on (5, (4, 1)) at tol 1e-12), checked before any is
@@ -249,8 +252,7 @@ def default_contour(
     x = [complex(c) for c in (coeffs if coeffs is not None else problem.coeffs)]
     rate = _sector_rate(problem.shape, x)
     a = min(0.5, alpha / (exps[0] + sum(exps)))
-    u0, _ = _kernel_args(problem.shape, alpha, (a,) * len(exps))
-    strip = min(a, min(u0 * n / e for e in exps))
+    strip = _strip_width(problem.shape, alpha, (a,) * len(exps))
     # x^-u oscillates like exp(-i t ln|x|), which eats into the alias margin
     osc = max(abs(cmath.log(abs(xv))) for xv in x)
     height = (0.8 * math.log(30.0 / tol) + 5.0 + 0.3 * osc) / rate
@@ -260,6 +262,14 @@ def default_contour(
     half = height / (4.0 * fine_step) if fine_step > 0 else math.inf
     m = max(9, 4 * math.ceil(min(half, 2.0 ** 60)) + 1)
     return Contour(abscissas=(a,) * len(exps), height=height, nodes_per_line=m)
+
+
+def _strip_width(shape: Shape, alpha: float, a: Sequence[float]) -> float:
+    """Half-width d of the pole-free strip about the lines Re u_s = a_s: the
+    poles of Gamma(u_s) at u_s = 0 and of Gamma(u) at u = 0, one line moved."""
+    n, exps = shape
+    u0, _ = _kernel_args(shape, alpha, a)
+    return min(min(a_s, u0 * n / e) for a_s, e in zip(a, exps))
 
 
 def _line_nodes(T: float, m: int) -> tuple[np.ndarray, float]:
@@ -466,16 +476,20 @@ def _grid_sum(shape, alpha, x, a, T, m, tol, full_grid=False):
     return (complex(s[0]), complex(s[1]), complex(s[2]), *map(float, s[3:].real), count)
 
 
-def _fine_error(d_f: float, d_b: float) -> float:
+def _fine_error(d_f: float, d_b: float, rho: float) -> float:
     """Error of the finest of three trapezoid levels from its two differences.
 
     The error falls like C exp(-beta/h), so each halving of the step squares
     it: with d_b = |v_b - v_c| and d_f = |v_f - v_b| (about the errors of the
     levels of step 4h and 2h), the finest level's is about d_f^3/d_b^2.  The
     factor 10 keeps the fit a bound; where d_b <= d_f the levels have not
-    begun to converge and d_f is kept.
+    begun to converge and d_f is kept.  The nearest pole, at distance d from
+    the lines, makes beta >= 2 pi d, so the last halving gains at most
+    rho = exp(-pi d/h_f): 2 rho d_f is kept where the coarse levels met by
+    chance (the fit gave 1.3e-10 for 3.3e-10 on (7, (2,)), x = 0.01, alpha 3).
     """
-    return 10.0 * d_f * (d_f / d_b) ** 2 if d_b > d_f else d_f
+    fit = 10.0 * d_f * (d_f / d_b) ** 2 if d_b > d_f else d_f
+    return max(fit, 2.0 * rho * d_f)
 
 
 def principal_root_mb(
@@ -492,7 +506,7 @@ def principal_root_mb(
     is the sum of four terms: the fine level's discretisation error fitted
     to the three levels (_fine_error); the boundary ring's |f| sum continued
     geometrically at the sector decay rate; the rounding floor
-    eps (h/2 pi)^p sum |f|; and the bound on what the Stirling mask dropped.
+    4 eps (h/2 pi)^p sum |f|; and the bound on what the Stirling mask dropped.
     Above ``tol`` it raises QuadratureError.  ``tol`` (1e-7 when None) also
     sizes the default contour and the mask's cut.  For real positive
     coefficients the imaginary part is bounded by the estimate too.
@@ -519,7 +533,8 @@ def principal_root_mb(
     v_f, v_b, v_c, ring, total, masked, count = _grid_sum(
         problem.shape, alpha, x, contour.abscissas, T, 2 * m - 1, size_tol)
     tail = ring / -math.expm1(-rate * T / (m - 1))
-    err = _fine_error(abs(v_f - v_b), abs(v_b - v_c)) + tail + _EPS * total + masked
+    rho = math.exp(-math.pi * _strip_width(problem.shape, alpha, contour.abscissas) * (m - 1) / T)
+    err = _fine_error(abs(v_f - v_b), abs(v_b - v_c), rho) + tail + _ROUNDING * total + masked
     if tol is not None and err > tol:
         raise QuadratureError(
             f"contour integral error estimate {err:g} exceeds requested {tol:g}")
