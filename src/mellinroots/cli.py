@@ -33,7 +33,8 @@ from .errors import GammaOverflowError, NumericalError
 from .hyper import check_functional_equation, fd_weights, pde_residual, series_coefficients
 from .identities import (build_rank_one_matrix, det_cofactor, det_rank_one,
                          dirichlet_integral)
-from .mellin import contour_integrand, default_contour, forward_mellin_check, principal_root_mb
+from .mellin import (_SIZE_TOL, contour_integrand, default_contour, forward_mellin_check,
+                     principal_root_mb)
 from .oracle import Problem, all_roots, epsilon_family, principal_root
 from .param import ParamPoint, jacobian_det, principal_root_param, psi_forward
 from . import sampling
@@ -126,7 +127,7 @@ def _problem_from_args(args) -> Problem:
 # ----------------------------- root -----------------------------------------
 
 def _root_power(problem: Problem, method: str, alpha: float,
-                mb_tol: float | None) -> tuple[float, float]:
+                mb_tol: float) -> tuple[float, float]:
     """(Z^alpha, error estimate) by one method; ``mb_tol`` sizes and bounds the contour."""
     if method == "mb":
         res = principal_root_mb(problem, alpha=alpha, tol=mb_tol)
@@ -141,12 +142,12 @@ def _root_power(problem: Problem, method: str, alpha: float,
 
 
 def _solve_one(problem: Problem, methods: list[str], alpha: float, tol: float,
-               mb_tol: float | None, report: _Report, label: str = "") -> list[NumericalError]:
+               mb_tol: float, report: _Report, label: str = "") -> list[NumericalError]:
     """Solve by each method and compare the values; return the errors raised.
 
     A method that raises a NumericalError gets a NaN entry carrying the error
-    and takes no part in the comparisons.  ``mb_tol`` goes to the contour
-    (None: its own default).
+    and takes no part in the comparisons.  ``mb_tol`` sizes and bounds the
+    contour.
     """
     values, errors = {}, []
     for method in methods:
@@ -188,9 +189,9 @@ def _read_spec(path: str, alpha: float) -> list[tuple[Problem, float]]:
 
 
 def cmd_root(args) -> int:
-    # an explicit --tol also sizes and bounds the contour; without it the
-    # contour keeps its own default
     tol = _resolve_tol(args.tol, 1e-9)
+    # the contour is sized for, and its estimate bounded by, --tol or its own default
+    mb_tol = args.tol if args.tol is not None else _SIZE_TOL
     alpha = _finite_alpha(args.alpha)
     if args.spec:
         problems = _read_spec(args.spec, alpha)
@@ -208,7 +209,7 @@ def cmd_root(args) -> int:
             methods = ["param", "oracle"] + (["mb"] if problem.p <= 2 else [])
         else:
             methods = [args.method]
-        raised = _solve_one(problem, methods, a, tol, args.tol, report, label)
+        raised = _solve_one(problem, methods, a, tol, mb_tol, report, label)
         errors += raised
         solved = solved or len(raised) < len(methods)
 

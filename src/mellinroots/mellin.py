@@ -62,6 +62,9 @@ Shape = tuple[int, tuple[int, ...]]
 # magnitude is below e^-50 of the center are always dropped
 _MASK_CUT = 50.0
 
+# the tolerance a contour is sized for, and the CLI bounds it by, when none is given
+_SIZE_TOL = 1e-7
+
 # |f| <= _MASK_SPREAD e^-E |f(0)| on the grid, E the Stirling exponent
 # (_stirling_exponent).  The largest |f|/(|f(0)| e^-E) over the points with
 # E > 10 was 2.83 at p = 2 and 0.50 at p = 1, over 240 default grids with
@@ -234,7 +237,7 @@ def _sector_rate(shape: Shape, x: Sequence[complex]) -> float:
 def default_contour(
     problem: Problem,
     alpha: float,
-    tol: float = 1e-7,
+    tol: float = _SIZE_TOL,
     coeffs: Sequence[complex] | None = None,
 ) -> Contour:
     """Contour sized from the Stirling decay bound so the tail is < tol/10.
@@ -338,50 +341,35 @@ def _stirling_exponent(shape, ts, argx):
     return E - sum(t * ax for t, ax in zip(ts, argx))
 
 
-def _kept_runs(shape, argx, t, lead, lo, cut):
+def _row_spans(shape, argx, t, lead, lo, cut):
     """Each row's span of last-axis offsets with Stirling exponent at most ``cut``.
 
     Row r fixes the leading offsets lead[s][r] and spans k_p = lo[r]..c.  The
-    exponent is linear in k_p between the sign changes of k_p, K_u = sum n_s k_s
-    and K_omega = sum (n-n_s) k_s, so each of the 4 pieces keeps one run; a
-    crossing of the cut interpolated from a piece's ends is settled with
-    _stirling_exponent itself, as a per-point mask would.  Returns (row,
-    first, last), the first and last kept offsets, per row that keeps a point.
+    exponent is linear in k_p between five knots: the row's ends and the real
+    k_p where k_p, K_u = sum n_s k_s and K_omega = sum (n-n_s) k_s change sign.
+    Each piece keeps the interval its knots' values give, rounded inward to
+    offsets.  Returns (row, first, last) per row that keeps an offset.
     """
     n, exps = shape
     c = (len(t) - 1) // 2
-    rows = len(lo)
-    K_u, K_om = (sum((cs * k for cs, k in zip(coef, lead)), np.zeros(rows, dtype=np.int64))
-                 for coef in (exps, [n - e for e in exps]))
-    # the three sign changes along the row, each rounded up to an integer k_p
-    brk = np.sort(np.column_stack(
-        [np.zeros(rows, dtype=np.int64), -(K_u // exps[-1]), -(K_om // (n - exps[-1]))]), axis=1)
-    first = np.maximum(np.column_stack([lo, brk]), lo[:, None]).ravel()
-    last = np.minimum(np.column_stack([brk - 1, np.full(rows, c)]), c).ravel()
-    r = np.repeat(np.arange(rows), 4)
-    r, first, last = r[first <= last], first[first <= last], last[first <= last]
-
-    def exponent(ri, j):
-        return _stirling_exponent(shape, [t[k[ri] + c] for k in lead] + [t[j + c]], argx)
-
-    E_first, E_last = exponent(r, first), exponent(r, last)
-    keep_first, keep_last = E_first <= cut, E_last <= cut
-    # one end kept: walk from it (a) toward the other (b) to the last kept offset j
-    i = np.flatnonzero(keep_first != keep_last)
-    a = np.where(keep_first[i], first[i], last[i])
-    b = np.where(keep_first[i], last[i], first[i])
-    E_a, E_b = np.minimum(E_first[i], E_last[i]), np.maximum(E_first[i], E_last[i])
-    d = np.sign(b - a)
-    step = np.floor((cut - E_a) / (E_b - E_a) * abs(b - a)).astype(np.int64)
-    j = a + d * np.minimum(step, abs(b - a) - 1)
-    while (out := exponent(r[i], j) > cut).any():
-        j[out] -= d[out]
-    while (more := exponent(r[i], j + d) <= cut).any():
-        j[more] += d[more]
-    first[i], last[i] = np.minimum(a, j), np.maximum(a, j)
-    r, first, last = (v[keep_first | keep_last] for v in (r, first, last))
-    at = np.flatnonzero(np.diff(r, prepend=-1))  # a row's runs are in order along it
-    return r[at], first[at], last[np.append(at[1:], len(r)) - 1]
+    zero = np.zeros(len(lo))
+    # k_p, K_u and K_omega change sign where sum coef_s k_s = 0
+    signs = [-sum((cs * k for cs, k in zip(coef, lead)), zero) / coef[-1]
+             for coef in ((*[0] * len(lead), 1), exps, [n - e for e in exps])]
+    knots = np.sort(np.clip(np.column_stack([lo, zero + c, *signs]), lo[:, None], c), axis=1)
+    E = _stirling_exponent(shape, [t[k + c][:, None] for k in lead] + [knots * t[c + 1]], argx)
+    za, zb, Ea, Eb = knots[:, :-1], knots[:, 1:], E[:, :-1], E[:, 1:]
+    in_a, in_b = Ea <= cut, Eb <= cut
+    # where exactly one end is kept, the piece crosses the cut at x
+    x = za + (cut - Ea) / np.where(in_a == in_b, 1.0, Eb - Ea) * (zb - za)
+    # E rounds by a few ulps: a steep piece's crossing moves far less than 1e-6 of
+    # an offset, and near a flat one's every offset has E within rounding of the cut
+    first = np.ceil(np.where(in_a, za, np.where(in_b, x, np.inf)) - 1e-6)
+    last = np.floor(np.where(in_b, zb, np.where(in_a, x, -np.inf)) + 1e-6)
+    on = first <= last  # a stretch between two offsets keeps no offset
+    first, last = np.where(on, first, np.inf).min(axis=1), np.where(on, last, -np.inf).max(axis=1)
+    row = np.flatnonzero(first <= last)
+    return row, first[row].astype(np.int64), last[row].astype(np.int64)
 
 
 def _cover(shape, argx, t, fold, cut):
@@ -389,7 +377,7 @@ def _cover(shape, argx, t, fold, cut):
 
     E is positively homogeneous, E(lambda t) = lambda E(t), and positive on
     the ring max_s |t_s| = 1, so the whole box is kept when T max E there is
-    at most the cut; else the rows' kept spans come from _kept_runs.  At p = 1
+    at most the cut; else the rows' kept spans come from _row_spans.  At p = 1
     the one row has k_1 = 0; under the fold the rows are k_1 >= 0, row 0 alone.
     """
     c = (len(t) - 1) // 2
@@ -397,7 +385,7 @@ def _cover(shape, argx, t, fold, cut):
     lo = np.where(fold & (lead == 0), 0, -c)
     whole = t[-1] * _ring_exponent(shape, argx).max() <= cut
     row, first, last = ((np.arange(len(lo)), lo, np.full(len(lo), c)) if whole
-                        else _kept_runs(shape, argx, t, [lead][:len(argx) - 1], lo, cut))
+                        else _row_spans(shape, argx, t, [lead][:len(argx) - 1], lo, cut))
     # up to _BLOCK_ROWS rows and _BLOCK_POINTS points; a longer row is cut
     rows, first, last = lead[row].tolist(), first.tolist(), last.tolist()
     rects, i = [], 0
@@ -524,7 +512,7 @@ def principal_root_mb(
     if len(x) != p:
         raise ValueError(f"{len(x)} coefficients for p = {p}")
     rate = _sector_rate(problem.shape, x)
-    size_tol = tol if tol is not None else 1e-7
+    size_tol = tol if tol is not None else _SIZE_TOL
     if contour is None:
         contour = default_contour(problem, alpha, size_tol, coeffs=x)
     _strip(problem.shape, alpha, contour.abscissas)

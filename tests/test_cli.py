@@ -542,26 +542,32 @@ def test_root_all_keeps_the_methods_that_succeed(capsys):
 
 def test_root_mb_honours_explicit_tol(capsys):
     # x^-a = 1e20 and the sum cancels down to 1: the estimate (5.8e15) is far
-    # above --tol, so the contour is refused rather than printed
-    code = main(["root", "--n", "40", "--exps", "5", "--coeffs", "1e-200",
-                 "--method", "mb", "--tol", "1e-7"])
-    assert code == 3
-    captured = capsys.readouterr()
-    assert captured.out == "" and len(captured.err.splitlines()) == 1
-    assert captured.err.startswith("error: contour integral error estimate ")
+    # above --tol, so the contour is refused rather than printed; without --tol
+    # it is bounded by the 1e-7 it is sized for, under --method all too
+    for method, tol in [("mb", ["--tol", "1e-7"]), ("mb", []), ("all", [])]:
+        code = main(["root", "--n", "40", "--exps", "5", "--coeffs", "1e-200",
+                     "--method", method, *tol])
+        assert code == 3, (method, tol)
+        captured = capsys.readouterr()
+        assert (captured.out == "") == (method == "mb") and len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: contour integral error estimate ")
+        assert captured.err.endswith("exceeds requested 1e-07\n")
 
 
 def test_root_all_refuses_the_contour_above_explicit_tol(capsys):
-    # mb's estimate (2e136) used to widen both comparisons' bound until they passed
-    code = main(["root", "--n", "2", "--exps", "1", "--coeffs", "1e-300", "--alpha", "1e6",
-                 "--method", "all", "--tol", "1e-9", "--json"])
-    assert code == 3
-    captured = capsys.readouterr()
-    results = {r["name"]: r for r in json.loads(captured.out)["results"]}
-    assert results["root^alpha[param]"]["value"] == results["root^alpha[oracle]"]["value"] == 1.0
-    mb = results["root^alpha[mb]"]
-    assert math.isnan(mb["value"]) and captured.err == f"error: {mb['error']}\n"
-    assert list(results)[3:] == ["|param - oracle|"]
+    # mb's estimate (2e136) used to widen both comparisons' bound until they
+    # passed; without --tol the contour is bounded by the 1e-7 it is sized for
+    for tol in [["--tol", "1e-9"], []]:
+        code = main(["root", "--n", "2", "--exps", "1", "--coeffs", "1e-300", "--alpha", "1e6",
+                     "--method", "all", *tol, "--json"])
+        assert code == 3, tol
+        captured = capsys.readouterr()
+        results = {r["name"]: r for r in json.loads(captured.out)["results"]}
+        assert results["root^alpha[param]"]["value"] == 1.0
+        assert results["root^alpha[oracle]"]["value"] == 1.0
+        mb = results["root^alpha[mb]"]
+        assert math.isnan(mb["value"]) and captured.err == f"error: {mb['error']}\n"
+        assert list(results)[3:] == ["|param - oracle|"]
 
 
 @pytest.mark.parametrize("shape, alpha", [

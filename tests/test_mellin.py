@@ -247,17 +247,22 @@ def test_mb_grid_pinned(problem, alpha, evaluations):
     assert principal_root_mb(problem, alpha=alpha).evaluations == evaluations
 
 
-def _stirling_kept(shape, x, T, m, fold, cut):
-    """Reference mask: the offsets (k_1, ..., k_p) whose Stirling exponent is at
-    most ``cut``, found point by point over the full m^p tensor, in row-major
-    order; with the fold, only those whose first nonzero offset is positive, and 0."""
+def _stirling_grid(shape, x, T, m):
+    """The Stirling exponent point by point over the full m^p tensor."""
     n, exps = shape
     t, _ = _line_nodes(T, m)
     ts = [t[ix] for ix in np.ix_(*[np.arange(m)] * len(x))]
     im_u = -sum(e * tv for e, tv in zip(exps, ts)) / n
     im_om = sum(ts, im_u)
     E = (math.pi / 2.0) * (sum(map(np.abs, ts), np.abs(im_u)) - np.abs(im_om))
-    E = E - sum(tv * cmath.phase(xv) for tv, xv in zip(ts, x))
+    return E - sum(tv * cmath.phase(xv) for tv, xv in zip(ts, x))
+
+
+def _stirling_kept(shape, x, T, m, fold, cut):
+    """Reference mask: the offsets (k_1, ..., k_p) whose Stirling exponent is at
+    most ``cut``, found point by point over the full m^p tensor, in row-major
+    order; with the fold, only those whose first nonzero offset is positive, and 0."""
+    E = _stirling_grid(shape, x, T, m)
     k = np.stack(np.nonzero(E <= cut), axis=1) - (m - 1) // 2
     if fold:
         k = k[np.where(k[:, 0] != 0, k[:, 0], k[:, -1]) >= 0]
@@ -381,8 +386,8 @@ def test_whole_box_rule(monkeypatch, shape, x):
     x = [complex(v) for v in x]
     argx = [cmath.phase(v) for v in x]
     scans = []
-    kept_runs = mellin._kept_runs
-    monkeypatch.setattr(mellin, "_kept_runs", lambda *args: scans.append(args) or kept_runs(*args))
+    row_spans = mellin._row_spans
+    monkeypatch.setattr(mellin, "_row_spans", lambda *args: scans.append(args) or row_spans(*args))
     m = 41
     for T, cut in itertools.product([0.5, 2.0, 8.0], [2.0, 10.0, 30.0]):
         t, _ = _line_nodes(T, m)
@@ -392,6 +397,55 @@ def test_whole_box_rule(monkeypatch, shape, x):
         assert (not scans) == whole, (T, cut)
         if whole:
             assert (rects[:, 2] * rects[:, 3]).sum() == m ** len(x)
+
+
+def _check_row_spans(shape, x, fold, T, m, cut):
+    """_row_spans against the per-point exponent; returns how many spans are partial rows.
+
+    No offset outside a row's span is kept, and a span ends on kept offsets:
+    1e-9 either side of the cut, so that rounding at a tie decides neither check.
+    """
+    p = len(x)
+    t, _ = _line_nodes(T, m)
+    c = (m - 1) // 2
+    lead = np.arange(0 if fold else -c, c + 1) if p == 2 else np.zeros(1, dtype=int)
+    lo = np.where(fold & (lead == 0), 0, -c)
+    row, first, last = mellin._row_spans(shape, [cmath.phase(v) for v in x], t,
+                                         [lead][:p - 1], lo, cut)
+    E = _stirling_grid(shape, x, T, m).reshape(-1, m)[lead + c if p == 2 else [0]]
+    k = np.arange(-c, c + 1)
+    inside = np.zeros(E.shape, dtype=bool)
+    inside[row] = (k >= first[:, None]) & (k <= last[:, None])
+    assert (E[(k >= lo[:, None]) & ~inside] > cut - 1e-9).all(), (shape, x, T, m, cut)
+    assert (E[row, first + c] <= cut + 1e-9).all() and (E[row, last + c] <= cut + 1e-9).all()
+    return ((first > lo[row]) | (last < c)).sum()
+
+
+def test_row_spans_against_the_per_point_exponent():
+    # a row of this grid keeps offset 0 and, between two offsets, a stretch of
+    # a piece that holds no offset
+    _check_row_spans((5, (4, 3)), [cmath.rect(6.9, 2.24), cmath.rect(5.07, -0.46)],
+                     False, 23.3, 9, 2.5)
+    # seeded draws: p = 1 and 2, real x (fold on and off) and complex x inside
+    # the sector, random height, nodes and cut
+    rng = np.random.default_rng(20)
+    draws = partial = 0
+    while draws < 600:
+        p = int(rng.integers(1, 3))
+        n = int(rng.integers(p + 1, 9))
+        shape = (n, tuple(sorted(rng.choice(range(1, n), p, replace=False).tolist())[::-1]))
+        turn = rng.uniform(-1.0, 1.0, p) * (rng.random() < 0.5)
+        x = [10 ** rng.uniform(-3, 3) * cmath.exp(1j * math.pi * ts * e / n)
+             for ts, e in zip(turn, shape[1])]
+        try:
+            mellin._sector_rate(shape, x)
+        except ConvergenceConditionError:
+            continue
+        draws += 1
+        fold = not turn.any() and rng.random() < 0.7
+        partial += _check_row_spans(shape, x, fold, 10 ** rng.uniform(-0.5, 2),
+                                    2 * int(rng.integers(4, 60)) + 1, rng.uniform(0.5, 50))
+    assert partial > 1000
 
 
 @pytest.mark.parametrize("shape, x", [((3, (2,)), [0.9]), ((3, (2, 1)), [0.4, 0.9])])
