@@ -15,28 +15,26 @@ from .errors import (ConvergenceConditionError, ContinuationError,
 from .gamma import gamma_ratio, log_gamma
 from .hyper import (FactorPair, LinearFactor, check_functional_equation,
                     pde_residual, series_coefficients, shift_ratio_factors)
-from .identities import (det_cofactor, det_rank_one, dirichlet_integral,
-                         i0_ii_decomposition_check)
+from .identities import det_cofactor, det_rank_one, dirichlet_integral
 from .mellin import (Contour, QuadResult, default_contour, forward_mellin_check,
-                     kernel_value, principal_root_mb, quadratic_mb_check)
-from .oracle import Problem, RootSet, all_roots, epsilon_family, principal_root
-from .param import (ParamPoint, jacobian_det, principal_root_param,
-                    psi_forward, psi_forward_complex, psi_inverse)
+                     kernel_value, principal_root_mb)
+from .oracle import Problem, all_roots, epsilon_family, principal_root
+from .param import (ParamPoint, jacobian_det, principal_root_param, psi_forward,
+                    psi_inverse)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Problem", "RootSet", "ParamPoint", "Contour",
+    "Problem", "ParamPoint", "Contour",
     "QuadResult", "LinearFactor", "FactorPair",
     "principal_root", "all_roots", "epsilon_family",
-    "psi_forward", "psi_forward_complex", "psi_inverse", "jacobian_det",
+    "psi_forward", "psi_inverse", "jacobian_det",
     "principal_root_param",
     "kernel_value", "forward_mellin_check", "default_contour",
-    "principal_root_mb", "quadratic_mb_check",
+    "principal_root_mb",
     "shift_ratio_factors", "check_functional_equation", "pde_residual",
     "series_coefficients",
     "det_rank_one", "det_cofactor", "dirichlet_integral",
-    "i0_ii_decomposition_check",
     "log_gamma", "gamma_ratio",
     "NumericalError", "PoleError", "GammaOverflowError", "ConvergenceConditionError",
     "DivergentIntegralError", "QuadratureError", "RootConvergenceError",

@@ -332,7 +332,7 @@ _SUITES = {name: (_driver(name, sample, measure, describe), count, tol)
      lambda d, tol: pde_residual(*d, h=1e-2),
      lambda d: {**dataclasses.asdict(d[0]), "alpha": d[1]}, 10, 1e-4),
     ("epsilon", lambda rng, i: sampling.random_small_problem(rng),
-     lambda q, tol: _match_multisets(epsilon_family(q), all_roots(q).roots),
+     lambda q, tol: _match_multisets(epsilon_family(q), all_roots(q)),
      dataclasses.asdict, 100, 1e-9),
 ]}
 
@@ -375,8 +375,7 @@ def cmd_contour_trace(args) -> int:
         for pt, v in zip(pts, vals):
             writer.writerow([*(repr(float(t)) for t in pt), repr(float(v.real)),
                              repr(float(v.imag)), repr(float(abs(v)))])
-    if not args.json:
-        print(f"wrote {len(pts)} rows to {args.out}")
+    print(f"wrote {len(pts)} rows to {args.out}")
     return 0
 
 
@@ -439,7 +438,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--alpha", type=float, default=1.0)
     sp.add_argument("--height", type=float, default=None)
     sp.add_argument("--nodes", type=int, default=None)
-    sp.add_argument("--json", action="store_true")
     sp.add_argument("--out", required=True)
     sp.set_defaults(fn=cmd_contour_trace)
 

@@ -58,10 +58,6 @@ class FactorPair:
     g: tuple[LinearFactor, ...]
     index: int
 
-    @property
-    def degree(self) -> int:
-        return max(len(self.f), len(self.g))
-
     def ratio(self, u_list: Sequence[complex]) -> complex:
         num = 1.0 + 0.0j
         for fac in self.f:

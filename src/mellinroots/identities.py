@@ -1,9 +1,8 @@
 """Exact and numeric identities backing the transform machinery.
 
-Three independent facts: the rank-one determinant det(I + 1 y^T) = 1 + sum y
-(exact, rational arithmetic), the Dirichlet-type orthant integral equal to a
-gamma ratio, and the term-by-term decomposition that reduces the forward
-transform to those Dirichlet integrals.
+Two independent facts: the rank-one determinant det(I + 1 y^T) = 1 + sum y
+(exact, rational arithmetic), and the Dirichlet-type orthant integral equal
+to a gamma ratio.
 """
 
 from __future__ import annotations
@@ -14,16 +13,12 @@ from typing import Sequence
 
 from .errors import DivergentIntegralError
 from .gamma import gamma_ratio
-from .mellin import _kernel_args
-from .oracle import _checked_shape
 from .quadrature import integrate_orthant_log, log_one_plus_sum_exp
 
 __all__ = [
     "det_rank_one", "det_cofactor", "build_rank_one_matrix",
-    "dirichlet_integral", "i0_ii_decomposition_check",
+    "dirichlet_integral",
 ]
-
-Shape = tuple[int, tuple[int, ...]]
 
 
 def build_rank_one_matrix(y: Sequence[Fraction]) -> list[list[Fraction]]:
@@ -96,47 +91,3 @@ def dirichlet_integral(
     numeric, _, _ = integrate_orthant_log(
         u, lambda L: -omega * log_one_plus_sum_exp(L), rel_tol=tol / 3.0)
     return numeric, gamma_ratio([*u, rest], [omega])
-
-
-def i0_ii_decomposition_check(
-    u_list: Sequence[float],
-    alpha: float,
-    shape: Shape,
-) -> float:
-    """Verify the decomposition I = I_0 + I_1 + ... + I_p of the forward transform.
-
-    I_0 carries the constant of the (1 + sum (n_i/n) xi_i) factor and each
-    I_i one Euler-weighted term; the gamma recurrence collapses them to
-    I_i = (n_i u_i)/(n u) * I_0 and the total to (alpha/(n u)) * I_0, which
-    equals the gamma-ratio kernel.  Returns the worst relative error over
-    those identities, every gamma ratio taken by gamma_ratio (real, as its
-    arguments are).
-    """
-    shape = _checked_shape(shape)
-    n, exps = shape
-    u_list = [float(v) for v in u_list]
-    u, omega = _kernel_args(shape, alpha, u_list)
-    if u <= 0 or any(v <= 0 for v in u_list):
-        raise DivergentIntegralError(
-            f"inadmissible parameters: u={u:g}, u_i={u_list}")
-
-    # I_0 via Gamma(omega - sum u_i) = Gamma(u + 1)
-    i0_a = gamma_ratio([omega - math.fsum(u_list), *u_list], [omega]).real
-    i0_b = gamma_ratio([u + 1.0, *u_list], [omega]).real
-    worst = abs(i0_a - i0_b) / abs(i0_b)
-
-    total = i0_b
-    for i, (e, uv) in enumerate(zip(exps, u_list)):
-        nums = [omega - math.fsum(u_list) - 1.0]
-        nums += [u_list[j] + (1.0 if j == i else 0.0) for j in range(len(u_list))]
-        ii_direct = (e / n) * gamma_ratio(nums, [omega]).real
-        ii_reduced = (e * uv) / (n * u) * i0_b
-        worst = max(worst, abs(ii_direct - ii_reduced) / abs(ii_reduced))
-        total += ii_direct
-
-    closed = alpha / (n * u) * i0_b
-    worst = max(worst, abs(total - closed) / abs(closed))
-
-    kernel_rhs = (alpha / n) * gamma_ratio([u, *u_list], [omega]).real
-    worst = max(worst, abs(total - kernel_rhs) / abs(kernel_rhs))
-    return worst

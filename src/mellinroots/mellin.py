@@ -53,7 +53,7 @@ from .quadrature import integrate_orthant_log, log_one_plus_sum_exp
 __all__ = [
     "Contour", "QuadResult", "kernel_value",
     "forward_mellin_check", "default_contour", "principal_root_mb",
-    "quadratic_mb_check", "contour_integrand",
+    "contour_integrand",
 ]
 
 Shape = tuple[int, tuple[int, ...]]
@@ -527,19 +527,6 @@ def principal_root_mb(
         raise QuadratureError(
             f"contour integral error estimate {err:g} exceeds requested {tol:g}")
     return QuadResult(value=v_f, err_estimate=err, evaluations=count)
-
-
-def quadratic_mb_check(x: float, tol: float = 1e-8) -> tuple[float, float]:
-    """principal_root_mb of Z^2 + x Z - 1 = 0 at ``tol``, and its closed form.
-
-    The contour integral is (1/(4 pi i)) * integral over Re z = 1/2 of
-    Gamma(z) Gamma((1-z)/2) / Gamma((3+z)/2) * x^-z dz, against
-    -x/2 + sqrt(1 + (x/2)^2).  (The x^-z / Gamma((1-z)/2) combination is
-    forced: the frequently misprinted x^z / Gamma((1+z)/2) variant has a
-    double pole at z = -1 and is not an algebraic function of x at all.)
-    """
-    res = principal_root_mb(Problem(2, [1], [x]), tol=tol)
-    return res.value.real, -x / 2.0 + math.sqrt(1.0 + (x / 2.0) ** 2)
 
 
 def contour_integrand(

@@ -12,14 +12,14 @@ from __future__ import annotations
 import cmath
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ContinuationError, RootConvergenceError
 
-__all__ = ["Problem", "RootSet", "principal_root", "all_roots", "epsilon_family"]
+__all__ = ["Problem", "principal_root", "all_roots", "epsilon_family"]
 
 _MAX_NEWTON = 200
 
@@ -103,16 +103,6 @@ def _checked_shape(shape) -> tuple[int, tuple[int, ...]]:
     return Problem(n, exps, (0.0,) * len(exps)).shape
 
 
-@dataclass(frozen=True)
-class RootSet:
-    roots: tuple[complex, ...]
-    principal_index: int = field(default=0)
-
-    @property
-    def principal(self) -> complex:
-        return self.roots[self.principal_index]
-
-
 def principal_root(problem: Problem) -> float:
     """The unique root in (0, 1] with Z -> 1 as all coefficients -> 0.
 
@@ -155,7 +145,7 @@ def _newton(problem: Problem, z: complex, steps: int, tol: float) -> tuple[compl
     return z, False
 
 
-def all_roots(problem: Problem) -> RootSet:
+def all_roots(problem: Problem) -> tuple[complex, ...]:
     """All n complex roots via the companion matrix, polished by Newton."""
     c = problem.monic_coefficients()
     n = problem.n
@@ -163,11 +153,7 @@ def all_roots(problem: Problem) -> RootSet:
     comp[1:, :-1] = np.eye(n - 1)
     comp[:, -1] = -c[1:][::-1]
     raw = np.linalg.eigvals(comp)
-    roots = tuple(_newton(problem, complex(z), 64, 1e-16)[0] for z in raw)
-
-    zp = principal_root(problem)
-    idx = min(range(n), key=lambda i: abs(roots[i] - zp))
-    return RootSet(roots=roots, principal_index=idx)
+    return tuple(_newton(problem, complex(z), 64, 1e-16)[0] for z in raw)
 
 
 def epsilon_family(problem: Problem) -> list[complex]:

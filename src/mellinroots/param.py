@@ -10,7 +10,6 @@ coefficient vector in double range.
 
 from __future__ import annotations
 
-import cmath
 import math
 import sys
 from dataclasses import dataclass
@@ -20,7 +19,7 @@ from .errors import GammaOverflowError, RootConvergenceError
 from .oracle import Problem, _checked_shape
 
 __all__ = [
-    "ParamPoint", "psi_forward", "psi_forward_complex", "jacobian_det",
+    "ParamPoint", "psi_forward", "jacobian_det",
     "psi_inverse", "principal_root_param",
 ]
 
@@ -73,18 +72,6 @@ def psi_forward(point: ParamPoint, shape: Shape) -> tuple[float, ...]:
     n, exps = _check_shape(shape, len(point.xi))
     W = point.W
     return tuple(v * W ** (e / n - 1.0) for v, e in zip(point.xi, exps))
-
-
-def psi_forward_complex(xi: complex, shape: Shape) -> complex:
-    """Complex-domain map for p = 1, on C minus {xi : 1 + xi <= 0}.
-
-    Uses the branch of W^{1/n} that equals 1 at xi = 0 (principal powers).
-    """
-    n, exps = _check_shape(shape, 1)
-    W = 1.0 + complex(xi)
-    if W.imag == 0.0 and W.real <= 0.0:
-        raise ValueError(f"xi = {xi} lies on the excluded set (1 + xi <= 0)")
-    return xi * cmath.exp((exps[0] / n - 1.0) * cmath.log(W))
 
 
 def jacobian_det(point: ParamPoint, shape: Shape) -> float:

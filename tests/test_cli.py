@@ -4,6 +4,7 @@ import csv
 import importlib
 import json
 import math
+import os
 import pkgutil
 import shlex
 import subprocess
@@ -114,9 +115,13 @@ def test_verify_failure_exit_1_with_replay(capsys):
 def test_verify_deterministic_reports():
     cmd = [sys.executable, "-m", "mellinroots", "verify", "--suite", "funceq",
            "--seed", "11", "--count", "5", "--json"]
+    # the child imports the same package as this process, installed or not
+    src = os.path.dirname(os.path.dirname(mellinroots.__file__))
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, path] if path else [src])}
     outs = []
     for _ in range(2):
-        proc = subprocess.run(cmd, capture_output=True, text=True, check=True)
+        proc = subprocess.run(cmd, capture_output=True, text=True, check=True, env=env)
         data = json.loads(proc.stdout)
         data.pop("timing")
         outs.append(json.dumps(data))

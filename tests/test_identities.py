@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 from mellinroots import (DivergentIntegralError, dirichlet_integral,
-                         forward_mellin_check, i0_ii_decomposition_check)
+                         forward_mellin_check, gamma_ratio)
 from mellinroots.identities import (build_rank_one_matrix, det_cofactor,
                                     det_rank_one)
+from mellinroots.mellin import _kernel_args
 
 GAMMA_03_04_03 = 19.85138558242040325305059189524433924442  # G(.3) G(.4) G(.3)
 
@@ -135,7 +136,6 @@ def test_dirichlet_rejects_p4():
 def test_dirichlet_reproduces_leading_term():
     # with omega = u + sum(u_i) + 1 the integral is the constant term of the
     # forward-transform decomposition: Gamma(u+1) prod Gamma(u_i) / Gamma(omega)
-    from mellinroots.gamma import gamma_ratio
     n, exps, alpha = 2, (1,), 3.0
     u1 = 0.5
     u = alpha / n - (exps[0] / n) * u1
@@ -146,8 +146,45 @@ def test_dirichlet_reproduces_leading_term():
     assert abs(numeric - i0) <= 1e-9 * abs(i0)
 
 
+def _decomposition_error(u_list, alpha, shape):
+    """Worst relative error of the decomposition I = I_0 + I_1 + ... + I_p.
+
+    The forward transform's (1 + sum (n_i/n) xi_i) factor splits it into I_0,
+    carrying the constant, and one Euler-weighted term I_i per coefficient.
+    The gamma recurrence collapses them to I_i = (n_i u_i)/(n u) * I_0 and
+    the total to (alpha/(n u)) * I_0, which equals the gamma-ratio kernel.
+    Every gamma ratio is real, as its arguments are.
+    """
+    n, exps = shape
+    u_list = [float(v) for v in u_list]
+    u, omega = _kernel_args(shape, alpha, u_list)
+    if u <= 0 or any(v <= 0 for v in u_list):
+        raise DivergentIntegralError(
+            f"inadmissible parameters: u={u:g}, u_i={u_list}")
+
+    # I_0 via Gamma(omega - sum u_i) = Gamma(u + 1)
+    i0_a = gamma_ratio([omega - math.fsum(u_list), *u_list], [omega]).real
+    i0_b = gamma_ratio([u + 1.0, *u_list], [omega]).real
+    worst = abs(i0_a - i0_b) / abs(i0_b)
+
+    total = i0_b
+    for i, (e, uv) in enumerate(zip(exps, u_list)):
+        nums = [omega - math.fsum(u_list) - 1.0]
+        nums += [u_list[j] + (1.0 if j == i else 0.0) for j in range(len(u_list))]
+        ii_direct = (e / n) * gamma_ratio(nums, [omega]).real
+        ii_reduced = (e * uv) / (n * u) * i0_b
+        worst = max(worst, abs(ii_direct - ii_reduced) / abs(ii_reduced))
+        total += ii_direct
+
+    closed = alpha / (n * u) * i0_b
+    worst = max(worst, abs(total - closed) / abs(closed))
+
+    kernel_rhs = (alpha / n) * gamma_ratio([u, *u_list], [omega]).real
+    return max(worst, abs(total - kernel_rhs) / abs(kernel_rhs))
+
+
 def test_decomposition_quadratic_example():
-    err = i0_ii_decomposition_check([0.5], 3.0, (2, (1,)))
+    err = _decomposition_error([0.5], 3.0, (2, (1,)))
     assert err <= 1e-12
 
 
@@ -160,17 +197,17 @@ def test_decomposition_bulk():
             rng.choice(np.arange(1, n), size=p, replace=False))[::-1])
         u_list = rng.uniform(0.2, 1.2, size=p)
         alpha = float(np.dot(exps, u_list) + rng.uniform(0.4, 2.5))
-        assert i0_ii_decomposition_check(list(u_list), alpha, (n, exps)) <= 1e-11
+        assert _decomposition_error(list(u_list), alpha, (n, exps)) <= 1e-11
 
 
 def test_decomposition_rejects_inadmissible():
     with pytest.raises(DivergentIntegralError):
-        i0_ii_decomposition_check([3.0], 1.0, (2, (1,)))
+        _decomposition_error([3.0], 1.0, (2, (1,)))
 
 
 def test_decomposition_consistent_with_quadrature():
     # the gamma-form total equals the numerically integrated transform
     shape, alpha, u1 = (2, (1,)), 3.0, 0.5
     lhs, rhs = forward_mellin_check(shape, alpha, [u1], tol=1e-7)
-    assert i0_ii_decomposition_check([u1], alpha, shape) <= 1e-12
+    assert _decomposition_error([u1], alpha, shape) <= 1e-12
     assert abs(lhs - rhs) <= 1e-6 * abs(rhs)

@@ -12,9 +12,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from mellinroots import (ConvergenceConditionError, NumericalError, Problem,
                          QuadratureError, check_functional_equation, default_contour,
-                         forward_mellin_check, i0_ii_decomposition_check, kernel_value,
-                         principal_root, principal_root_mb,
-                         principal_root_param, quadratic_mb_check)
+                         forward_mellin_check, kernel_value, principal_root,
+                         principal_root_mb, principal_root_param)
 from mellinroots import mellin, sampling
 from mellinroots.hyper import shift_ratio_factors
 from mellinroots.mellin import (Contour, _kernel_args, _lattice_tables, _line_nodes,
@@ -54,9 +53,8 @@ def test_kernel_conjugate_symmetry():
 
 @pytest.mark.parametrize("call", [
     lambda: kernel_value((3, (2, 1)), 2.0, [0.5]),
-    lambda: i0_ii_decomposition_check([0.5, 0.4], 3.0, (2, (1,))),
     lambda: check_functional_equation((3, (2, 1)), 2.0, [0.5]),
-], ids=["kernel_value", "i0_ii_decomposition_check", "check_functional_equation"])
+], ids=["kernel_value", "check_functional_equation"])
 def test_kernel_args_length_mismatch(call):
     # one argument per exponent: zip must not drop the extra ones silently
     with pytest.raises(ValueError, match="arguments for . exponents"):
@@ -67,10 +65,8 @@ def test_kernel_args_length_mismatch(call):
 @pytest.mark.parametrize("call", [
     lambda shape: kernel_value(shape, 3.0, [0.5] * len(shape[1])),
     lambda shape: forward_mellin_check(shape, 3.0, [0.5] * len(shape[1])),
-    lambda shape: i0_ii_decomposition_check([0.5] * len(shape[1]), 3.0, shape),
     lambda shape: shift_ratio_factors(shape, 3.0),
-], ids=["kernel_value", "forward_mellin_check", "i0_ii_decomposition_check",
-        "shift_ratio_factors"])
+], ids=["kernel_value", "forward_mellin_check", "shift_ratio_factors"])
 def test_raw_shapes_checked_as_problem(call, shape):
     # a shape passed without a Problem is held to Problem's rule 0 < n_p < ... < n_1 < n
     with pytest.raises(ValueError, match="exponents must satisfy"):
@@ -683,17 +679,18 @@ def test_mb_deterministic():
 
 @pytest.mark.parametrize("x", [0.1, 0.2, 0.5, 1.0, 2.0])
 def test_quadratic_mb_frozen_grid(x):
-    mb, closed = quadratic_mb_check(x, tol=1e-8)
+    mb = principal_root_mb(Problem(2, [1], [x]), tol=1e-8).value.real
+    closed = -x / 2.0 + math.sqrt(1.0 + (x / 2.0) ** 2)
     assert closed == pytest.approx(QUAD_CLOSED[x], rel=1e-15)
     assert abs(mb - closed) <= 1e-8
 
 
 def test_quadratic_mb_small_x_limit():
-    mb, _ = quadratic_mb_check(1e-4, tol=1e-8)
+    mb = principal_root_mb(Problem(2, [1], [1e-4]), tol=1e-8).value.real
     assert abs(mb - 1.0) <= 1e-3
 
 
 def test_quadratic_mb_rejects_nonpositive():
     for x in [-1.0, float("nan"), float("inf")]:
         with pytest.raises(ValueError):
-            quadratic_mb_check(x)
+            principal_root_mb(Problem(2, [1], [x]), tol=1e-8)
