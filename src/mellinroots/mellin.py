@@ -202,17 +202,18 @@ def forward_mellin_check(
     return lhs, rhs
 
 
-def _ring_exponent(shape: Shape, argx: Sequence[float]) -> np.ndarray:
+def _ring_exponent(shape: Shape, argx: Sequence[float]) -> list[float]:
     """The Stirling exponent at the corners of the ring max_s |t_s| = 1 and,
     at p = 2, where t_1, t_2, Im u or Im omega change sign: between them it is
     linear, so its extremes on the ring are among these."""
     n, exps = shape
-    ring = np.array([[1.0], [-1.0]])
+    ring = [(1.0,), (-1.0,)]
     if len(exps) == 2:
-        normals = np.array([(1, 0), (0, 1), exps, [n - e for e in exps]], dtype=float)
-        turns = normals[:, ::-1] * [1, -1] / np.abs(normals).max(axis=1, keepdims=True)
-        ring = np.concatenate([turns, -turns, [(1, 1), (1, -1), (-1, 1), (-1, -1)]])
-    return _stirling_exponent(shape, list(ring.T), argx)
+        ring = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
+        for a, b in [(1, 0), (0, 1), exps, [n - e for e in exps]]:
+            turn = (b / max(a, b), -a / max(a, b))
+            ring += [turn, (-turn[0], -turn[1])]
+    return [_stirling_exponent(shape, ts, argx) for ts in ring]
 
 
 def _sector_rate(shape: Shape, x: Sequence[complex]) -> float:
@@ -227,7 +228,7 @@ def _sector_rate(shape: Shape, x: Sequence[complex]) -> float:
     if rate <= 0:
         raise ConvergenceConditionError(
             "coefficients outside the validity sector |arg x_s| < pi*n_s/n")
-    if len(exps) == 2 and _ring_exponent(shape, argx).min() <= 0:
+    if len(exps) == 2 and min(_ring_exponent(shape, argx)) <= 0:
         raise ConvergenceConditionError(
             "coefficients outside the validity domain: the contour integrand "
             "does not decay along every direction of the double integral")
@@ -251,11 +252,16 @@ def default_contour(
     h/2, h and 2h all end at +-T.
     """
     _check_alpha(alpha)
-    n, exps = problem.shape
     x = [complex(c) for c in (coeffs if coeffs is not None else problem.coeffs)]
-    rate = _sector_rate(problem.shape, x)
+    return _sized_contour(problem.shape, alpha, x, tol, _sector_rate(problem.shape, x))[0]
+
+
+def _sized_contour(shape: Shape, alpha: float, x: Sequence[complex], tol: float,
+                   rate: float) -> tuple[Contour, float]:
+    """default_contour's contour, given the sector rate, and its strip's half-width."""
+    n, exps = shape
     a = min(0.5, alpha / (exps[0] + sum(exps)))
-    strip = _strip_width(problem.shape, alpha, (a,) * len(exps))
+    strip = _strip_width(shape, alpha, (a,) * len(exps))
     # x^-u oscillates like exp(-i t ln|x|), which eats into the alias margin
     osc = max(abs(cmath.log(abs(xv))) for xv in x)
     height = (0.8 * math.log(30.0 / tol) + 5.0 + 0.3 * osc) / rate
@@ -264,7 +270,7 @@ def default_contour(
     # at most), so that _grid_sum's cap, not an overflow, refuses the grid
     half = height / (4.0 * fine_step) if fine_step > 0 else math.inf
     m = max(9, 4 * math.ceil(min(half, 2.0 ** 60)) + 1)
-    return Contour(abscissas=(a,) * len(exps), height=height, nodes_per_line=m)
+    return Contour(abscissas=(a,) * len(exps), height=height, nodes_per_line=m), strip
 
 
 def _strip_width(shape: Shape, alpha: float, a: Sequence[float]) -> float:
@@ -289,29 +295,35 @@ def _lattice_tables(shape: Shape, alpha: float, x: Sequence[complex], a: Sequenc
     K = sum coef_s k_s (coef reduced by its gcd): log Gamma(u) + log(alpha/n),
     -log Gamma(omega) and, per line, log Gamma(u_s) - u_s log x_s.  Each is
     tabulated from the least to the greatest K at the offsets ``ends`` (one
-    array per axis; every coef_s is >= 0, so a rectangle's corners bound K),
-    all in one log-gamma call, whose fixed cost dominates on small grids.
+    sequence per axis; every coef_s is >= 0, so a rectangle's corners bound K).
+    The tables are slices of one array, formed in one pass: one log-gamma call,
+    whose fixed cost dominates on small grids, and one exp for every phase.
     Returns ((c_1, c_p), lo, log_mag, phase) per factor (c_1 = 0 at p = 1),
     the real part of its log and exp(i times its imaginary part) at K - lo.
     """
     n, exps = shape
     u0, om0 = _kernel_args(shape, alpha, a)
-    factors = [(exps, u0, -1j * (h / n)), ([n - e for e in exps], om0, 1j * (h / n)),
-               *(([int(r == s) for r in range(len(a))], a_s, 1j * h) for s, a_s in enumerate(a))]
-    coefs, los, zs = [], [], []
-    for coef, re, step in factors:
-        g = math.gcd(*coef)
-        coefs.append([cs // g for cs in coef])
-        K = sum(cs * ks for cs, ks in zip(coefs[-1], ends))
-        los.append(int(K.min()))
-        zs.append(re + step * (g * np.arange(los[-1], int(K.max()) + 1)))
-    lg = np.split(log_gamma_array(np.concatenate(zs)), np.cumsum([z.size for z in zs[:-1]]))
-    lg[0] += math.log(alpha / n)
-    lg[1] = -lg[1]
-    for z, lg_s, xv in zip(zs[2:], lg[2:], x):
-        lg_s -= z * cmath.log(complex(xv))
-    return [((0, *coef)[-2:], lo, v.real.copy(), np.exp(1j * v.imag))
-            for coef, lo, v in zip(coefs, los, lg)]
+    factors = [(exps, u0, -h / n), ([n - e for e in exps], om0, h / n),
+               *(([int(r == s) for r in range(len(a))], a_s, h) for s, a_s in enumerate(a))]
+    gcds = [math.gcd(*coef) for coef, _, _ in factors]
+    coefs = [[cs // g for cs in coef] for g, (coef, _, _) in zip(gcds, factors)]
+    K = np.dot(coefs, ends)
+    los, his = K.min(axis=1).tolist(), K.max(axis=1).tolist()
+    sizes = [hi + 1 - lo for lo, hi in zip(los, his)]
+    spans = [slice(sum(sizes[:i]), sum(sizes[:i + 1])) for i in range(len(sizes))]
+    z = np.empty(sum(sizes), dtype=complex)
+    z_re, z_im = z.real, z.imag
+    for (_, re, step), g, lo, hi, at in zip(factors, gcds, los, his, spans):
+        z_re[at] = re
+        np.multiply(np.arange(g * lo, g * hi + 1, g, dtype=float), step, out=z_im[at])
+    lg = log_gamma_array(z)
+    lg[spans[0]] += math.log(alpha / n)
+    np.negative(lg[spans[1]], out=lg[spans[1]])
+    for at, xv in zip(spans[2:], x):
+        lg[at] -= z[at] * cmath.log(complex(xv))
+    log_mag, phase = lg.real.copy(), np.exp(1j * lg.imag)
+    return [((0, *coef)[-2:], lo, log_mag[at], phase[at])
+            for coef, lo, at in zip(coefs, los, spans)]
 
 
 def _rect_integrand(tables: list[tuple], k1: int, kp: int, mag: np.ndarray,
@@ -337,7 +349,7 @@ def _stirling_exponent(shape, ts, argx):
     n, exps = shape
     im_u = -sum(e * t for e, t in zip(exps, ts)) / n
     im_om = sum(ts, im_u)
-    E = (math.pi / 2.0) * (sum(map(np.abs, ts), np.abs(im_u)) - np.abs(im_om))
+    E = (math.pi / 2.0) * (sum(map(abs, ts), abs(im_u)) - abs(im_om))
     return E - sum(t * ax for t, ax in zip(ts, argx))
 
 
@@ -383,11 +395,12 @@ def _cover(shape, argx, t, fold, cut):
     c = (len(t) - 1) // 2
     lead = np.arange(0 if fold else -c, c + 1) if len(argx) == 2 else np.zeros(1, dtype=int)
     lo = np.where(fold & (lead == 0), 0, -c)
-    whole = t[-1] * _ring_exponent(shape, argx).max() <= cut
-    row, first, last = ((np.arange(len(lo)), lo, np.full(len(lo), c)) if whole
-                        else _row_spans(shape, argx, t, [lead][:len(argx) - 1], lo, cut))
+    if t[-1] * max(_ring_exponent(shape, argx)) <= cut:
+        rows, first, last = lead.tolist(), lo.tolist(), [c] * len(lo)
+    else:
+        row, first, last = _row_spans(shape, argx, t, [lead][:len(argx) - 1], lo, cut)
+        rows, first, last = lead[row].tolist(), first.tolist(), last.tolist()
     # up to _BLOCK_ROWS rows and _BLOCK_POINTS points; a longer row is cut
-    rows, first, last = lead[row].tolist(), first.tolist(), last.tolist()
     rects, i = [], 0
     while i < len(rows):
         j0, j1, k = first[i], last[i], i + 1
@@ -427,17 +440,18 @@ def _grid_sum(shape, alpha, x, a, T, m, tol, full_grid=False):
     n_box = (m ** p + 1) // 2 if fold else m ** p
     # the points left out hold at most _MASK_SPREAD tol/10 |f(0)| (h/2 pi)^p
     mask_cut = min(_MASK_CUT, max(0.0, math.log(10.0 * n_box / tol)))
-    rects = _cover(shape, argx, t, fold, mask_cut)
-    k1, kp, rows, cols = rects.T
-    sizes = rows * cols
-    count = int(sizes.sum())
+    rects = _cover(shape, argx, t, fold, mask_cut).tolist()
+    sizes = [r * j for _, _, r, j in rects]
+    count = sum(sizes)
     if count > _MAX_SOLVE_POINTS:
         raise QuadratureError(f"contour grid of {count} points exceeds {_MAX_SOLVE_POINTS}")
-    ends = [np.concatenate([k1, k1 + rows - 1])] * (p - 1) + [np.concatenate([kp, kp + cols - 1])]
-    tables = _lattice_tables(shape, alpha, x, a, h, ends)
+    # (k_1, k_p) of each rectangle's first and last point
+    corners = ([(k1, kp) for k1, kp, _, _ in rects]
+               + [(k1 + r - 1, kp + j - 1) for k1, kp, r, j in rects])
+    tables = _lattice_tables(shape, alpha, x, a, h, [*zip(*corners)][2 - p:])
     parts = []  # per rectangle: the three sums, the ring's and the |f| sum
-    bufs = np.empty(sizes.max()), np.empty(sizes.max(), dtype=complex)
-    for r0, j0, r, j in rects.tolist():
+    bufs = np.empty(max(sizes)), np.empty(max(sizes), dtype=complex)
+    for r0, j0, r, j in rects:
         mag, phase = _rect_integrand(tables, r0, j0, *(b[:r * j].reshape(r, j) for b in bufs))
         total, ring = mag.sum(), 0.0
         # edge rows (none at p = 1) and columns: on the ring, with weight 1/2
@@ -454,14 +468,14 @@ def _grid_sum(shape, alpha, x, a, T, m, tol, full_grid=False):
         # the sub-grids of steps 2h and 4h start at the first offsets = 0 mod 2 and 4
         parts.append([f.sum(), *(f[-r0 % q::q, -j0 % q::q].sum() for q in (2, 4)), ring, total])
     # pairwise over the rectangles too: a C-ordered copy puts each sum's parts in one row
-    s = np.array(parts, dtype=complex).T.copy().sum(axis=1)
+    sums = np.array(parts, dtype=complex).T.copy().sum(axis=1).tolist()
     # |f(0)|: each table's log-magnitude at K = 0 (the center, at E = 0, is kept)
-    f0 = np.exp(sum(log_mag[-k0] for _, k0, log_mag, _ in tables))
-    s = np.append(s, _MASK_SPREAD * (n_box - count) * math.exp(-mask_cut) * f0)
-    if fold:
-        s = 2.0 * s.real
-    s *= (h / (2.0 * math.pi)) ** p * np.array([1, 2 ** p, 4 ** p, 1, 1, 1])
-    return (complex(s[0]), complex(s[1]), complex(s[2]), *map(float, s[3:].real), count)
+    f0 = math.exp(sum(log_mag[-k0] for _, k0, log_mag, _ in tables))
+    sums.append(_MASK_SPREAD * (n_box - count) * math.exp(-mask_cut) * f0)
+    w = (h / (2.0 * math.pi)) ** p
+    v_f, v_b, v_c, ring, total, masked = (
+        (2.0 * v.real if fold else v) * (w * q) for v, q in zip(sums, (1, 2 ** p, 4 ** p, 1, 1, 1)))
+    return complex(v_f), complex(v_b), complex(v_c), ring.real, total.real, masked, count
 
 
 def _fine_error(d_f: float, d_b: float, rho: float) -> float:
@@ -514,14 +528,16 @@ def principal_root_mb(
     rate = _sector_rate(problem.shape, x)
     size_tol = tol if tol is not None else _SIZE_TOL
     if contour is None:
-        contour = default_contour(problem, alpha, size_tol, coeffs=x)
+        contour, strip = _sized_contour(problem.shape, alpha, x, size_tol, rate)
+    else:
+        strip = _strip_width(problem.shape, alpha, contour.abscissas)
     _strip(problem.shape, alpha, contour.abscissas)
 
     T, m = contour.height, contour.nodes_per_line
     v_f, v_b, v_c, ring, total, masked, count = _grid_sum(
         problem.shape, alpha, x, contour.abscissas, T, 2 * m - 1, size_tol)
     tail = ring / -math.expm1(-rate * T / (m - 1))
-    rho = math.exp(-math.pi * _strip_width(problem.shape, alpha, contour.abscissas) * (m - 1) / T)
+    rho = math.exp(-math.pi * strip * (m - 1) / T)
     err = _fine_error(abs(v_f - v_b), abs(v_b - v_c), rho) + tail + _ROUNDING * total + masked
     if tol is not None and err > tol:
         raise QuadratureError(

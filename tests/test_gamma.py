@@ -2,12 +2,15 @@
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mellinroots import GammaOverflowError, PoleError, gamma_ratio, log_gamma
+from mellinroots import (GammaOverflowError, PoleError, Problem, gamma_ratio, log_gamma,
+                         principal_root_mb)
+from mellinroots import gamma, mellin
 from mellinroots.gamma import POLE_TOL, is_pole, log_gamma_array
 
 # high-precision reference values (40-digit arbitrary-precision evaluation)
@@ -182,3 +185,70 @@ def test_against_arbitrary_precision_grid():
         ref = mpmath.loggamma(mpmath.mpc(z.real, z.imag))
         ref = complex(float(ref.real), float(ref.imag))
         assert abs(log_gamma(z) - ref) <= 5e-14 * (1.0 + abs(ref))
+
+
+def _mp_log_gamma(z):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        ref = mpmath.loggamma(mpmath.mpc(z.real, z.imag))
+        return complex(float(ref.real), float(ref.imag))
+
+
+@pytest.mark.parametrize("problem, alpha, coeffs", [
+    (Problem(5, [3], [0.7]), 2.0, None),
+    (Problem(4, [3, 1], [0.5, 1.1]), 1.0, None),
+    (Problem(3, [2], [0.9]), 1.0, [0.9 * cmath.exp(0.5j)]),   # |arg x| < pi n_1/n
+])
+def test_lattice_tables_against_arbitrary_precision(monkeypatch, problem, alpha, coeffs):
+    # the arguments of the contour's own tables on default solves: p = 1, p = 2
+    # and a complex coefficient inside the sector
+    seen = []
+
+    def spy(z):
+        seen.append(np.array(z))
+        return log_gamma_array(z)
+
+    monkeypatch.setattr(mellin, "log_gamma_array", spy)
+    principal_root_mb(problem, alpha, coeffs=coeffs)
+    (z,) = seen
+    assert (z.real > 0).all()
+    z = z[::max(1, z.size // 1500)]
+    got = log_gamma_array(z)
+    for v, g in zip(z, got):
+        ref = _mp_log_gamma(v)
+        assert abs(g - ref) <= 5e-14 * (1.0 + abs(ref)), v
+
+
+def test_branch_unwrap_bound():
+    # log prod_{j<8} (z + j) takes its branch from 8 arg(z + 7/2): sound while
+    # D = sum_j arg(z + j) - 8 arg(z + 7/2) stays well inside (-pi, pi)
+    re = np.concatenate([np.geomspace(1e-9, 50.0, 60), np.linspace(0.1, 3.0, 30)])
+    im = np.concatenate([np.geomspace(1e-6, 1e4, 200), np.linspace(0.0, 5.0, 101)])
+    im = np.concatenate([im, -im])
+    z = (re[:, None] + 1j * im[None, :]).ravel()
+    D = sum(np.angle(z + j) for j in range(8)) - 8.0 * np.angle(z + 3.5)
+    assert np.abs(D).max() <= 1.7
+    direct = sum(np.log(z + j) for j in range(8))
+    assert np.abs(gamma._log_rising8(z) - direct).max() <= 1e-12 * (1.0 + np.abs(direct)).max()
+
+
+def test_far_right_half_plane_is_finite_and_accurate():
+    # the shift's product would overflow past |z| ~ 1e38; the series then runs at z
+    z = np.array([r * cmath.exp(1j * phi)
+                  for r in 10.0 ** np.arange(0, 301, 6)
+                  for phi in (0.0, 0.6, -1.2, math.pi / 2 - 1e-9)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = log_gamma_array(z)
+    assert np.isfinite(got).all()
+    for v, g in zip(z, got):
+        ref = _mp_log_gamma(v)
+        assert abs(g - ref) <= 5e-14 * (1.0 + abs(ref)), v
+    # near and far elements in one call match calls one at a time
+    assert _bits(got) == _bits([log_gamma(v) for v in z])
+
+
+def test_empty_array():
+    for empty in ([], np.zeros(0, dtype=complex), np.zeros((0, 3))):
+        got = log_gamma_array(empty)
+        assert got.dtype == np.complex128 and got.shape == np.shape(empty)
