@@ -24,8 +24,7 @@ __all__ = [
 def build_rank_one_matrix(y: Sequence[Fraction]) -> list[list[Fraction]]:
     """M[i][j] = delta_ij + y_i: identity plus a rank-one row pattern."""
     y = [Fraction(v) for v in y]
-    p = len(y)
-    return [[y[i] + (1 if i == j else 0) for j in range(p)] for i in range(p)]
+    return [[yi + 1 if i == j else yi for j in range(len(y))] for i, yi in enumerate(y)]
 
 
 def det_rank_one(y: Sequence[Fraction]) -> Fraction:

@@ -41,6 +41,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
@@ -120,9 +121,8 @@ def _kernel_args(shape: Shape, alpha: float, u_list: Sequence[complex]) -> tuple
 def _strip(shape: Shape, alpha: float, u_list: Sequence[complex]) -> tuple[complex, complex]:
     """(u, omega) of _kernel_args on the kernel's strip; ConvergenceConditionError off it.
 
-    The strip: alpha positive and finite, each u_s finite with Re u_s > 0, and Re u > 0.
+    The strip, for an alpha _check_alpha passed: each u_s finite with Re u_s > 0, and Re u > 0.
     """
-    _check_alpha(alpha)
     u, omega = _kernel_args(shape, alpha, u_list)
     if not all(0 < uv.real < math.inf and math.isfinite(uv.imag) for uv in u_list):
         raise ConvergenceConditionError(
@@ -182,6 +182,7 @@ def forward_mellin_check(
     """
     shape = _checked_shape(shape)
     n, exps = shape
+    _check_alpha(alpha)
     _, omega = _strip(shape, alpha, u_list)
     if len(exps) > 2:
         raise ValueError("forward check integrates numerically only for p <= 2")
@@ -216,23 +217,58 @@ def _ring_exponent(shape: Shape, argx: Sequence[float]) -> list[float]:
     return [_stirling_exponent(shape, ts, argx) for ts in ring]
 
 
-def _sector_rate(shape: Shape, x: Sequence[complex]) -> float:
-    """Decay rate of the contour integrand per line; raises for x_s = 0 or rate <= 0,
-    or at p = 2 for growth along a diagonal direction (_ring_exponent <= 0)."""
+def _setup(problem: Problem, alpha: float, tol: float = _SIZE_TOL,
+           coeffs: Sequence[complex] | None = None,
+           contour: Contour | None = None) -> SimpleNamespace:
+    """The one check and sizing of a contour solve, for principal_root_mb,
+    default_contour and contour_integrand: ValueError for p > 2, a bad tol or
+    coefficient count, ConvergenceConditionError off the sector or the strip.
+    Sizes default_contour's contour for ``tol`` unless ``contour`` is given.
+    Returns the shape, alpha, x, argx = arg x_s, ring_exponent (_ring_exponent),
+    the decay rate per line, the contour and the half-width of its pole-free strip.
+    """
+    shape = problem.shape
+    n, exps = shape
+    _check_alpha(alpha)
+    if len(exps) > 2:
+        raise ValueError("contour evaluation is implemented for p <= 2 "
+                         "(use the parametric solver for higher p)")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+    x = [complex(c) for c in (coeffs if coeffs is not None else problem.coeffs)]
+    if len(x) != len(exps):
+        raise ValueError(f"{len(x)} coefficients for p = {len(exps)}")
     if any(xv == 0 for xv in x):
         raise ConvergenceConditionError(
             "contour evaluation needs strictly positive |x_s| (x^-u undefined at 0)")
-    n, exps = shape
-    argx = [cmath.phase(complex(xv)) for xv in x]
+    argx = [cmath.phase(xv) for xv in x]
     rate = min(math.pi * e / n - abs(ax) for e, ax in zip(exps, argx))
     if rate <= 0:
         raise ConvergenceConditionError(
             "coefficients outside the validity sector |arg x_s| < pi*n_s/n")
-    if len(exps) == 2 and min(_ring_exponent(shape, argx)) <= 0:
+    ring = _ring_exponent(shape, argx)
+    if len(exps) == 2 and min(ring) <= 0:
         raise ConvergenceConditionError(
             "coefficients outside the validity domain: the contour integrand "
             "does not decay along every direction of the double integral")
-    return rate
+    a = contour.abscissas if contour is not None else (
+        min(0.5, alpha / (exps[0] + sum(exps))),) * len(exps)
+    # the strip's half-width: the poles of Gamma(u_s) at u_s = 0 and of
+    # Gamma(u) at u = 0, one line moved
+    u0, _ = _strip(shape, alpha, a)
+    strip = min(min(a_s, u0 * n / e) for a_s, e in zip(a, exps))
+    if contour is None:
+        # x^-u oscillates like exp(-i t ln|x|), which eats into the alias margin
+        osc = max(abs(cmath.log(abs(xv))) for xv in x)
+        height = (0.8 * math.log(30.0 / tol) + 5.0 + 0.3 * osc) / rate
+        fine_step = 2.0 * math.pi * strip / (math.log(30.0 / tol) + 2.0 * strip * osc)
+        # a tiny alpha narrows the strip and so the step; m stays finite (2^62 + 1
+        # at most), so that _grid_sum's cap, not an overflow, refuses the grid
+        half = height / (4.0 * fine_step) if fine_step > 0 else math.inf
+        m = max(9, 4 * math.ceil(min(half, 2.0 ** 60)) + 1)
+        contour = Contour(abscissas=a, height=height, nodes_per_line=m)
+    return SimpleNamespace(shape=shape, alpha=alpha, x=x, argx=argx, ring_exponent=ring,
+                           rate=rate, contour=contour, strip=strip)
 
 
 def default_contour(
@@ -249,36 +285,9 @@ def default_contour(
     from the alias error exp(-strip (2 pi/h_f - 2 osc)) <= tol/30 of the
     trapezoid rule on a strip of half-width ``strip``, where |x^-u| grows like
     exp(strip osc) toward its edges.  m = 1 (mod 4), so the grids of step
-    h/2, h and 2h all end at +-T.
+    h/2, h and 2h all end at +-T.  The inputs are checked as principal_root_mb's.
     """
-    _check_alpha(alpha)
-    x = [complex(c) for c in (coeffs if coeffs is not None else problem.coeffs)]
-    return _sized_contour(problem.shape, alpha, x, tol, _sector_rate(problem.shape, x))[0]
-
-
-def _sized_contour(shape: Shape, alpha: float, x: Sequence[complex], tol: float,
-                   rate: float) -> tuple[Contour, float]:
-    """default_contour's contour, given the sector rate, and its strip's half-width."""
-    n, exps = shape
-    a = min(0.5, alpha / (exps[0] + sum(exps)))
-    strip = _strip_width(shape, alpha, (a,) * len(exps))
-    # x^-u oscillates like exp(-i t ln|x|), which eats into the alias margin
-    osc = max(abs(cmath.log(abs(xv))) for xv in x)
-    height = (0.8 * math.log(30.0 / tol) + 5.0 + 0.3 * osc) / rate
-    fine_step = 2.0 * math.pi * strip / (math.log(30.0 / tol) + 2.0 * strip * osc)
-    # a tiny alpha narrows the strip and so the step; m stays finite (2^62 + 1
-    # at most), so that _grid_sum's cap, not an overflow, refuses the grid
-    half = height / (4.0 * fine_step) if fine_step > 0 else math.inf
-    m = max(9, 4 * math.ceil(min(half, 2.0 ** 60)) + 1)
-    return Contour(abscissas=(a,) * len(exps), height=height, nodes_per_line=m), strip
-
-
-def _strip_width(shape: Shape, alpha: float, a: Sequence[float]) -> float:
-    """Half-width d of the pole-free strip about the lines Re u_s = a_s: the
-    poles of Gamma(u_s) at u_s = 0 and of Gamma(u) at u = 0, one line moved."""
-    n, exps = shape
-    u0, _ = _kernel_args(shape, alpha, a)
-    return min(min(a_s, u0 * n / e) for a_s, e in zip(a, exps))
+    return _setup(problem, alpha, tol, coeffs).contour
 
 
 def _line_nodes(T: float, m: int) -> tuple[np.ndarray, float]:
@@ -384,21 +393,23 @@ def _row_spans(shape, argx, t, lead, lo, cut):
     return row, first[row].astype(np.int64), last[row].astype(np.int64)
 
 
-def _cover(shape, argx, t, fold, cut):
+def _cover(setup, t, fold, cut):
     """(k_1, k_p, rows, columns) of rectangles of whole rows holding every point with E <= cut.
 
     E is positively homogeneous, E(lambda t) = lambda E(t), and positive on
-    the ring max_s |t_s| = 1, so the whole box is kept when T max E there is
-    at most the cut; else the rows' kept spans come from _row_spans.  At p = 1
+    the ring max_s |t_s| = 1, so the whole box is kept when T max E there
+    (setup.ring_exponent) is at most the cut; else the rows' kept spans come
+    from _row_spans.  At p = 1
     the one row has k_1 = 0; under the fold the rows are k_1 >= 0, row 0 alone.
     """
     c = (len(t) - 1) // 2
-    lead = np.arange(0 if fold else -c, c + 1) if len(argx) == 2 else np.zeros(1, dtype=int)
+    lead = np.arange(0 if fold else -c, c + 1) if len(setup.x) == 2 else np.zeros(1, dtype=int)
     lo = np.where(fold & (lead == 0), 0, -c)
-    if t[-1] * max(_ring_exponent(shape, argx)) <= cut:
+    if t[-1] * max(setup.ring_exponent) <= cut:
         rows, first, last = lead.tolist(), lo.tolist(), [c] * len(lo)
     else:
-        row, first, last = _row_spans(shape, argx, t, [lead][:len(argx) - 1], lo, cut)
+        row, first, last = _row_spans(setup.shape, setup.argx, t, [lead][:len(setup.x) - 1],
+                                      lo, cut)
         rows, first, last = lead[row].tolist(), first.tolist(), last.tolist()
     # up to _BLOCK_ROWS rows and _BLOCK_POINTS points; a longer row is cut
     rects, i = [], 0
@@ -414,7 +425,7 @@ def _cover(shape, argx, t, fold, cut):
     return np.array(rects, dtype=np.int64).reshape(-1, 4)
 
 
-def _grid_sum(shape, alpha, x, a, T, m, tol, full_grid=False):
+def _grid_sum(setup, T, m, tol, full_grid=False):
     """Stirling-masked trapezoid sums over the p-fold grid, from one pass.
 
     Returns (v_f, v_b, v_c, ring, total, masked, points summed): (step/2 pi)^p
@@ -430,17 +441,17 @@ def _grid_sum(shape, alpha, x, a, T, m, tol, full_grid=False):
     from k_p = 0 with weight 1/2 at the center, only Re f is formed, and the
     sums and the bound are doubled.
     """
+    x = setup.x
     p = len(x)
     if m > _MAX_LINE_NODES:
         raise QuadratureError(f"contour grid of {m} nodes per line exceeds {_MAX_LINE_NODES}")
     t, h = _line_nodes(T, m)
     c = (m - 1) // 2
-    argx = [cmath.phase(complex(v)) for v in x]
-    fold = not full_grid and all(v.imag == 0.0 and v.real > 0.0 for v in map(complex, x))
+    fold = not full_grid and all(v.imag == 0.0 and v.real > 0.0 for v in x)
     n_box = (m ** p + 1) // 2 if fold else m ** p
     # the points left out hold at most _MASK_SPREAD tol/10 |f(0)| (h/2 pi)^p
     mask_cut = min(_MASK_CUT, max(0.0, math.log(10.0 * n_box / tol)))
-    rects = _cover(shape, argx, t, fold, mask_cut).tolist()
+    rects = _cover(setup, t, fold, mask_cut).tolist()
     sizes = [r * j for _, _, r, j in rects]
     count = sum(sizes)
     if count > _MAX_SOLVE_POINTS:
@@ -448,7 +459,8 @@ def _grid_sum(shape, alpha, x, a, T, m, tol, full_grid=False):
     # (k_1, k_p) of each rectangle's first and last point
     corners = ([(k1, kp) for k1, kp, _, _ in rects]
                + [(k1 + r - 1, kp + j - 1) for k1, kp, r, j in rects])
-    tables = _lattice_tables(shape, alpha, x, a, h, [*zip(*corners)][2 - p:])
+    tables = _lattice_tables(setup.shape, setup.alpha, x, setup.contour.abscissas, h,
+                             [*zip(*corners)][2 - p:])
     parts = []  # per rectangle: the three sums, the ring's and the |f| sum
     bufs = np.empty(max(sizes)), np.empty(max(sizes), dtype=complex)
     for r0, j0, r, j in rects:
@@ -515,29 +527,12 @@ def principal_root_mb(
     ``coeffs`` overrides the problem's coefficients, for complex points
     inside the validity sector |arg x_s| < pi*n_s/n.
     """
-    p = problem.p
-    _check_alpha(alpha)
-    if p > 2:
-        raise ValueError("contour evaluation is implemented for p <= 2 "
-                         "(use the parametric solver for higher p)")
-    if tol is not None and not 0 < tol < math.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol}")
-    x = [complex(c) for c in (coeffs if coeffs is not None else problem.coeffs)]
-    if len(x) != p:
-        raise ValueError(f"{len(x)} coefficients for p = {p}")
-    rate = _sector_rate(problem.shape, x)
     size_tol = tol if tol is not None else _SIZE_TOL
-    if contour is None:
-        contour, strip = _sized_contour(problem.shape, alpha, x, size_tol, rate)
-    else:
-        strip = _strip_width(problem.shape, alpha, contour.abscissas)
-    _strip(problem.shape, alpha, contour.abscissas)
-
-    T, m = contour.height, contour.nodes_per_line
-    v_f, v_b, v_c, ring, total, masked, count = _grid_sum(
-        problem.shape, alpha, x, contour.abscissas, T, 2 * m - 1, size_tol)
-    tail = ring / -math.expm1(-rate * T / (m - 1))
-    rho = math.exp(-math.pi * strip * (m - 1) / T)
+    setup = _setup(problem, alpha, size_tol, coeffs, contour)
+    T, m = setup.contour.height, setup.contour.nodes_per_line
+    v_f, v_b, v_c, ring, total, masked, count = _grid_sum(setup, T, 2 * m - 1, size_tol)
+    tail = ring / -math.expm1(-setup.rate * T / (m - 1))
+    rho = math.exp(-math.pi * setup.strip * (m - 1) / T)
     err = _fine_error(abs(v_f - v_b), abs(v_b - v_c), rho) + tail + _ROUNDING * total + masked
     if tol is not None and err > tol:
         raise QuadratureError(
@@ -557,10 +552,7 @@ def contour_integrand(
     order.  Values are kernel * prod x_s^{-u_s} without the (2 pi i)^-p.
     """
     p = problem.p
-    if p > 2:
-        raise ValueError("contour tracing is implemented for p <= 2")
-    _sector_rate(problem.shape, problem.coeffs)
-    _strip(problem.shape, alpha, contour.abscissas)
+    _setup(problem, alpha, contour=contour)
     m = contour.nodes_per_line
     if m ** p > _MAX_TRACE_POINTS:
         raise QuadratureError(f"contour trace of {m ** p} points exceeds {_MAX_TRACE_POINTS}")

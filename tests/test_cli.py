@@ -203,7 +203,7 @@ def test_contour_trace_p2_rows(tmp_path):
     (["--height", "inf"], "height must be positive and finite"),
     (["--height", "nan"], "height must be positive and finite"),
     (["--n", "5", "--exps", "3,2,1", "--coeffs", "1,1,1"],
-     "contour tracing is implemented for p <= 2"),
+     "contour evaluation is implemented for p <= 2 (use the parametric solver for higher p)"),
 ])
 def test_contour_trace_bad_grid_exit_2(flags, message, tmp_path, capsys):
     out = tmp_path / "trace.csv"

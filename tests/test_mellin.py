@@ -284,7 +284,8 @@ def test_grid_sum_keeps_reference_mask(monkeypatch, shape, x, full_grid):
     x = [complex(v) for v in x]
     p = len(x)
     problem = Problem(shape[0], list(shape[1]), [abs(v) for v in x])
-    contour = default_contour(problem, 1.0, coeffs=x)
+    setup = mellin._setup(problem, 1.0, coeffs=x)
+    contour = setup.contour
     fold = not full_grid and all(v.imag == 0.0 for v in x)
     covers = []
     cover = mellin._cover
@@ -301,8 +302,7 @@ def test_grid_sum_keeps_reference_mask(monkeypatch, shape, x, full_grid):
                                                [mellin._BLOCK_POINTS, 23]):
         monkeypatch.setattr(mellin, "_BLOCK_POINTS", block)
         T = scale * contour.height
-        *sums, _, count = mellin._grid_sum(shape, 1.0, x, contour.abscissas, T, m, 1e-7,
-                                           full_grid=full_grid)
+        *sums, _, count = mellin._grid_sum(setup, T, m, 1e-7, full_grid=full_grid)
         cut, rects = covers[-1]
         c = (m - 1) // 2
         hits = np.zeros((m,) * p, dtype=int)
@@ -349,15 +349,15 @@ def test_grid_sum_block_boundaries(monkeypatch, shape, x, full_grid):
     x = [complex(v) for v in x]
     p = len(x)
     problem = Problem(shape[0], list(shape[1]), [abs(v) for v in x])
-    contour = default_contour(problem, 1.0, coeffs=x)
+    setup = mellin._setup(problem, 1.0, coeffs=x)
     fold = not full_grid and all(v.imag == 0.0 for v in x)
     n_box = (201 ** p + 1) // 2 if fold else 201 ** p
     caps, sums = [(1, 2 ** 25), (mellin._BLOCK_ROWS, 2 ** 25), (mellin._BLOCK_ROWS, 7), (1, 7)], []
     for rows, block in caps:
         monkeypatch.setattr(mellin, "_BLOCK_ROWS", rows)
         monkeypatch.setattr(mellin, "_BLOCK_POINTS", block)
-        sums.append(mellin._grid_sum(shape, 1.0, x, contour.abscissas, contour.height, 201,
-                                     1e-7, full_grid=full_grid))
+        sums.append(mellin._grid_sum(setup, setup.contour.height, 201, 1e-7,
+                                     full_grid=full_grid))
     (*ref, masked_ref, count_ref) = sums[0]
     for cap, (*other, masked, count) in zip(caps[1:], sums[1:]):
         assert count >= count_ref
@@ -379,8 +379,7 @@ def test_grid_sum_block_boundaries(monkeypatch, shape, x, full_grid):
 def test_whole_box_rule(monkeypatch, shape, x):
     # the rows are scanned unless the per-point mask keeps every node of the box,
     # and then the rectangles hold the whole box
-    x = [complex(v) for v in x]
-    argx = [cmath.phase(v) for v in x]
+    setup = mellin._setup(Problem(shape[0], list(shape[1]), [abs(v) for v in x]), 1.0, coeffs=x)
     scans = []
     row_spans = mellin._row_spans
     monkeypatch.setattr(mellin, "_row_spans", lambda *args: scans.append(args) or row_spans(*args))
@@ -388,7 +387,7 @@ def test_whole_box_rule(monkeypatch, shape, x):
     for T, cut in itertools.product([0.5, 2.0, 8.0], [2.0, 10.0, 30.0]):
         t, _ = _line_nodes(T, m)
         scans.clear()
-        rects = mellin._cover(shape, argx, t, False, cut)
+        rects = mellin._cover(setup, t, False, cut)
         whole = len(_stirling_kept(shape, x, T, m, False, cut)) == m ** len(x)
         assert (not scans) == whole, (T, cut)
         if whole:
@@ -434,7 +433,7 @@ def test_row_spans_against_the_per_point_exponent():
         x = [10 ** rng.uniform(-3, 3) * cmath.exp(1j * math.pi * ts * e / n)
              for ts, e in zip(turn, shape[1])]
         try:
-            mellin._sector_rate(shape, x)
+            mellin._setup(Problem(n, list(shape[1]), [abs(v) for v in x]), 1.0, coeffs=x)
         except ConvergenceConditionError:
             continue
         draws += 1
@@ -528,6 +527,47 @@ def test_mb_rejects_zero_coefficient():
         principal_root_mb(Problem(3, [2, 1], [0.0, 1.0]))
     with pytest.raises(ConvergenceConditionError, match="strictly positive"):
         default_contour(Problem(3, [2, 1], [0.0, 1.0]), 1.0)
+
+
+@pytest.mark.parametrize("coeffs", [[0.5], [0.5, 0.5, 0.5]])
+def test_default_contour_rejects_wrong_coefficient_count(coeffs):
+    # default_contour makes principal_root_mb's checks, with the same message
+    problem = Problem(3, [2, 1], [0.5, 0.5])
+    message = f"{len(coeffs)} coefficients for p = 2"
+    with pytest.raises(ValueError, match=message):
+        principal_root_mb(problem, coeffs=coeffs)
+    with pytest.raises(ValueError, match=message):
+        default_contour(problem, 1.0, coeffs=coeffs)
+
+
+def test_default_contour_rejects_p3():
+    with pytest.raises(ValueError, match="implemented for p <= 2"):
+        default_contour(Problem(5, [3, 2, 1], [0.5, 0.5, 0.5]), 1.0)
+
+
+def test_ring_exponent_once_per_solve(monkeypatch):
+    # the set-up finds the ring once; the whole-box rule reuses it
+    calls = []
+    ring_exponent = mellin._ring_exponent
+    monkeypatch.setattr(mellin, "_ring_exponent",
+                        lambda *args: calls.append(args) or ring_exponent(*args))
+    principal_root_mb(Problem(3, [2, 1], [0.4, 0.9]), alpha=2.0)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("problem, alpha, tol, coeffs", [
+    (Problem(5, [3], [0.7]), 2.0, 1e-8, None),
+    (Problem(3, [2, 1], [0.4, 0.9]), 3.0, 1e-7, None),
+    (Problem(4, [3, 1], [0.7, 1.3]), 1.0, 1e-6,
+     [0.7 * cmath.exp(0.9j), 1.3 * cmath.exp(-0.35j)]),
+])
+def test_mb_default_contour_is_the_solve_contour(problem, alpha, tol, coeffs):
+    # a solve on default_contour's contour is the solve on its own default, bit for bit
+    res = principal_root_mb(problem, alpha, tol=tol, coeffs=coeffs)
+    contour = default_contour(problem, alpha, tol, coeffs)
+    given = principal_root_mb(problem, alpha, contour=contour, tol=tol, coeffs=coeffs)
+    assert (given.value, given.err_estimate, given.evaluations) == (
+        res.value, res.err_estimate, res.evaluations)
 
 
 def test_contour_integrand_rejects_zero_coefficient():
