@@ -13,8 +13,8 @@ from .errors import (ConvergenceConditionError, ContinuationError,
                      PoleError, QuadratureError, RootConvergenceError,
                      StepTooSmallError)
 from .gamma import gamma_ratio, log_gamma
-from .hyper import (FactorPair, LinearFactor, check_functional_equation,
-                    pde_residual, series_coefficients, shift_ratio_factors)
+from .hyper import (LinearFactor, check_functional_equation, pde_residual,
+                    series_coefficients, shift_ratio_factors)
 from .identities import det_cofactor, det_rank_one, dirichlet_integral
 from .mellin import (Contour, QuadResult, default_contour, forward_mellin_check,
                      kernel_value, principal_root_mb)
@@ -26,7 +26,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Problem", "ParamPoint", "Contour",
-    "QuadResult", "LinearFactor", "FactorPair",
+    "QuadResult", "LinearFactor",
     "principal_root", "all_roots", "epsilon_family",
     "psi_forward", "psi_inverse", "jacobian_det",
     "principal_root_param",

@@ -279,7 +279,7 @@ def _fd_jacobian(shape, xi):
     def f(j, step):
         moved = list(xi)
         moved[j] += step
-        return np.asarray(psi_forward(ParamPoint.from_xi(moved), shape))
+        return np.asarray(psi_forward(ParamPoint(moved), shape))
 
     p = len(xi)
     J = np.empty((p, p))
@@ -303,13 +303,14 @@ def _draw_funceq(rng, i):
 
 
 def _match_multisets(a, b):
-    """Greatest distance in a greedy nearest matching of two root multisets."""
+    """Greatest distance in a greedy nearest matching of two root multisets, NaN if any is."""
     b = list(b)
     worst = 0.0
     for z in a:
         j = min(range(len(b)), key=lambda k: abs(z - b[k]))
-        worst = max(worst, abs(z - b[j]))
-        b.pop(j)
+        d = abs(z - b.pop(j))
+        if d > worst or math.isnan(d):
+            worst = d
     return worst
 
 
@@ -318,7 +319,7 @@ _SUITES = {name: (_driver(name, sample, measure, describe), count, tol)
            for name, sample, measure, describe, count, tol in [
     ("det", _draw_det, _det_gap, lambda y: {"y": y}, 1000, 0.0),
     ("jacobian", _draw_jacobian,
-     lambda d, tol: _gap(_fd_jacobian(*d), jacobian_det(ParamPoint.from_xi(d[1]), d[0])),
+     lambda d, tol: _gap(_fd_jacobian(*d), jacobian_det(ParamPoint(d[1]), d[0])),
      lambda d: {"shape": d[0], "xi": d[1]}, 500, 1e-6),
     ("mellin", lambda rng, i: sampling.random_forward_tuple(rng, 1 if i % 3 else 2),
      lambda d, tol: _gap(*forward_mellin_check(*d, tol=tol)),
@@ -383,8 +384,6 @@ def cmd_contour_trace(args) -> int:
 
 def cmd_series(args) -> int:
     exps = _parse_list(args.exps, int)
-    if args.kmax < 0:
-        raise ValueError(f"kmax must be nonnegative, got {args.kmax}")
     coeffs = series_coefficients((args.n, tuple(exps)), _finite_alpha(args.alpha), args.kmax)
     if args.json or args.out:
         report = _Report("series", {"n": args.n, "exps": exps,

@@ -3,10 +3,13 @@
 Shifting one kernel argument by n multiplies the kernel by a ratio of
 polynomials f_s/g_s that factors completely into linear forms
 c_1 u_1 + ... + c_p u_p + a with rational c_i (built from the gamma
-recurrence).  Because monomials x^{-u} are eigenfunctions of the Euler
-operators theta_i = -x_i d/dx_i, those shift relations turn into a system
-of finite-order PDEs for y = Z^alpha, which this module verifies by
-finite differences in log coordinates (where theta_i = -d/dt_i).
+recurrence); shift_ratio_factors returns them as plain (f_s, g_s) tuples
+of LinearFactor, line s at position s.  Because monomials x^{-u} are
+eigenfunctions of the Euler operators theta_i = -x_i d/dx_i, those shift
+relations turn into a system of finite-order PDEs for y = Z^alpha, which
+this module verifies by finite differences in log coordinates (where
+theta_i = -d/dt_i).  Both checks report their worst value over the lines,
+NaN if any line gives NaN.
 
 For p = 1 the kernel's left pole ladder also yields the Taylor
 coefficients of Z^alpha as residues; truncated sums are checked against
@@ -15,6 +18,7 @@ the Newton solver.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -28,12 +32,16 @@ from .oracle import Problem, _checked_shape
 from .param import psi_inverse
 
 __all__ = [
-    "LinearFactor", "FactorPair", "shift_ratio_factors",
+    "LinearFactor", "shift_ratio_factors",
     "check_functional_equation", "pde_residual", "series_coefficients",
     "fd_weights",
 ]
 
 Shape = tuple[int, tuple[int, ...]]
+
+# largest k_max series_coefficients takes: a coefficient costs 50-80 us (one gamma
+# ratio; Xeon, one core), so the cap bounds a call to about 5 s and 2^16 floats
+_KMAX = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -50,26 +58,10 @@ class LinearFactor:
         return LinearFactor(self.coeffs, self.offset + delta)
 
 
-@dataclass(frozen=True)
-class FactorPair:
-    """Numerator/denominator factorizations of the shift ratio on line s."""
-
-    f: tuple[LinearFactor, ...]
-    g: tuple[LinearFactor, ...]
-    index: int
-
-    def ratio(self, u_list: Sequence[complex]) -> complex:
-        num = 1.0 + 0.0j
-        for fac in self.f:
-            num *= fac(u_list)
-        den = 1.0 + 0.0j
-        for fac in self.g:
-            den *= fac(u_list)
-        return num / den
-
-
-def shift_ratio_factors(shape: Shape, alpha: float) -> list[FactorPair]:
-    """Factor pairs (f_s, g_s) with F(..., u_s + n, ...) = (f_s/g_s) F(u).
+def shift_ratio_factors(
+    shape: Shape, alpha: float,
+) -> list[tuple[tuple[LinearFactor, ...], tuple[LinearFactor, ...]]]:
+    """Factor pairs (f_s, g_s) with F(..., u_s + n, ...) = (f_s/g_s) F(u), line s at position s.
 
     Shifting u_s by n lowers u by n_s and raises u + sum(u) + 1 by
     n - n_s, so the gamma recurrence gives
@@ -90,7 +82,7 @@ def shift_ratio_factors(shape: Shape, alpha: float) -> list[FactorPair]:
         f = tuple(LinearFactor(basis, float(j)) for j in range(n))
         g = tuple(u_form.shifted(-float(j)) for j in range(1, ns + 1)) + \
             tuple(sum_form.shifted(float(j)) for j in range(1, n - ns + 1))
-        pairs.append(FactorPair(f=f, g=g, index=s))
+        pairs.append((f, g))
     return pairs
 
 
@@ -100,7 +92,7 @@ def check_functional_equation(
     u_sample: Sequence[complex],
     kernel_fn: Callable[[Sequence[complex]], complex] | None = None,
 ) -> float:
-    """Worst relative error of the shift relation over all lines at u_sample."""
+    """Worst relative error of the shift relation over all lines at u_sample (NaN if any is)."""
     n, exps = shape
     if kernel_fn is None:
         kernel_fn = lambda ul: kernel_value(shape, alpha, ul)
@@ -108,12 +100,15 @@ def check_functional_equation(
     u = [complex(v) for v in u_sample]
     base = kernel_fn(u)
     worst = 0.0
-    for pair in pairs:
+    for s, (f, g) in enumerate(pairs):
         shifted = list(u)
-        shifted[pair.index] += n
+        shifted[s] += n
         lhs = kernel_fn(shifted)
-        rhs = pair.ratio(u) * base
-        worst = max(worst, abs(lhs - rhs) / abs(lhs))
+        ratio = (math.prod((fac(u) for fac in f), start=1 + 0j)
+                 / math.prod((fac(u) for fac in g), start=1 + 0j))
+        r = abs(lhs - ratio * base) / abs(lhs)
+        if r > worst or math.isnan(r):
+            worst = r
     return worst
 
 
@@ -216,30 +211,33 @@ def _pde_residual_at(problem: Problem, alpha: float, h: float) -> float:
 
     offs = np.arange(-H, H + 1)
     worst = 0.0
-    for pair in pairs:
-        s = pair.index
+    for s, (f, g) in enumerate(pairs):
         # x_s^n * y on the same grid
         xs = problem.coeffs[s] * np.exp(h * offs)
         shape_vec = [1] * p
         shape_vec[s] = offs.size
         w = y * (xs ** n).reshape(shape_vec)
 
-        poly_f = _expand_factors(pair.f, p)
-        poly_g = _expand_factors(pair.g, p)
+        poly_f = _expand_factors(f, p)
+        poly_g = _expand_factors(g, p)
         lhs, sc1 = _apply_theta_poly(poly_f, y, h)
         rhs, sc2 = _apply_theta_poly(poly_g, w, h)
         res = abs(lhs - rhs) / max(sc1 + sc2, 1e-300)
-        worst = max(worst, res)
+        if res > worst or math.isnan(res):
+            worst = res
     return worst
 
 
 def pde_residual(problem: Problem, alpha: float, h: float = 1e-2) -> float:
-    """Max normalized residual of f_s(theta) y = g_s(theta)(x_s^n y) over s.
+    """Max normalized residual of f_s(theta) y = g_s(theta)(x_s^n y) over s, NaN if any is.
 
     theta_i = -x_i d/dx_i is applied by 4th-order central differences in
-    log coordinates.  Raises StepTooSmallError when halving the step makes
-    the residual worse (roundoff domination).
+    log coordinates with step h, which must satisfy 0 < h < inf.  Raises
+    StepTooSmallError when halving the step makes the residual worse
+    (roundoff domination).
     """
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"step h must be positive and finite, got {h}")
     if any(c <= 0 for c in problem.coeffs):
         raise ValueError("PDE check needs strictly positive coefficients")
     res = _pde_residual_at(problem, alpha, h)
@@ -257,11 +255,15 @@ def series_coefficients(shape: Shape, alpha: float, k_max: int) -> list[float]:
     The poles of Gamma(u_1) at u_1 = -k give
     c_k = (-1)^k/k! * (alpha/n) * Gamma(u(-k)) / Gamma(u(-k) - k + 1);
     a denominator pole (gamma.is_pole) means the coefficient vanishes, and a
-    ratio past double range raises GammaOverflowError.
+    ratio past double range raises GammaOverflowError.  0 <= k_max <= 2^16.
     """
     if len(shape[1]) != 1:
         raise ValueError("residue series is implemented for p = 1 only")
     n, (n1,) = _checked_shape(shape)
+    if k_max < 0:
+        raise ValueError(f"kmax must be nonnegative, got {k_max}")
+    if k_max > _KMAX:
+        raise ValueError(f"kmax must be at most {_KMAX}, got {k_max}")
     out: list[float] = []
     for k in range(k_max + 1):
         num = alpha / n + (n1 / n) * k

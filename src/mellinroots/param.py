@@ -6,13 +6,16 @@ inversion reduces to one scalar level equation in s = sum(xi): on each
 level set the map is linear, so s is the only unknown.  It is solved for
 L = log W = log(1 + s) by Newton, which needs no bracket and covers every
 coefficient vector in double range.
+
+A ParamPoint is built from xi alone; s and W are derived from it once, so
+they cannot disagree with it.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import GammaOverflowError, RootConvergenceError
@@ -30,35 +33,28 @@ _MAX_NEWTON = 300
 _LOG_MAX = math.log(sys.float_info.max) - 1e-9
 
 
-def _xi_sum(xi: tuple[float, ...]) -> float:
-    """sum(xi) for xi finite and nonnegative, with a sum in double range; ValueError otherwise."""
-    if not all(0 <= v < math.inf for v in xi):
-        raise ValueError(f"xi must be finite and nonnegative, got {xi}")
-    try:
-        return math.fsum(xi)
-    except OverflowError:
-        raise ValueError(f"sum(xi) overflows double range, xi = {xi}") from None
-
-
 @dataclass(frozen=True)
 class ParamPoint:
-    """A point xi in [0, inf)^p together with s = sum(xi) and W = 1 + s."""
+    """A point xi in [0, inf)^p; s = sum(xi) and W = 1 + s are derived from it.
+
+    xi must be finite and nonnegative with its sum in double range; ValueError otherwise.
+    """
 
     xi: tuple[float, ...]
-    s: float
-    W: float
-
-    @classmethod
-    def from_xi(cls, xi: Sequence[float]) -> "ParamPoint":
-        xi = tuple(float(v) for v in xi)
-        s = _xi_sum(xi)
-        return cls(xi=xi, s=s, W=1.0 + s)
+    s: float = field(init=False)
+    W: float = field(init=False)
 
     def __post_init__(self):
-        if abs(self.s - _xi_sum(self.xi)) > 1e-14 * (1.0 + abs(self.s)):
-            raise ValueError("s is not the sum of xi")
-        if self.W != 1.0 + self.s or self.W < 1.0:
-            raise ValueError("W must equal 1 + s and be >= 1")
+        xi = tuple(float(v) for v in self.xi)
+        if not all(0 <= v < math.inf for v in xi):
+            raise ValueError(f"xi must be finite and nonnegative, got {xi}")
+        try:
+            s = math.fsum(xi)
+        except OverflowError:
+            raise ValueError(f"sum(xi) overflows double range, xi = {xi}") from None
+        object.__setattr__(self, "xi", xi)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "W", 1.0 + s)
 
 
 def _check_shape(shape: Shape, p: int) -> tuple[int, tuple[int, ...]]:
@@ -77,14 +73,15 @@ def psi_forward(point: ParamPoint, shape: Shape) -> tuple[float, ...]:
 def jacobian_det(point: ParamPoint, shape: Shape) -> float:
     """Closed-form Jacobian determinant of the map at xi.
 
-    (1+s)^{(n_1+...+n_p)/n - p - 1} * (1 + (1/n) sum n_k xi_k); strictly
-    positive on the orthant.
+    W^{(n_1+...+n_p)/n - p - 1} * corr, corr = 1 + (1/n) sum n_k xi_k;
+    strictly positive on the orthant.  Formed as W^{(n_1+...+n_p)/n - p} *
+    (corr / W): both factors lie in (0, 1] since 1 <= corr <= W, so nothing
+    overflows, and it underflows only where the determinant does.
     """
     n, exps = _check_shape(shape, len(point.xi))
-    p = len(exps)
     W = point.W
     corr = 1.0 + math.fsum(e * v for e, v in zip(exps, point.xi)) / n
-    return W ** (sum(exps) / n - p - 1.0) * corr
+    return W ** (sum(exps) / n - len(exps)) * (corr / W)
 
 
 def _log_level(coeffs: Sequence[float], n: int, exps: Sequence[int]) -> float:
@@ -128,7 +125,7 @@ def psi_inverse(coeffs: Sequence[float], shape: Shape) -> ParamPoint:
     if L > _LOG_MAX:
         raise GammaOverflowError(
             f"W = exp({L:g}) exceeds the double range for coeffs={coeffs}")
-    return ParamPoint.from_xi(c * math.exp((1.0 - e / n) * L) for c, e in zip(coeffs, exps))
+    return ParamPoint(c * math.exp((1.0 - e / n) * L) for c, e in zip(coeffs, exps))
 
 
 def principal_root_param(problem: Problem) -> float:

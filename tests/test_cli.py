@@ -17,7 +17,7 @@ import pytest
 
 import mellinroots
 from mellinroots import errors
-from mellinroots.cli import main
+from mellinroots.cli import _match_multisets, main
 from mellinroots.identities import det_cofactor, det_rank_one
 
 
@@ -431,12 +431,19 @@ def test_verify_tol_applies_to_det(capsys, monkeypatch):
     (["verify", "--suite", "det", "--count", "-3"], "count must be at least 1, got -3"),
     (["series", "--n", "2", "--exps", "1", "--kmax", "-2"],
      "kmax must be nonnegative, got -2"),
+    (["series", "--n", "2", "--exps", "1", "--kmax", "65537"],
+     "kmax must be at most 65536, got 65537"),
 ])
 def test_vacuous_counts_exit_2(argv, message, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n"
     assert captured.out == ""
+
+
+def test_match_multisets_keeps_nan():
+    assert math.isnan(_match_multisets([math.nan], [1.0]))
+    assert math.isnan(_match_multisets([math.nan, 2.0], [1.0, 2.0]))
 
 
 @pytest.mark.parametrize("method", ["mb", "param"])

@@ -24,33 +24,37 @@ def test_fd_weights_classic_stencils():
 def test_factor_structure_quadratic():
     pairs = shift_ratio_factors((2, (1,)), 1.0)
     assert len(pairs) == 1
-    pair = pairs[0]
+    f, g = pairs[0]
     # f = u1 (u1 + 1)
-    assert [(f.coeffs, f.offset) for f in pair.f] == [
+    assert [(fac.coeffs, fac.offset) for fac in f] == [
         ((Fraction(1),), 0.0), ((Fraction(1),), 1.0)]
     # g = (u - 1)(u + u1 + 1) with u = 1/2 - u1/2
-    assert [(g.coeffs, g.offset) for g in pair.g] == [
+    assert [(fac.coeffs, fac.offset) for fac in g] == [
         ((Fraction(-1, 2),), -0.5), ((Fraction(1, 2),), 1.5)]
 
 
 def test_factor_coefficients_rational():
     for shape, alpha in [((2, (1,)), 1.0), ((5, (4, 2, 1)), 2.0), ((7, (3, 2)), 3.0)]:
         n = shape[0]
-        for pair in shift_ratio_factors(shape, alpha):
-            assert len(pair.f) == n and len(pair.g) == n
-            assert max(len(pair.f), len(pair.g)) == n
-            for fac in pair.f + pair.g:
+        for f, g in shift_ratio_factors(shape, alpha):
+            assert len(f) == n and len(g) == n
+            assert max(len(f), len(g)) == n
+            for fac in f + g:
                 for c in fac.coeffs:
                     assert isinstance(c, Fraction)
                     assert (n % c.denominator) == 0
 
 
+def _ratio(f, g, u):
+    return math.prod(fac(u) for fac in f) / math.prod(fac(u) for fac in g)
+
+
 def test_factor_ratio_matches_kernel_single():
     shape, alpha = (2, (1,)), 1.0
-    pair = shift_ratio_factors(shape, alpha)[0]
+    f, g = shift_ratio_factors(shape, alpha)[0]
     u = [0.7 + 0.0j]
     direct = kernel_value(shape, alpha, [u[0] + 2.0]) / kernel_value(shape, alpha, u)
-    assert abs(pair.ratio(u) - direct) <= 1e-12 * abs(direct)
+    assert abs(_ratio(f, g, u) - direct) <= 1e-12 * abs(direct)
 
 
 def test_factor_ratio_matches_kernel_bulk():
@@ -63,16 +67,21 @@ def test_factor_ratio_matches_kernel_bulk():
         shape = (n, exps)
         alpha = float(rng.uniform(0.5, 5.0))
         u = [complex(rng.uniform(0.3, 1.5), rng.uniform(0.2, 1.2)) for _ in range(p)]
-        for pair in shift_ratio_factors(shape, alpha):
+        for s, (f, g) in enumerate(shift_ratio_factors(shape, alpha)):
             shifted = list(u)
-            shifted[pair.index] += n
+            shifted[s] += n
             direct = kernel_value(shape, alpha, shifted) / kernel_value(shape, alpha, u)
-            assert abs(pair.ratio(u) - direct) <= 1e-11 * abs(direct)
+            assert abs(_ratio(f, g, u) - direct) <= 1e-11 * abs(direct)
 
 
 def test_functional_equation_samples():
     assert check_functional_equation((2, (1,)), 1.0, [0.6]) <= 1e-11
     assert check_functional_equation((3, (2, 1)), 2.0, [0.5, 0.8]) <= 1e-11
+
+
+def test_functional_equation_nan_alpha_is_nan():
+    with np.errstate(all="ignore"):
+        assert math.isnan(check_functional_equation((3, (2, 1)), math.nan, [0.5, 0.8]))
 
 
 def test_functional_equation_scale_invariant():
@@ -109,14 +118,14 @@ def _apply_factors_nested_fd(factors, grid, h):
 def test_theta_factors_commute():
     # f_s(theta) g_s(theta) y = g_s(theta) f_s(theta) y under nested differencing
     problem = Problem(2, [1], [0.5])
-    pairs = shift_ratio_factors(problem.shape, 1.0)[0]
+    f, g = shift_ratio_factors(problem.shape, 1.0)[0]
     h = 1e-2
     H = 2 * 5 * 2 + 2  # margin for 4 nested first-order applications
     offs = np.arange(-H, H + 1)
     grid = np.array([psi_inverse([0.5 * math.exp(h * o)], problem.shape).W ** -0.5
                      for o in offs])
-    fg = _apply_factors_nested_fd(list(pairs.f) + list(pairs.g), grid, h)
-    gf = _apply_factors_nested_fd(list(pairs.g) + list(pairs.f), grid, h)
+    fg = _apply_factors_nested_fd(list(f) + list(g), grid, h)
+    gf = _apply_factors_nested_fd(list(g) + list(f), grid, h)
     mid = H
     scale = max(abs(fg[mid]), abs(gf[mid]), 1e-30)
     assert abs(fg[mid] - gf[mid]) / scale <= 1e-6
@@ -151,8 +160,8 @@ def test_pde_residual_two_vars():
 
 def test_pde_degree_matches_equation_order():
     for shape, alpha in [((2, (1,)), 1.0), ((6, (4, 3, 1)), 2.0)]:
-        for pair in shift_ratio_factors(shape, alpha):
-            assert max(len(pair.f), len(pair.g)) == shape[0]
+        for f, g in shift_ratio_factors(shape, alpha):
+            assert max(len(f), len(g)) == shape[0]
 
 
 def test_pde_h_convergence():
@@ -171,6 +180,22 @@ def test_pde_step_too_small():
 def test_pde_requires_positive_coeffs():
     with pytest.raises(ValueError):
         pde_residual(Problem(3, [1], [0.0]), 1.0)
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf])
+def test_pde_residual_nonfinite_alpha_is_nan(alpha):
+    with np.errstate(all="ignore"):
+        assert math.isnan(pde_residual(Problem(3, [2], [0.5]), alpha))
+
+
+@pytest.mark.parametrize("h", [0.0, math.nan])
+def test_pde_rejects_bad_step_before_any_grid(h, monkeypatch):
+    def no_grid(*args):
+        raise AssertionError("grid built")
+
+    monkeypatch.setattr("mellinroots.hyper._root_power_grid", no_grid)
+    with pytest.raises(ValueError, match="step h must be positive and finite"):
+        pde_residual(Problem(3, [2], [0.5]), 1.0, h=h)
 
 
 def test_series_prefix_quadratic():
@@ -224,3 +249,16 @@ def test_series_overflow_raises():
 def test_series_rejects_p2():
     with pytest.raises(ValueError):
         series_coefficients((3, (2, 1)), 1.0, 5)
+
+
+@pytest.mark.parametrize("k_max, message", [
+    (-1, "kmax must be nonnegative, got -1"),
+    (2 ** 16 + 1, "kmax must be at most 65536, got 65537"),
+])
+def test_series_rejects_kmax_out_of_range(k_max, message, monkeypatch):
+    def no_ratio(*args):
+        raise AssertionError("gamma_ratio called")
+
+    monkeypatch.setattr("mellinroots.hyper.gamma_ratio", no_ratio)
+    with pytest.raises(ValueError, match=message):
+        series_coefficients((2, (1,)), 1.0, k_max)

@@ -15,48 +15,52 @@ from mellinroots import (GammaOverflowError, ParamPoint, Problem, jacobian_det,
 
 
 def test_param_point_invariants():
-    pt = ParamPoint.from_xi([1.0, 2.0])
+    pt = ParamPoint([1.0, 2.0])
     assert pt.s == 3.0 and pt.W == 4.0
     with pytest.raises(ValueError):
-        ParamPoint.from_xi([-1.0])
+        ParamPoint([-1.0])
     for bad in (math.inf, math.nan):
         with pytest.raises(ValueError, match="xi must be finite and nonnegative"):
-            ParamPoint.from_xi([1.0, bad])
+            ParamPoint([1.0, bad])
         with pytest.raises(ValueError, match="xi must be finite and nonnegative"):
-            ParamPoint(xi=(bad,), s=bad, W=bad)
+            ParamPoint(xi=(bad,))
     with pytest.raises(ValueError, match="xi must be finite and nonnegative"):
-        ParamPoint.from_xi([math.inf, -math.inf])
+        ParamPoint([math.inf, -math.inf])
     with pytest.raises(ValueError, match=r"sum\(xi\) overflows double range"):
-        ParamPoint.from_xi([1e308, 1e308])
+        ParamPoint([1e308, 1e308])
     with pytest.raises(ValueError, match=r"sum\(xi\) overflows double range"):
-        ParamPoint(xi=(1e308, 1e308), s=math.inf, W=math.inf)
-    with pytest.raises(ValueError):
-        ParamPoint(xi=(1.0,), s=2.0, W=3.0)  # s != sum(xi)
+        ParamPoint(xi=(1e308, 1e308))
+
+
+def test_param_point_takes_only_xi():
+    # s and W are derived from xi, never passed
+    with pytest.raises(TypeError, match="unexpected keyword argument 's'"):
+        ParamPoint((1.0,), s=2.0)
 
 
 def test_forward_fixed_point():
-    assert psi_forward(ParamPoint.from_xi([0.0, 0.0]), (3, (2, 1))) == (0.0, 0.0)
+    assert psi_forward(ParamPoint([0.0, 0.0]), (3, (2, 1))) == (0.0, 0.0)
 
 
 def test_forward_quadratic():
     # xi = 3, n = 2: x = 3 * 4^(-1/2) = 1.5
-    x = psi_forward(ParamPoint.from_xi([3.0]), (2, (1,)))
+    x = psi_forward(ParamPoint([3.0]), (2, (1,)))
     assert x[0] == pytest.approx(1.5, rel=1e-15)
 
 
 def test_forward_two_vars():
-    x = psi_forward(ParamPoint.from_xi([1.0, 1.0]), (3, (2, 1)))
+    x = psi_forward(ParamPoint([1.0, 1.0]), (3, (2, 1)))
     assert x[0] == pytest.approx(3.0 ** (-1.0 / 3.0), rel=1e-14)
     assert x[1] == pytest.approx(3.0 ** (-2.0 / 3.0), rel=1e-14)
 
 
 def test_jacobian_at_zero():
-    assert jacobian_det(ParamPoint.from_xi([0.0, 0.0, 0.0]), (5, (4, 2, 1))) == 1.0
+    assert jacobian_det(ParamPoint([0.0, 0.0, 0.0]), (5, (4, 2, 1))) == 1.0
 
 
 def test_jacobian_quadratic_closed_value():
     # 4^(1/2 - 2) * (1 + 3/2) = 0.3125
-    got = jacobian_det(ParamPoint.from_xi([3.0]), (2, (1,)))
+    got = jacobian_det(ParamPoint([3.0]), (2, (1,)))
     assert got == pytest.approx(0.3125, rel=1e-14)
 
 
@@ -69,10 +73,19 @@ def _fd_jacobian(xi, shape):
         dn = list(xi)
         up[j] += h
         dn[j] -= h
-        fp = psi_forward(ParamPoint.from_xi(up), shape)
-        fm = psi_forward(ParamPoint.from_xi(dn), shape)
+        fp = psi_forward(ParamPoint(up), shape)
+        fm = psi_forward(ParamPoint(dn), shape)
         J[:, j] = (np.asarray(fp) - np.asarray(fm)) / (2.0 * h)
     return float(np.linalg.det(J))
+
+
+def test_jacobian_representable_at_huge_xi():
+    # W^(1/2 - 2) alone underflows; the determinant, about 5e-155, does not
+    xi = mpmath.mpf(1e308)
+    with mpmath.workdps(40):
+        want = float((1 + xi) ** mpmath.mpf(-1.5) * (1 + xi / 2))
+    got = jacobian_det(ParamPoint([1e308]), (2, (1,)))
+    assert abs(got - want) <= 1e-13 * want
 
 
 def test_jacobian_matches_finite_differences():
@@ -83,7 +96,7 @@ def test_jacobian_matches_finite_differences():
         exps = np.sort(rng.choice(np.arange(1, n), size=p, replace=False))[::-1]
         xi = rng.uniform(0.0, 5.0, size=p)
         shape = (n, tuple(int(e) for e in exps))
-        closed = jacobian_det(ParamPoint.from_xi(xi), shape)
+        closed = jacobian_det(ParamPoint(xi), shape)
         assert closed > 0.0
         assert abs(closed - _fd_jacobian(list(xi), shape)) <= 1e-6 * abs(closed)
 
@@ -117,7 +130,7 @@ def test_round_trip_bulk():
         exps = np.sort(rng.choice(np.arange(1, n), size=p, replace=False))[::-1]
         shape = (n, tuple(int(e) for e in exps))
         xi = rng.uniform(0.0, 100.0, size=p)
-        x = psi_forward(ParamPoint.from_xi(xi), shape)
+        x = psi_forward(ParamPoint(xi), shape)
         back = psi_inverse(x, shape)
         for a, b in zip(back.xi, xi):
             assert abs(a - b) <= 1e-11 * (1.0 + abs(b))
@@ -128,7 +141,7 @@ def test_round_trip_bulk():
 def test_round_trip_property(xi):
     p = len(xi)
     shape = (p + 2, tuple(range(p + 1, 1, -1)))
-    x = psi_forward(ParamPoint.from_xi(xi), shape)
+    x = psi_forward(ParamPoint(xi), shape)
     back = psi_inverse(x, shape)
     for a, b in zip(back.xi, xi):
         assert abs(a - b) <= 1e-10 * (1.0 + abs(b))
@@ -142,7 +155,7 @@ def test_substitution_identity():
         n = int(rng.integers(p + 1, 13))
         exps = np.sort(rng.choice(np.arange(1, n), size=p, replace=False))[::-1]
         shape = (n, tuple(int(e) for e in exps))
-        pt = ParamPoint.from_xi(rng.uniform(0.0, 100.0, size=p))
+        pt = ParamPoint(rng.uniform(0.0, 100.0, size=p))
         x = psi_forward(pt, shape)
         z = pt.W ** (-1.0 / n)
         assert abs(Problem(n, exps, x)._poly(z)) <= 1e-13
@@ -156,7 +169,7 @@ def test_level_set_preservation():
         n = int(rng.integers(p + 1, 10))
         exps = np.sort(rng.choice(np.arange(1, n), size=p, replace=False))[::-1]
         shape = (n, tuple(int(e) for e in exps))
-        pt = ParamPoint.from_xi(rng.uniform(0.0, 20.0, size=p))
+        pt = ParamPoint(rng.uniform(0.0, 20.0, size=p))
         x = psi_forward(pt, shape)
         s = math.fsum(xv * pt.W ** (1.0 - e / n) for xv, e in zip(x, exps))
         assert s == pytest.approx(pt.s, rel=1e-12, abs=1e-12)
