@@ -384,7 +384,7 @@ def cmd_contour_trace(args) -> int:
 
 def cmd_series(args) -> int:
     exps = _parse_list(args.exps, int)
-    coeffs = series_coefficients((args.n, tuple(exps)), _finite_alpha(args.alpha), args.kmax)
+    coeffs = series_coefficients((args.n, tuple(exps)), args.alpha, args.kmax)
     if args.json or args.out:
         report = _Report("series", {"n": args.n, "exps": exps,
                                     "alpha": args.alpha, "kmax": args.kmax})

@@ -12,8 +12,8 @@ Re z > 0 it is Stirling's series (DLMF 5.11.1, eight terms) at z + 8, less
 log prod_{j<8} (z + j), whose branch is recovered in closed form (past
 |z| = 1e10, where that product nears overflow, the series runs at z itself).
 On Re z <= 0 it is the reflection formula, with the same series at 1 - z
-and a log-sine formed in the upper half-plane.  ``gamma_ratio`` is one
-such call.
+and a log-sine formed in the upper half-plane.  A finite argument whose
+log-gamma overflows raises GammaOverflowError.  ``gamma_ratio`` is one such call.
 """
 
 from __future__ import annotations
@@ -141,13 +141,17 @@ def _log_gamma_flat(z: np.ndarray) -> np.ndarray:
 def log_gamma_array(z) -> np.ndarray:
     """Principal-branch log-gamma, elementwise over a complex array.
 
-    Raises PoleError if is_pole holds for any element.
+    Raises PoleError if is_pole holds for any element, and GammaOverflowError if
+    a finite element's log-gamma overflows; a non-finite element's is not finite.
     """
     z = np.asarray(z, dtype=np.complex128)
     flat = z.reshape(-1)
     out = np.empty_like(flat)
-    for i in range(0, flat.size, _CHUNK):
-        out[i:i + _CHUNK] = _log_gamma_flat(flat[i:i + _CHUNK])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(0, flat.size, _CHUNK):
+            out[i:i + _CHUNK] = _log_gamma_flat(flat[i:i + _CHUNK])
+    if not np.isfinite(out).all() and (np.isfinite(flat) & ~np.isfinite(out)).any():
+        raise GammaOverflowError("log-gamma of a finite argument exceeds double range")
     return out.reshape(z.shape)
 
 

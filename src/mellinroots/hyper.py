@@ -255,8 +255,10 @@ def series_coefficients(shape: Shape, alpha: float, k_max: int) -> list[float]:
     The poles of Gamma(u_1) at u_1 = -k give
     c_k = (-1)^k/k! * (alpha/n) * Gamma(u(-k)) / Gamma(u(-k) - k + 1);
     a denominator pole (gamma.is_pole) means the coefficient vanishes, and a
-    ratio past double range raises GammaOverflowError.  0 <= k_max <= 2^16.
+    ratio past double range raises GammaOverflowError.  alpha is finite, 0 <= k_max <= 2^16.
     """
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
     if len(shape[1]) != 1:
         raise ValueError("residue series is implemented for p = 1 only")
     n, (n1,) = _checked_shape(shape)

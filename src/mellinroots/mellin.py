@@ -30,10 +30,10 @@ values too: Im u = -(sum n_s k_s) h/n and Im omega = (sum (n-n_s) k_s) h/n.
 Each gamma factor is therefore a table over its integer index, a combination
 of the k_s with coefficients >= 0: log-gamma runs O((n_1+n_2) m) times, not
 once per grid point, and over a rectangle of the grid each table is one
-strided view.  The Stirling bound that masks the grid is piecewise linear
-along each row, so each row's kept span is found in closed form and covered
-by cache-sized rectangles of a few whole rows.  A point costs one real exp of
-its summed log-magnitude views and a product of its unit-phase views.
+strided view.  The Stirling bound that masks the grid is linear between the
+ring points where it bends, so its kept points lie in one polygon, covered by
+cache-sized rectangles over bands of a few rows.  A point costs one real exp
+of its summed log-magnitude views and a product of its unit-phase views.
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ _MASK_CUT = 50.0
 _SIZE_TOL = 1e-7
 
 # |f| <= _MASK_SPREAD e^-E |f(0)| on the grid, E the Stirling exponent
-# (_stirling_exponent).  The largest |f|/(|f(0)| e^-E) over the points with
+# (_ring_exponent).  The largest |f|/(|f(0)| e^-E) over the points with
 # E > 10 was 2.83 at p = 2 and 0.50 at p = 1, over 240 default grids with
 # alpha from 0.3 to 3 and x_s from 1e-3 to 1e3.  It grows with alpha (125 on a
 # p = 2 grid at alpha = 7), where the other terms of err_estimate dominated in
@@ -98,7 +98,7 @@ _MAX_TRACE_POINTS = 2 ** 20
 _MAX_LINE_NODES = 2 ** 20
 
 # points and rows of one rectangle of the contour sum, whose buffers stay in
-# cache; its columns are the union of its rows' kept spans (16 rows covered 1.005
+# cache; its columns span the mask's polygon over its rows (16 rows covered 1.005
 # to 1.10 times their points on the grids measured, no row cap up to 1.5 times)
 _BLOCK_POINTS = 2 ** 15
 _BLOCK_ROWS = 16
@@ -203,18 +203,22 @@ def forward_mellin_check(
     return lhs, rhs
 
 
-def _ring_exponent(shape: Shape, argx: Sequence[float]) -> list[float]:
-    """The Stirling exponent at the corners of the ring max_s |t_s| = 1 and,
-    at p = 2, where t_1, t_2, Im u or Im omega change sign: between them it is
-    linear, so its extremes on the ring are among these."""
+def _ring_exponent(shape: Shape, argx: Sequence[float]) -> tuple[list, list[float]]:
+    """The ring max_s |t_s| = 1's corners and, at p = 2, where t_1, t_2, Im u or Im omega
+    change sign, as (t_1, t_p) in angular order (t_1 = 0 at p = 1), and at each the Stirling
+    exponent E, the log-decay of |integrand| from the grid center: linear between them."""
     n, exps = shape
-    ring = [(1.0,), (-1.0,)]
+    ring = [(0.0, 1.0), (0.0, -1.0)]
     if len(exps) == 2:
         ring = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
         for a, b in [(1, 0), (0, 1), exps, [n - e for e in exps]]:
             turn = (b / max(a, b), -a / max(a, b))
             ring += [turn, (-turn[0], -turn[1])]
-    return [_stirling_exponent(shape, ts, argx) for ts in ring]
+    ring.sort(key=lambda d: math.atan2(d[1], d[0]))
+    (e1, ep), (a1, ap) = (0, *exps)[-2:], (0.0, *argx)[-2:]
+    im_u = [-(e1 * t1 + ep * tp) / n for t1, tp in ring]
+    return ring, [(math.pi / 2.0) * (abs(u) + abs(t1) + abs(tp) - abs(u + t1 + tp))
+                  - (t1 * a1 + tp * ap) for u, (t1, tp) in zip(im_u, ring)]
 
 
 def _setup(problem: Problem, alpha: float, tol: float = _SIZE_TOL,
@@ -224,8 +228,8 @@ def _setup(problem: Problem, alpha: float, tol: float = _SIZE_TOL,
     default_contour and contour_integrand: ValueError for p > 2, a bad tol or
     coefficient count, ConvergenceConditionError off the sector or the strip.
     Sizes default_contour's contour for ``tol`` unless ``contour`` is given.
-    Returns the shape, alpha, x, argx = arg x_s, ring_exponent (_ring_exponent),
-    the decay rate per line, the contour and the half-width of its pole-free strip.
+    Returns the shape, alpha, x, the ring (_ring_exponent), the decay rate per
+    line, the contour and the half-width of its pole-free strip.
     """
     shape = problem.shape
     n, exps = shape
@@ -247,7 +251,7 @@ def _setup(problem: Problem, alpha: float, tol: float = _SIZE_TOL,
         raise ConvergenceConditionError(
             "coefficients outside the validity sector |arg x_s| < pi*n_s/n")
     ring = _ring_exponent(shape, argx)
-    if len(exps) == 2 and min(ring) <= 0:
+    if len(exps) == 2 and min(ring[1]) <= 0:
         raise ConvergenceConditionError(
             "coefficients outside the validity domain: the contour integrand "
             "does not decay along every direction of the double integral")
@@ -260,14 +264,16 @@ def _setup(problem: Problem, alpha: float, tol: float = _SIZE_TOL,
     if contour is None:
         # x^-u oscillates like exp(-i t ln|x|), which eats into the alias margin
         osc = max(abs(cmath.log(abs(xv))) for xv in x)
-        height = (0.8 * math.log(30.0 / tol) + 5.0 + 0.3 * osc) / rate
-        fine_step = 2.0 * math.pi * strip / (math.log(30.0 / tol) + 2.0 * strip * osc)
+        # 30/tol would overflow below 30/DBL_MAX: the sizing saturates there
+        margin = math.log(30.0 / max(tol, 30.0 / np.finfo(float).max))
+        height = (0.8 * margin + 5.0 + 0.3 * osc) / rate
+        fine_step = 2.0 * math.pi * strip / (margin + 2.0 * strip * osc)
         # a tiny alpha narrows the strip and so the step; m stays finite (2^62 + 1
         # at most), so that _grid_sum's cap, not an overflow, refuses the grid
         half = height / (4.0 * fine_step) if fine_step > 0 else math.inf
         m = max(9, 4 * math.ceil(min(half, 2.0 ** 60)) + 1)
         contour = Contour(abscissas=a, height=height, nodes_per_line=m)
-    return SimpleNamespace(shape=shape, alpha=alpha, x=x, argx=argx, ring_exponent=ring,
+    return SimpleNamespace(shape=shape, alpha=alpha, x=x, ring=ring,
                            rate=rate, contour=contour, strip=strip)
 
 
@@ -353,75 +359,60 @@ def _rect_integrand(tables: list[tuple], k1: int, kp: int, mag: np.ndarray,
     return np.exp(mag, out=mag), phase
 
 
-def _stirling_exponent(shape, ts, argx):
-    """Leading Stirling log-decay of |integrand| relative to the grid center."""
-    n, exps = shape
-    im_u = -sum(e * t for e, t in zip(exps, ts)) / n
-    im_om = sum(ts, im_u)
-    E = (math.pi / 2.0) * (sum(map(abs, ts), abs(im_u)) - abs(im_om))
-    return E - sum(t * ax for t, ax in zip(ts, argx))
-
-
-def _row_spans(shape, argx, t, lead, lo, cut):
-    """Each row's span of last-axis offsets with Stirling exponent at most ``cut``.
-
-    Row r fixes the leading offsets lead[s][r] and spans k_p = lo[r]..c.  The
-    exponent is linear in k_p between five knots: the row's ends and the real
-    k_p where k_p, K_u = sum n_s k_s and K_omega = sum (n-n_s) k_s change sign.
-    Each piece keeps the interval its knots' values give, rounded inward to
-    offsets.  Returns (row, first, last) per row that keeps an offset.
-    """
-    n, exps = shape
+def _polygon(setup, t, cut):
+    """Vertices (k_1, k_p) of the polygon E <= cut, in offsets of the grid t, clipped to
+    its columns |k_p| <= c (Sutherland-Hodgman, one side at a time): d cut/E(d) for the
+    ring points d (_ring_exponent), as E is positively homogeneous and linear between them."""
     c = (len(t) - 1) // 2
-    zero = np.zeros(len(lo))
-    # k_p, K_u and K_omega change sign where sum coef_s k_s = 0
-    signs = [-sum((cs * k for cs, k in zip(coef, lead)), zero) / coef[-1]
-             for coef in ((*[0] * len(lead), 1), exps, [n - e for e in exps])]
-    knots = np.sort(np.clip(np.column_stack([lo, zero + c, *signs]), lo[:, None], c), axis=1)
-    E = _stirling_exponent(shape, [t[k + c][:, None] for k in lead] + [knots * t[c + 1]], argx)
-    za, zb, Ea, Eb = knots[:, :-1], knots[:, 1:], E[:, :-1], E[:, 1:]
-    in_a, in_b = Ea <= cut, Eb <= cut
-    # where exactly one end is kept, the piece crosses the cut at x
-    x = za + (cut - Ea) / np.where(in_a == in_b, 1.0, Eb - Ea) * (zb - za)
-    # E rounds by a few ulps: a steep piece's crossing moves far less than 1e-6 of
-    # an offset, and near a flat one's every offset has E within rounding of the cut
-    first = np.ceil(np.where(in_a, za, np.where(in_b, x, np.inf)) - 1e-6)
-    last = np.floor(np.where(in_b, zb, np.where(in_a, x, -np.inf)) + 1e-6)
-    on = first <= last  # a stretch between two offsets keeps no offset
-    first, last = np.where(on, first, np.inf).min(axis=1), np.where(on, last, -np.inf).max(axis=1)
-    row = np.flatnonzero(first <= last)
-    return row, first[row].astype(np.int64), last[row].astype(np.int64)
+    scale = cut / t[c + 1]
+    poly = [(d1 * scale / e, dp * scale / e) for (d1, dp), e in zip(*setup.ring)]
+    for side in (1, -1):  # keep side k_p <= c
+        clipped = []
+        for (a1, ap), (b1, bp) in zip(poly[-1:] + poly[:-1], poly):
+            if (side * ap <= c) != (side * bp <= c):
+                clipped.append((a1 + (side * c - ap) / (bp - ap) * (b1 - a1), side * c))
+            if side * bp <= c:
+                clipped.append((b1, bp))
+        poly = clipped
+    return np.array(poly)
 
 
 def _cover(setup, t, fold, cut):
-    """(k_1, k_p, rows, columns) of rectangles of whole rows holding every point with E <= cut.
+    """(k_1, k_p, rows, columns) of rectangles holding every point with E <= cut.
 
-    E is positively homogeneous, E(lambda t) = lambda E(t), and positive on
-    the ring max_s |t_s| = 1, so the whole box is kept when T max E there
-    (setup.ring_exponent) is at most the cut; else the rows' kept spans come
-    from _row_spans.  At p = 1
-    the one row has k_1 = 0; under the fold the rows are k_1 >= 0, row 0 alone.
+    The whole box when T max E on the ring is at most the cut; else the rows the
+    polygon E <= cut (_polygon) reaches, in bands of min(_BLOCK_ROWS, _BLOCK_POINTS)
+    rows, each over the polygon's columns in its rows, cut into pieces of at most
+    _BLOCK_POINTS points.  At p = 1 the one row has k_1 = 0; under the fold the
+    rows are k_1 >= 0, row 0 a band of its own from k_p = 0.
     """
     c = (len(t) - 1) // 2
-    lead = np.arange(0 if fold else -c, c + 1) if len(setup.x) == 2 else np.zeros(1, dtype=int)
-    lo = np.where(fold & (lead == 0), 0, -c)
-    if t[-1] * max(setup.ring_exponent) <= cut:
-        rows, first, last = lead.tolist(), lo.tolist(), [c] * len(lo)
-    else:
-        row, first, last = _row_spans(setup.shape, setup.argx, t, [lead][:len(setup.x) - 1],
-                                      lo, cut)
-        rows, first, last = lead[row].tolist(), first.tolist(), last.tolist()
-    # up to _BLOCK_ROWS rows and _BLOCK_POINTS points; a longer row is cut
-    rects, i = [], 0
-    while i < len(rows):
-        j0, j1, k = first[i], last[i], i + 1
-        while (k < len(rows) and k - i < _BLOCK_ROWS and rows[k] == rows[k - 1] + 1
-               and not (fold and rows[i] == 0)
-               and (k - i + 1) * (max(j1, last[k]) - min(j0, first[k]) + 1) <= _BLOCK_POINTS):
-            j0, j1, k = min(j0, first[k]), max(j1, last[k]), k + 1
-        rects += [(rows[i], s, k - i, min(_BLOCK_POINTS, j1 + 1 - s))
-                  for s in range(j0, j1 + 1, _BLOCK_POINTS)]
-        i = k
+    last = c * (len(setup.x) - 1)
+    first = 0 if fold else -last
+    whole = t[-1] * max(setup.ring[1]) <= cut
+    if not whole:
+        rows, cols = _polygon(setup, t, cut).T
+        # E rounds by a few ulps: 1e-6 of an offset of slack either side
+        first = max(first, math.ceil(rows.min() - 1e-6))
+        last = min(last, math.floor(rows.max() + 1e-6))
+    r0 = [*[0] * fold, *range(first + fold, last + 1, min(_BLOCK_ROWS, _BLOCK_POINTS))]
+    r1 = [r - 1 for r in r0[1:]] + [last]
+    j0, j1 = [0 if fold and r == 0 else -c for r in r0], [c] * len(r0)
+    if not whole:
+        a, b = np.array(r0)[:, None], np.array(r1)[:, None]
+        drow, dcol = np.roll(rows, -1) - rows, np.roll(cols, -1) - cols
+        # the polygon's columns over a band: its vertices in the band and where its
+        # edges, but a flat one, cross the band's first and last row
+        s = [(r - rows) / np.where(drow == 0, np.nan, drow) for r in (a, b)]
+        on = np.hstack([(rows >= a) & (rows <= b), *((v >= 0) & (v <= 1) for v in s)])
+        at = np.hstack([np.tile(cols, (len(r0), 1)), *(cols + v * dcol for v in s)])
+        # a band the polygon misses gets an empty range
+        j0 = np.clip(np.ceil(np.where(on, at, np.inf).min(axis=1) - 1e-6), j0, c + 1)
+        j1 = np.clip(np.floor(np.where(on, at, -np.inf).max(axis=1) + 1e-6), -c - 1, c)
+    rects = []
+    for r, e, lo, hi in zip(r0, r1, j0, j1):
+        k, w = e + 1 - r, _BLOCK_POINTS // (e + 1 - r)
+        rects += [(r, j, k, min(w, hi + 1 - j)) for j in range(int(lo), int(hi) + 1, w)]
     return np.array(rects, dtype=np.int64).reshape(-1, 4)
 
 
@@ -433,8 +424,8 @@ def _grid_sum(setup, T, m, tol, full_grid=False):
     fourth from t = 0); (h/2 pi)^p times the sums of |f| on the ring
     max_s |t_s| = T and over every point summed; and a bound on the
     (h/2 pi)^p-weighted |f| of the points left out: those outside the
-    rectangles (_cover) holding every point whose Stirling exponent E is at
-    most min(50, log(10 N/tol)), N the points of the (folded) box, where
+    rectangles (_cover) over the polygon of points whose Stirling exponent E
+    is at most min(50, log(10 N/tol)), N the points of the (folded) box, where
     |f| <= _MASK_SPREAD e^-E |f(0)|.  Each rectangle (_rect_integrand) gives
     its sums, at 2h and 4h from [i::2, j::2] and [i::4, j::4] slices.  For
     real positive x, f(-t) = conj f(t): the rows k_1 >= 0 are summed, row 0
@@ -534,7 +525,7 @@ def principal_root_mb(
     tail = ring / -math.expm1(-setup.rate * T / (m - 1))
     rho = math.exp(-math.pi * setup.strip * (m - 1) / T)
     err = _fine_error(abs(v_f - v_b), abs(v_b - v_c), rho) + tail + _ROUNDING * total + masked
-    if tol is not None and err > tol:
+    if tol is not None and not err <= tol:  # a NaN estimate is refused too
         raise QuadratureError(
             f"contour integral error estimate {err:g} exceeds requested {tol:g}")
     return QuadResult(value=v_f, err_estimate=err, evaluations=count)

@@ -538,6 +538,29 @@ def test_contour_grid_too_large_exit_3(argv, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["root", "--n", "2", "--exps", "1", "--coeffs", "0.5", "--method", "mb"],
+    ["root", "--n", "3", "--exps", "2,1", "--coeffs", "0.5,0.5", "--method", "mb"],
+    ["series", "--n", "2", "--exps", "1", "--kmax", "2"],
+    ["contour-trace", "--n", "2", "--exps", "1", "--coeffs", "0.5", "--out", "{out}"],
+])
+def test_overflowing_log_gamma_exit_3(argv, tmp_path, capsys):
+    # a finite alpha whose log-gamma overflows used to print NaN and exit 0
+    out = tmp_path / "trace.csv"
+    assert main([a.format(out=out) for a in argv] + ["--alpha", "1e308"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "error: log-gamma of a finite argument exceeds double range\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_root_mb_tol_below_the_sizing_floor_exit_3(capsys):
+    # 30/tol overflowed the contour's sizing into an infinite height (exit 2)
+    assert main(["root", "--n", "2", "--exps", "1", "--coeffs", "0.5", "--tol", "1e-320",
+                 "--method", "mb"]) == 3
+    assert capsys.readouterr().err.startswith("error: contour integral error estimate")
+
+
 def test_root_all_keeps_the_methods_that_succeed(capsys):
     # the contour refuses this grid; param and oracle still report the root
     code = main(["root", "--n", "1000", "--exps", "5", "--coeffs", "5e-324",

@@ -167,6 +167,16 @@ def test_gamma_ratio_overflow_raises():
         gamma_ratio([400.0], [2.0])
 
 
+def test_overflowing_log_gamma_of_a_finite_argument_raises():
+    # inf - inf in the series used to return NaN in place of a value
+    with pytest.raises(GammaOverflowError):
+        gamma_ratio([1e308], [1e308 + 1])
+    with pytest.raises(GammaOverflowError):
+        mellin.kernel_value((2, (1,)), 1e308, [0.3])
+    # a non-finite argument still gives a non-finite result, without a warning
+    assert not np.isfinite(log_gamma_array([math.nan, math.inf, complex(1.0, math.inf)])).any()
+
+
 def test_gamma_ratio_pole_raises_either_side():
     with pytest.raises(PoleError):
         gamma_ratio([-2.0], [1.0])

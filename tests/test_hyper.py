@@ -262,3 +262,14 @@ def test_series_rejects_kmax_out_of_range(k_max, message, monkeypatch):
     monkeypatch.setattr("mellinroots.hyper.gamma_ratio", no_ratio)
     with pytest.raises(ValueError, match=message):
         series_coefficients((2, (1,)), 1.0, k_max)
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+def test_series_rejects_nonfinite_alpha(alpha, monkeypatch):
+    # it used to return NaN coefficients
+    def no_ratio(*args):
+        raise AssertionError("gamma_ratio called")
+
+    monkeypatch.setattr("mellinroots.hyper.gamma_ratio", no_ratio)
+    with pytest.raises(ValueError, match=f"alpha must be finite, got {alpha}"):
+        series_coefficients((2, (1,)), alpha, 3)

@@ -377,12 +377,12 @@ def test_grid_sum_block_boundaries(monkeypatch, shape, x, full_grid):
     ((5, (4, 1)), [0.7 * cmath.exp(0.4j), 1.3 * cmath.exp(-0.2j)]),
 ])
 def test_whole_box_rule(monkeypatch, shape, x):
-    # the rows are scanned unless the per-point mask keeps every node of the box,
+    # the polygon is built unless the per-point mask keeps every node of the box,
     # and then the rectangles hold the whole box
     setup = mellin._setup(Problem(shape[0], list(shape[1]), [abs(v) for v in x]), 1.0, coeffs=x)
     scans = []
-    row_spans = mellin._row_spans
-    monkeypatch.setattr(mellin, "_row_spans", lambda *args: scans.append(args) or row_spans(*args))
+    polygon = mellin._polygon
+    monkeypatch.setattr(mellin, "_polygon", lambda *args: scans.append(args) or polygon(*args))
     m = 41
     for T, cut in itertools.product([0.5, 2.0, 8.0], [2.0, 10.0, 30.0]):
         t, _ = _line_nodes(T, m)
@@ -394,35 +394,42 @@ def test_whole_box_rule(monkeypatch, shape, x):
             assert (rects[:, 2] * rects[:, 3]).sum() == m ** len(x)
 
 
-def _check_row_spans(shape, x, fold, T, m, cut):
-    """_row_spans against the per-point exponent; returns how many spans are partial rows.
+def _check_cover(shape, x, fold, T, m, cut):
+    """_cover against the per-point exponent; returns whether it leaves points out.
 
-    No offset outside a row's span is kept, and a span ends on kept offsets:
-    1e-9 either side of the cut, so that rounding at a tie decides neither check.
+    Every offset with E <= cut - 1e-9 (so that rounding at a tie decides
+    nothing) lies in exactly one rectangle, and every rectangle lies inside
+    the (folded) box within both caps.
     """
     p = len(x)
+    setup = mellin._setup(Problem(shape[0], list(shape[1]), [abs(v) for v in x]), 1.0, coeffs=x)
     t, _ = _line_nodes(T, m)
     c = (m - 1) // 2
-    lead = np.arange(0 if fold else -c, c + 1) if p == 2 else np.zeros(1, dtype=int)
-    lo = np.where(fold & (lead == 0), 0, -c)
-    row, first, last = mellin._row_spans(shape, [cmath.phase(v) for v in x], t,
-                                         [lead][:p - 1], lo, cut)
-    E = _stirling_grid(shape, x, T, m).reshape(-1, m)[lead + c if p == 2 else [0]]
-    k = np.arange(-c, c + 1)
-    inside = np.zeros(E.shape, dtype=bool)
-    inside[row] = (k >= first[:, None]) & (k <= last[:, None])
-    assert (E[(k >= lo[:, None]) & ~inside] > cut - 1e-9).all(), (shape, x, T, m, cut)
-    assert (E[row, first + c] <= cut + 1e-9).all() and (E[row, last + c] <= cut + 1e-9).all()
-    return ((first > lo[row]) | (last < c)).sum()
+    hits = np.zeros((m,) * p, dtype=int)
+    for k1, kp, rows, cols in mellin._cover(setup, t, fold, cut).tolist():
+        assert 1 <= rows <= mellin._BLOCK_ROWS and 1 <= cols and rows * cols <= mellin._BLOCK_POINTS
+        assert -c <= kp and kp + cols - 1 <= c
+        assert (k1, rows) == (0, 1) if p == 1 else -c <= k1 and k1 + rows - 1 <= c
+        if fold:
+            assert k1 > 0 or (k1, rows) == (0, 1) and kp >= 0
+        hits[(slice(k1 + c, k1 + c + rows),) * (p - 1) + (slice(kp + c, kp + c + cols),)] += 1
+    assert hits.max() <= 1
+    k = np.indices((m,) * p) - c
+    kept = _stirling_grid(shape, x, T, m) <= cut - 1e-9
+    if fold:
+        kept &= np.where(k[0] != 0, k[0], k[-1]) >= 0
+    assert hits[kept].all(), (shape, x, fold, T, m, cut)
+    return hits.sum() < ((m ** p + 1) // 2 if fold else m ** p)
 
 
-def test_row_spans_against_the_per_point_exponent():
+def test_cover_against_the_per_point_exponent(monkeypatch):
     # a row of this grid keeps offset 0 and, between two offsets, a stretch of
-    # a piece that holds no offset
-    _check_row_spans((5, (4, 3)), [cmath.rect(6.9, 2.24), cmath.rect(5.07, -0.46)],
-                     False, 23.3, 9, 2.5)
+    # the polygon that holds no offset
+    _check_cover((5, (4, 3)), [cmath.rect(6.9, 2.24), cmath.rect(5.07, -0.46)],
+                 False, 23.3, 9, 2.5)
     # seeded draws: p = 1 and 2, real x (fold on and off) and complex x inside
-    # the sector, random height, nodes and cut
+    # the sector, random height, nodes and cut; every other draw with
+    # rectangles of 23 points, narrower than most rows
     rng = np.random.default_rng(20)
     draws = partial = 0
     while draws < 600:
@@ -437,10 +444,11 @@ def test_row_spans_against_the_per_point_exponent():
         except ConvergenceConditionError:
             continue
         draws += 1
+        monkeypatch.setattr(mellin, "_BLOCK_POINTS", 23 if draws % 2 else 2 ** 15)
         fold = not turn.any() and rng.random() < 0.7
-        partial += _check_row_spans(shape, x, fold, 10 ** rng.uniform(-0.5, 2),
-                                    2 * int(rng.integers(4, 60)) + 1, rng.uniform(0.5, 50))
-    assert partial > 1000
+        partial += _check_cover(shape, x, fold, 10 ** rng.uniform(-0.5, 2),
+                                2 * int(rng.integers(4, 60)) + 1, rng.uniform(0.5, 50))
+    assert partial > 200
 
 
 @pytest.mark.parametrize("shape, x", [((3, (2,)), [0.9]), ((3, (2, 1)), [0.4, 0.9])])
@@ -624,14 +632,15 @@ def test_mb_refuses_too_many_rows():
 
 def test_mb_memory_does_not_scale_with_the_grid():
     # criterion-02's (5, (4, 1)) instance at tol 1e-12 sums 2.6 M points; a
-    # complex per-point array of them alone is 41 MB
+    # complex per-point array of them alone is 41 MB.  Its c is 2,136, so 16 full
+    # rows exceed 2^15 points: each band of 16 rows is cut into column pieces
     tracemalloc.start()
     try:
         res = principal_root_mb(Problem(5, [4, 1], [1.914, 0.713]), tol=1e-12)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert res.evaluations == 2599744
+    assert res.evaluations == 2608940
     assert peak < 32 * 2 ** 20
 
 
@@ -640,6 +649,15 @@ def test_mb_tol_enforcement():
     coarse = Contour(abscissas=(0.5,), height=3.0, nodes_per_line=11)
     with pytest.raises(QuadratureError):
         principal_root_mb(problem, contour=coarse, tol=1e-10)
+
+
+def test_mb_refuses_a_nan_estimate(monkeypatch):
+    # a NaN sum gives a NaN estimate, which used to pass the bound
+    grid_sum = mellin._grid_sum
+    monkeypatch.setattr(mellin, "_grid_sum",
+                        lambda *args: (math.nan, *grid_sum(*args)[1:]))
+    with pytest.raises(QuadratureError, match="estimate nan exceeds"):
+        principal_root_mb(Problem(2, [1], [1.0]), tol=1e-7)
 
 
 def _criterion_02_head(count=20):
