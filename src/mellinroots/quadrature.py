@@ -21,17 +21,26 @@ point, a contraction with the last axis's phases and a dot with the leading
 axes' phases, so memory does not grow with the level and complex exp runs
 only on per-axis vectors.
 
+Levels are walked by cosets.  Level k+1's lattice is made of the 2^p
+cosets of level k's lattice, each axis at offset 0 or h/2, and its sum is
+theirs over 2^p.  By Poisson summation a sum S minus the same rule moved by
+h/2 along axis i is twice the aliasing terms odd in axis i, so the p
+one-axis cosets, summed first, probe level k's own error.  When the probe
+meets the tolerance level k is returned, having summed only part of level
+k+1; otherwise the other cosets complete level k+1, so no probe is wasted.
+
 Most of a level's nodes carry terms far below the rounding floor of its sum.
 The first level therefore records, per axis and node, the largest term on
 that node's slice, and the sum of the terms' magnitudes; each axis keeps the
 tau interval whose nodes reach eps * e^-2 * sum|f| / N^p (N the node count
-per axis of the deepest level), widened by one node.  Later levels walk only
+per axis of the deepest level), widened by one node.  The cosets walk only
 the product of those intervals, so every dropped node is worth less than
 e^-2 / N^p of the level's rounding floor.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Callable, Sequence
 
@@ -52,16 +61,19 @@ _LOG_FLOOR = -700.0
 _EPS = float(np.finfo(float).eps)
 
 
-def halfline_rule(level: int) -> tuple[np.ndarray, np.ndarray]:
+def halfline_rule(level: int, shift: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the half-line rule at a refinement level.
 
     Returns (L, logw) with L_j = ln(xi_j) and logw_j such that
     sum exp(logw_j + L_j + ln f(xi_j)) approximates the integral of f
-    over [0, inf).  Level k halves the step of level k-1.
+    over [0, inf).  Level k halves the step h of level k-1 and has nodes
+    tau_j = j h, |tau_j| <= 6.  With shift = 1 the nodes are the midpoints
+    (j + 1/2) h between those, with the same step and weight formula, so
+    the two together are level k+1's nodes.
     """
     h = _H0 / 2 ** level
-    j = np.arange(-round(_TAU_MAX / h), round(_TAU_MAX / h) + 1)
-    tau = j * h
+    n = round(_TAU_MAX / h)
+    tau = (np.arange(-n, n + 1 - shift) + shift / 2) * h
     L = np.pi * np.sinh(tau)
     logw = np.log(np.pi * h * np.cosh(tau))
     return L, logw
@@ -124,8 +136,12 @@ def _level_sum(axes, log_f, profile=None):
             sum_abs += float(slab.sum())
         re_im = slab @ last
         parts.append(complex(np.dot(head_phase, re_im[:, 0] + 1j * re_im[:, 1])))
-    value = complex(math.fsum(v.real for v in parts), math.fsum(v.imag for v in parts))
-    return value, math.prod(sizes), sum_abs
+    return _fsum(parts), math.prod(sizes), sum_abs
+
+
+def _fsum(values):
+    """The exactly rounded sum of complex values, part by part."""
+    return complex(math.fsum(v.real for v in values), math.fsum(v.imag for v in values))
 
 
 def _node_box(profile, sum_abs, n_max):
@@ -147,6 +163,26 @@ def _node_box(profile, sum_abs, n_max):
     return box
 
 
+def _axes(s, level, shift=None, box=None):
+    """Per axis (L, log_mod, phase) of the rule at ``level``, as _level_sum takes them.
+
+    ``box`` holds per axis the node range (lo, hi) about tau = 0 (every node
+    if None).  An axis whose ``shift`` is 1 takes the hi - lo midpoints
+    between those nodes instead, so the 2^p shifts of level k over a box make
+    up level k+1 over the same box.
+    """
+    axes = []
+    for i, v in enumerate(s):
+        d = shift[i] if shift else 0
+        L, logw = halfline_rule(level, d)
+        mid = L.size // 2
+        lo, hi = box[i] if box else (-mid, mid)
+        r = slice(mid + lo, mid + hi + 1 - d)
+        # xi^(s-1) * w = exp(log_mod) * phase, with w = exp(logw + L) the weight
+        axes.append((L[r], v.real * L[r] + logw[r], np.exp(1j * v.imag * L[r])))
+    return axes
+
+
 def integrate_orthant_log(
     s: Sequence[complex],
     log_f: Callable[[list[np.ndarray]], np.ndarray],
@@ -159,43 +195,55 @@ def integrate_orthant_log(
     ``log_f`` receives p arrays of log-coordinates L_i = ln xi_i that
     broadcast together to one slab of nodes (the leading axes gathered along
     dimension 0, the last axis along dimension 1) and returns the real log
-    of f there.  Refines by halving the step until two successive levels
-    agree to rel_tol; returns (value, error_estimate, evaluations).
-    ``max_level`` defaults to 8 - p (level k has N_k = 24 * 2^k + 1 nodes
-    per axis); when it too misses rel_tol, QuadratureError is raised.
+    of f there.  Returns (value, error_estimate, evaluations), the estimate
+    being at most rel_tol * |value|; ``evaluations`` counts the points summed.
+    ``rel_tol`` must be a nonnegative number (ValueError otherwise).
+
+    Level k (N_k = 24 * 2^k + 1 nodes per axis, sum S_k) is certified by
+    its p one-axis cosets S_(e_i), its lattice moved by half a step along
+    axis i: S_k - S_(e_i) is twice the aliasing terms odd in axis i (Poisson
+    summation), so the estimate is sum_i |S_k - S_(e_i)|, raised to the
+    rounding floor 4 eps sum|f| (sum|f| from the first level).  If that
+    misses rel_tol, the other 2^p - 1 - p cosets are summed, S_(k+1) is the
+    exact sum of all 2^p cosets over 2^p, and S_(k+1) is returned if it is
+    within rel_tol of S_k (the gap, raised to the floor, as its estimate);
+    otherwise level k+1 is probed in turn.  ``max_level`` (default 8 - p)
+    is the finest level summed; past it QuadratureError is raised.
 
     The first level sums every node.  It also yields, per axis, the tau
     interval outside which no term reaches eps * e^-2 * sum|f| / N_max^p
-    (N_max = N_max_level), widened by one node on each side; later levels
-    sum only the product of those intervals, so the dropped nodes together
-    stay below a level's own rounding floor.  ``evaluations`` counts the
-    points summed.
+    (N_max = N_max_level), widened by one node on each side; the cosets sum
+    only the product of those intervals, so the dropped nodes together stay
+    below a level's own rounding floor.
     """
+    if not rel_tol >= 0.0:
+        raise ValueError(f"rel_tol must be a nonnegative number, got {rel_tol!r}")
     s = [complex(v) for v in s]
     p = len(s)
     if max_level is None:
         max_level = 8 - p
-    box = None      # per axis, the kept node range (lo, hi) of min_level about tau = 0
-    prev = None
-    evals = 0
-    for level in range(min_level, max_level + 1):
-        L, logw = halfline_rule(level)
-        mid = L.size // 2
+    n = halfline_rule(min_level)[0].size
+    profile = [np.full(n, -np.inf) for _ in s]
+    value, evals, sum_abs = _level_sum(_axes(s, min_level), log_f, profile)
+    box = _node_box(profile, sum_abs, (n - 1) * 2 ** (max_level - min_level) + 1)
+    floor = 4.0 * _EPS * sum_abs
+    shifts = sorted(itertools.product((0, 1), repeat=p), key=sum)[1:]   # one-axis first
+    for level in range(min_level, max_level):
         scale = 2 ** (level - min_level)
-        ranges = ([slice(None)] * p if box is None else
-                  [slice(mid + lo * scale, mid + hi * scale + 1) for lo, hi in box])
-        # xi^(s-1) * w = exp(log_mod) * phase, with w = exp(logw + L) the weight
-        axes = [(L[r], v.real * L[r] + logw[r], np.exp(1j * v.imag * L[r]))
-                for v, r in zip(s, ranges)]
-        profile = [np.full(L.size, -np.inf) for _ in s] if box is None else None
-        value, points, sum_abs = _level_sum(axes, log_f, profile)
-        evals += points
-        if box is None:
-            box = _node_box(profile, sum_abs, (L.size - 1) * 2 ** (max_level - level) + 1)
-        if prev is not None:
-            err = abs(value - prev)
-            if err <= rel_tol * max(abs(value), 1e-300):
-                return value, err, evals
-        prev = value
+        level_box = [(lo * scale, hi * scale) for lo, hi in box]
+        cosets = []
+        for shift in shifts:
+            coset, points, _ = _level_sum(_axes(s, level, shift, level_box), log_f)
+            cosets.append(coset)
+            evals += points
+            if len(cosets) == p:
+                err = max(math.fsum(abs(c - value) for c in cosets), floor)
+                if err <= rel_tol * abs(value):
+                    return value, err, evals
+        finer = _fsum([value, *cosets]) / 2 ** p
+        err = max(abs(finer - value), floor)
+        if err <= rel_tol * abs(finer):
+            return finer, err, evals
+        value = finer
     raise QuadratureError(
         f"orthant quadrature did not reach rel_tol={rel_tol:g} by level {max_level}")

@@ -2,15 +2,18 @@
 
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mellinroots import QuadratureError, log_gamma
+from mellinroots import (QuadratureError, dirichlet_integral, forward_mellin_check, identities,
+                         log_gamma, mellin, quadrature)
 from mellinroots.gamma import gamma_ratio
-from mellinroots.quadrature import (_level_sum, halfline_rule, integrate_orthant_log,
-                                    log_one_plus_sum_exp)
+from mellinroots.quadrature import (_fsum, _level_sum, _node_box, halfline_rule,
+                                    integrate_orthant_log, log_one_plus_sum_exp)
+from mellinroots.sampling import random_dirichlet_tuple, random_forward_tuple
 
 
 def test_rule_integrates_exponential():
@@ -74,9 +77,38 @@ def _dense_orthant_sum(s, log_f, level):
     return complex(np.sum(_dense_terms(s, log_f, level)))
 
 
-# points summed: every coarse node, then only the fine nodes in the coarse
+def _walked_level(s, log_f, level, finer=1):
+    """Level + finer as the walk builds it from cosets, and the points it summed.
+
+    With rel_tol = 0 no level is certified, so the walk sums every coset up to
+    max_level = level + finer and raises there; a spy on _level_sum keeps each
+    sum: level in full, then the 2^p - 1 cosets of each level in turn.
+    """
+    sums = []
+
+    def spy(axes, log_f, profile=None):
+        sums.append(_level_sum(axes, log_f, profile))
+        return sums[-1]
+
+    with mock.patch.object(quadrature, "_level_sum", spy), pytest.raises(QuadratureError):
+        integrate_orthant_log(s, log_f, rel_tol=0.0, min_level=level, max_level=level + finer)
+    value, per_level = sums[0][0], 2 ** len(s) - 1
+    for k in range(finer):
+        cosets = [v for v, _, _ in sums[1 + k * per_level:1 + (k + 1) * per_level]]
+        value = _fsum([value, *cosets]) / 2 ** len(s)
+    return value, sum(n for _, n, _ in sums)
+
+
+def _rule_axes(s, level, ranges=None):
+    """_level_sum's axes for the rule at ``level``, over every node or over ``ranges``."""
+    L, logw = halfline_rule(level)
+    return [(L[r], v.real * L[r] + logw[r], np.exp(1j * v.imag * L[r]))
+            for v, r in zip(s, ranges or [slice(None)] * len(s))]
+
+
+# points summed: every coarse node, then the 2^p - 1 cosets over the coarse
 # level's box (the full fine levels have 385^2 and 97^3 nodes)
-TRIMMED_EVALS = {2: 90_992, 3: 344_386}
+TRIMMED_EVALS = {2: 77_440, 3: 314_626}
 
 
 @pytest.mark.parametrize("s, omega, level", [
@@ -87,9 +119,13 @@ def test_slab_contraction_matches_dense_sum(s, omega, level):
     def log_f(L):
         return -omega * log_one_plus_sum_exp(L)
 
-    value, _, evals = integrate_orthant_log(
-        s, log_f, rel_tol=1.0, min_level=level, max_level=level + 1)
     ref = _dense_orthant_sum(s, log_f, level + 1)
+    # the fine level as the first level, every node walked in slabs
+    value, _, _ = integrate_orthant_log(
+        s, log_f, rel_tol=1.0, min_level=level + 1, max_level=level + 2)
+    assert abs(value - ref) <= 1e-13 * abs(ref)
+    # the fine level built from the coarse level's cosets
+    value, evals = _walked_level(s, log_f, level)
     assert abs(value - ref) <= 1e-13 * abs(ref)
     n_coarse, n_fine = (halfline_rule(k)[0].size for k in (level, level + 1))
     assert evals == TRIMMED_EVALS[len(s)] < n_coarse ** len(s) + n_fine ** len(s)
@@ -114,11 +150,9 @@ def test_trimmed_sum_matches_untrimmed_sum(p, real, re, im, gap):
         return -omega * log_one_plus_sum_exp(L)
 
     level = 5 - p       # 385, 193 and 97 nodes per axis at the trimmed level
-    value, _, _ = integrate_orthant_log(
-        s, log_f, rel_tol=math.inf, min_level=level - 1, max_level=level)
+    value, _ = _walked_level(s, log_f, level - 1)
+    untrimmed, _, _ = _level_sum(_rule_axes(s, level), log_f)
     L, logw = halfline_rule(level)
-    untrimmed, _, _ = _level_sum(
-        [(L, v.real * L + logw, np.exp(1j * v.imag * L)) for v in s], log_f)
     terms = _dense_terms(s, log_f, level)
     abs_terms = np.abs(terms)
     eps = np.finfo(float).eps
@@ -133,23 +167,50 @@ def test_trimmed_sum_matches_untrimmed_sum(p, real, re, im, gap):
     assert abs(value - np.sum(terms)) <= eps * np.sum(abs_terms * (4 + parts))
 
 
+@pytest.mark.parametrize("s, omega, level, finer", [
+    ([0.3 + 0.2j], 1.4, 1, 3),
+    ([0.4 + 0.3j, 0.7 - 0.2j], 2.5, 2, 2),
+    ([0.4 + 0.3j, 0.6 - 0.25j, 0.5 + 0.15j], 3.0, 1, 2),
+])
+def test_coset_walk_sums_the_same_level(s, omega, level, finer):
+    # level + finer, built from cosets a level at a time (the box doubling
+    # each level), is that level summed directly over the first level's box,
+    # up to the slabs' rounding
+    def log_f(L):
+        return -omega * log_one_plus_sum_exp(L)
+
+    n = halfline_rule(level)[0].size
+    profile = [np.full(n, -np.inf) for _ in s]
+    _, _, sum_abs = _level_sum(_rule_axes(s, level), log_f, profile)
+    box = _node_box(profile, sum_abs, (n - 1) * 2 ** finer + 1)
+    mid, scale = (n - 1) * 2 ** (finer - 1), 2 ** finer
+    ranges = [slice(mid + lo * scale, mid + hi * scale + 1) for lo, hi in box]
+    direct, points, sum_abs = _level_sum(_rule_axes(s, level + finer, ranges), log_f,
+                                         [np.full(r.stop - r.start, -np.inf) for r in ranges])
+    walked, _ = _walked_level(s, log_f, level, finer)
+    assert abs(walked - direct) <= 16 * np.finfo(float).eps * sum_abs
+    assert points < ((n - 1) * scale - 1) ** len(s)     # the box leaves nodes out
+
+
 def test_dirichlet_instance_sums_a_trimmed_box():
-    # 49^3 + 97^3 + 193^3 = 8,219,379 points untrimmed to level 3
+    # 49^3 + 97^3 + 193^3 = 8,219,379 points untrimmed to level 3; level 2
+    # is certified by its three one-axis cosets, which are part of level 3
     value, _, evals = integrate_orthant_log(
         [0.3, 0.5 + 0.2j, 0.8], lambda L: -2.5 * log_one_plus_sum_exp(L),
         rel_tol=1e-6 / 3)
-    assert evals == 3_007_639
+    assert evals == 1_370_267
     assert abs(value - gamma_ratio([0.3, 0.5 + 0.2j, 0.8, 2.5 - 1.6 - 0.2j], [2.5])) <= 1e-6
 
 
 def test_orthant_memory_does_not_scale_with_the_lattice():
-    # level 3 has 193^3 points; a dense complex tensor of them is 115 MB
+    # level 3, the first level here, sums all its 193^3 points; a dense
+    # complex tensor of them is 115 MB
     tracemalloc.start()
     try:
         integrate_orthant_log(
             [0.5 + 0.1j, 0.6, 0.7 - 0.2j],
             lambda L: -3.0 * log_one_plus_sum_exp(L),
-            rel_tol=1.0, min_level=2, max_level=3)
+            rel_tol=1.0, min_level=3, max_level=4)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -171,3 +232,55 @@ def test_default_depth_is_eight_minus_p(p, level):
         integrate_orthant_log(
             [0.4 + 0.1j, 0.6 - 0.2j][:p], lambda L: -2.5 * log_one_plus_sum_exp(L),
             rel_tol=1e-30)
+
+
+@pytest.mark.parametrize("rel_tol", [math.nan, -1e-6])
+def test_bad_tolerance_raises_before_any_level(rel_tol):
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return _level_sum(*args, **kwargs)
+
+    with mock.patch.object(quadrature, "_level_sum", spy):
+        with pytest.raises(ValueError, match="rel_tol"):
+            integrate_orthant_log([0.5] * 3, lambda L: -2.5 * log_one_plus_sum_exp(L), rel_tol)
+        with pytest.raises(ValueError, match="rel_tol"):
+            dirichlet_integral([0.5] * 3, 2.5, tol=rel_tol)
+        with pytest.raises(ValueError, match="rel_tol"):
+            forward_mellin_check((3, (2, 1)), 2.0, (0.5, 0.4), tol=rel_tol)
+    assert calls == []
+
+
+@pytest.mark.parametrize("shape, alpha, u", [
+    ((6, (5, 1)), 6.854908363579986, (1.1210708390434385, 0.4825521500224513)),
+    ((6, (5, 2)), 7.017597607207768, (1.1051470352026969, 0.443441392590941)),
+])
+def test_forward_mellin_stalls_are_not_certified(shape, alpha, u):
+    # levels that stall: on the first, levels 2 and 3 are 5.8e-5 and 6.0e-5
+    # from the kernel, so a fit on two level gaps would pass a gap of 6.0e-5
+    # (2.5e-6 on the second); the cosets probe a level's own error
+    lhs, rhs = forward_mellin_check(shape, alpha, u, tol=1e-6)
+    assert abs(lhs - rhs) <= 1e-6 * abs(rhs)
+
+
+def test_estimate_bounds_the_error_on_verify_draws():
+    # the verify suites' draws at their tolerance: dirichlet at p = 2 and 3,
+    # the forward transform at p = 2; the gamma forms are good to about
+    # 1e-14, which the bound allows on top of the estimate
+    returned = []
+
+    def spy(*args, **kwargs):
+        returned.append(integrate_orthant_log(*args, **kwargs))
+        return returned[-1]
+
+    rng = np.random.default_rng(29)
+    draws = [(dirichlet_integral, random_dirichlet_tuple(rng, p)) for p in [2] * 80 + [3] * 24]
+    draws += [(forward_mellin_check, random_forward_tuple(rng, 2)) for _ in range(80)]
+    with mock.patch.object(identities, "integrate_orthant_log", spy), \
+            mock.patch.object(mellin, "integrate_orthant_log", spy):
+        for check, draw in draws:
+            numeric, closed = check(*draw, tol=1e-6)
+            value, estimate, _ = returned[-1]
+            assert value == numeric
+            assert abs(numeric - closed) <= estimate + 1e-14 * abs(closed), draw
