@@ -30,7 +30,7 @@ import numpy as np
 
 from . import __version__
 from .errors import GammaOverflowError, NumericalError
-from .hyper import check_functional_equation, fd_weights, pde_residual, series_coefficients
+from .hyper import _worst, check_functional_equation, fd_weights, pde_residual, series_coefficients
 from .identities import (build_rank_one_matrix, det_cofactor, det_rank_one,
                          dirichlet_integral)
 from .mellin import (_SIZE_TOL, contour_integrand, default_contour, forward_mellin_check,
@@ -235,18 +235,18 @@ def _driver(name, sample, measure, describe):
     The summary entry carries the worst measure, NaN if any was NaN.
     """
     def run(rng, count, tol, report, replay):
-        worst = 0.0
+        measures = []
         for i in range(count):
             instance = sample(rng, i)
             try:
                 m, extra = measure(instance, tol), {}
             except NumericalError as exc:
                 m, extra = math.nan, {"error": str(exc)}
-            if m > worst or math.isnan(m):
-                worst = m
+            measures.append(m)
             if not m <= tol:
                 report.add(_entry(f"{name}[{i}]", name, m, tol=tol, passed=False,
                                   instance=describe(instance), replay=replay, **extra))
+        worst = _worst(measures)
         report.add(_entry(name, name, worst, tol=tol, passed=worst <= tol))
     return run
 
@@ -304,14 +304,11 @@ def _draw_funceq(rng, i):
 
 def _match_multisets(a, b):
     """Greatest distance in a greedy nearest matching of two root multisets, NaN if any is."""
-    b = list(b)
-    worst = 0.0
+    b, gaps = list(b), []
     for z in a:
         j = min(range(len(b)), key=lambda k: abs(z - b[k]))
-        d = abs(z - b.pop(j))
-        if d > worst or math.isnan(d):
-            worst = d
-    return worst
+        gaps.append(abs(z - b.pop(j)))
+    return _worst(gaps)
 
 
 # name, sample(rng, i), measure(instance, tol), describe(instance), count, tol

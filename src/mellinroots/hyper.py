@@ -8,8 +8,8 @@ of LinearFactor, line s at position s.  Because monomials x^{-u} are
 eigenfunctions of the Euler operators theta_i = -x_i d/dx_i, those shift
 relations turn into a system of finite-order PDEs for y = Z^alpha, which
 this module verifies by finite differences in log coordinates (where
-theta_i = -d/dt_i).  Both checks report their worst value over the lines,
-NaN if any line gives NaN.
+theta_i = -d/dt_i).  Both checks report their worst value over the lines
+by _worst, NaN if any line gives NaN.
 
 For p = 1 the kernel's left pole ladder also yields the Taylor
 coefficients of Z^alpha as residues; truncated sums are checked against
@@ -18,6 +18,7 @@ the Newton solver.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,7 +29,7 @@ import numpy as np
 from .errors import PoleError, StepTooSmallError
 from .gamma import gamma_ratio, is_pole
 from .mellin import kernel_value
-from .oracle import Problem, _checked_shape
+from .oracle import Problem, Shape, _checked_shape
 from .param import psi_inverse
 
 __all__ = [
@@ -37,11 +38,14 @@ __all__ = [
     "fd_weights",
 ]
 
-Shape = tuple[int, tuple[int, ...]]
-
 # largest k_max series_coefficients takes: a coefficient costs 50-80 us (one gamma
 # ratio; Xeon, one core), so the cap bounds a call to about 5 s and 2^16 floats
 _KMAX = 2 ** 16
+
+
+def _worst(values) -> float:
+    """The largest of values, NaN as soon as any is NaN, 0.0 for none."""
+    return functools.reduce(lambda w, v: v if v > w or math.isnan(v) else w, values, 0.0)
 
 
 @dataclass(frozen=True)
@@ -99,17 +103,15 @@ def check_functional_equation(
     pairs = shift_ratio_factors(shape, alpha)
     u = [complex(v) for v in u_sample]
     base = kernel_fn(u)
-    worst = 0.0
+    errors = []
     for s, (f, g) in enumerate(pairs):
         shifted = list(u)
         shifted[s] += n
         lhs = kernel_fn(shifted)
         ratio = (math.prod((fac(u) for fac in f), start=1 + 0j)
                  / math.prod((fac(u) for fac in g), start=1 + 0j))
-        r = abs(lhs - ratio * base) / abs(lhs)
-        if r > worst or math.isnan(r):
-            worst = r
-    return worst
+        errors.append(abs(lhs - ratio * base) / abs(lhs))
+    return _worst(errors)
 
 
 def fd_weights(order: int, offsets: Sequence[float]) -> np.ndarray:
@@ -203,14 +205,13 @@ def _root_power_grid(problem: Problem, alpha: float, h: float, H: int) -> np.nda
 
 
 def _pde_residual_at(problem: Problem, alpha: float, h: float) -> float:
-    n, exps = problem.shape
-    p = problem.p
+    n, p = problem.n, problem.p
     H = _stencil_halfwidth(n)
     y = _root_power_grid(problem, alpha, h, H)
     pairs = shift_ratio_factors(problem.shape, alpha)
 
     offs = np.arange(-H, H + 1)
-    worst = 0.0
+    residuals = []
     for s, (f, g) in enumerate(pairs):
         # x_s^n * y on the same grid
         xs = problem.coeffs[s] * np.exp(h * offs)
@@ -222,10 +223,8 @@ def _pde_residual_at(problem: Problem, alpha: float, h: float) -> float:
         poly_g = _expand_factors(g, p)
         lhs, sc1 = _apply_theta_poly(poly_f, y, h)
         rhs, sc2 = _apply_theta_poly(poly_g, w, h)
-        res = abs(lhs - rhs) / max(sc1 + sc2, 1e-300)
-        if res > worst or math.isnan(res):
-            worst = res
-    return worst
+        residuals.append(abs(lhs - rhs) / max(sc1 + sc2, 1e-300))
+    return _worst(residuals)
 
 
 def pde_residual(problem: Problem, alpha: float, h: float = 1e-2) -> float:

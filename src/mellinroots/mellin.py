@@ -48,7 +48,7 @@ import numpy as np
 
 from .errors import ConvergenceConditionError, QuadratureError
 from .gamma import gamma_ratio, log_gamma_array
-from .oracle import Problem, _checked_shape
+from .oracle import Problem, Shape, _checked_shape
 from .quadrature import integrate_orthant_log, log_one_plus_sum_exp
 
 __all__ = [
@@ -56,8 +56,6 @@ __all__ = [
     "forward_mellin_check", "default_contour", "principal_root_mb",
     "contour_integrand",
 ]
-
-Shape = tuple[int, tuple[int, ...]]
 
 # the Stirling mask's cut never exceeds 50: grid points whose Stirling-bound
 # magnitude is below e^-50 of the center are always dropped
@@ -180,8 +178,7 @@ def forward_mellin_check(
     kernel.  Returns (lhs, rhs); callers assert |lhs - rhs| <= tol*|rhs|.
     Arguments off the kernel's strip raise ConvergenceConditionError.
     """
-    shape = _checked_shape(shape)
-    n, exps = shape
+    n, exps = shape = _checked_shape(shape)
     _check_alpha(alpha)
     _, omega = _strip(shape, alpha, u_list)
     if len(exps) > 2:

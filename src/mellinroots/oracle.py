@@ -5,6 +5,9 @@ integral: the principal root comes from Newton on log Z, which needs no
 bracket and covers every coefficient vector in double range; the full root
 set comes from the companion matrix.  It is the independent referee
 every other solver in the package is checked against.
+
+The shape rule, 0 < n_p < ... < n_1 < n in integers, is stated once, in
+_checked_shape: Problem and every function taking a bare shape share it.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ import cmath
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -23,12 +25,32 @@ __all__ = ["Problem", "principal_root", "all_roots", "epsilon_family"]
 
 _MAX_NEWTON = 200
 
+Shape = tuple[int, tuple[int, ...]]
+
 
 def _integer(value, what: str) -> int:
     """value as an int; ints, numpy integers and integral floats (3.0) pass."""
     if isinstance(value, numbers.Integral) or isinstance(value, float) and value.is_integer():
         return int(value)
     raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
+def _checked_shape(shape) -> Shape:
+    """shape = (n, exps) with int entries if it obeys the shape rule; ValueError otherwise.
+
+    The rule: n and each exponent are integers (see _integer), n >= 1, p >= 1
+    and 0 < n_p < ... < n_1 < n.
+    """
+    n, exps = shape
+    n, exps = _integer(n, "degree n"), tuple(_integer(e, "exponent") for e in exps)
+    if n < 1:
+        raise ValueError(f"degree n must be positive, got {n}")
+    if not exps:
+        raise ValueError("at least one lower-order term is required")
+    if not all(a > b for a, b in zip((n, *exps), (*exps, 0))):
+        raise ValueError(
+            f"exponents must satisfy 0 < n_p < ... < n_1 < n, got n={n}, exps={exps}")
+    return n, exps
 
 
 @dataclass(frozen=True)
@@ -43,36 +65,25 @@ class Problem:
     exps: tuple[int, ...]
     coeffs: tuple[float, ...]
 
-    def __init__(self, n: int, exps: Sequence[int], coeffs: Sequence[float]):
-        object.__setattr__(self, "n", _integer(n, "degree n"))
-        object.__setattr__(self, "exps", tuple(_integer(e, "exponent") for e in exps))
-        object.__setattr__(self, "coeffs", tuple(float(c) for c in coeffs))
-        self._validate()
-
-    def _validate(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"degree n must be positive, got {self.n}")
-        p = len(self.exps)
-        if p < 1:
-            raise ValueError("at least one lower-order term is required")
-        if len(self.coeffs) != p:
-            raise ValueError(
-                f"got {len(self.coeffs)} coefficients for {p} exponents")
-        if not all(self.n > self.exps[0] and self.exps[i] > self.exps[i + 1]
-                   for i in range(p - 1)) or self.exps[-1] <= 0 or self.exps[0] >= self.n:
-            raise ValueError(
-                f"exponents must satisfy 0 < n_p < ... < n_1 < n, got n={self.n}, exps={self.exps}")
-        if not all(math.isfinite(c) for c in self.coeffs):
-            raise ValueError(f"coefficients must be finite, got {self.coeffs}")
-        if any(c < 0 for c in self.coeffs):
-            raise ValueError(f"coefficients must be nonnegative, got {self.coeffs}")
+    def __post_init__(self):
+        n, exps = _checked_shape((self.n, self.exps))
+        coeffs = tuple(float(c) for c in self.coeffs)
+        if len(coeffs) != len(exps):
+            raise ValueError(f"got {len(coeffs)} coefficients for {len(exps)} exponents")
+        if not all(math.isfinite(c) for c in coeffs):
+            raise ValueError(f"coefficients must be finite, got {coeffs}")
+        if any(c < 0 for c in coeffs):
+            raise ValueError(f"coefficients must be nonnegative, got {coeffs}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "exps", exps)
+        object.__setattr__(self, "coeffs", coeffs)
 
     @property
     def p(self) -> int:
         return len(self.exps)
 
     @property
-    def shape(self) -> tuple[int, tuple[int, ...]]:
+    def shape(self) -> Shape:
         return (self.n, self.exps)
 
     def _poly(self, z: complex) -> complex:
@@ -95,12 +106,6 @@ class Problem:
             c[self.n - e] += x
         c[self.n] = -1.0
         return c
-
-
-def _checked_shape(shape) -> tuple[int, tuple[int, ...]]:
-    """shape = (n, exps), checked as Problem checks it; returns it with int entries."""
-    n, exps = shape
-    return Problem(n, exps, (0.0,) * len(exps)).shape
 
 
 def principal_root(problem: Problem) -> float:

@@ -19,14 +19,12 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import GammaOverflowError, RootConvergenceError
-from .oracle import Problem, _checked_shape
+from .oracle import Problem, Shape, _checked_shape
 
 __all__ = [
     "ParamPoint", "psi_forward", "jacobian_det",
     "psi_inverse", "principal_root_param",
 ]
-
-Shape = tuple[int, tuple[int, ...]]
 
 _MAX_NEWTON = 300
 # up to here W = e^L and the xi summing to W - 1 stay finite, rounding of L included
@@ -57,7 +55,7 @@ class ParamPoint:
         object.__setattr__(self, "W", 1.0 + s)
 
 
-def _check_shape(shape: Shape, p: int) -> tuple[int, tuple[int, ...]]:
+def _check_shape(shape: Shape, p: int) -> Shape:
     if len(shape[1]) != p:
         raise ValueError(f"shape has {len(shape[1])} exponents but point has {p} components")
     return _checked_shape(shape)

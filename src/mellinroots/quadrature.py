@@ -208,7 +208,7 @@ def integrate_orthant_log(
     exact sum of all 2^p cosets over 2^p, and S_(k+1) is returned if it is
     within rel_tol of S_k (the gap, raised to the floor, as its estimate);
     otherwise level k+1 is probed in turn.  ``max_level`` (default 8 - p)
-    is the finest level summed; past it QuadratureError is raised.
+    is the finest level returned; its probe missing rel_tol raises QuadratureError.
 
     The first level sums every node.  It also yields, per axis, the tau
     interval outside which no term reaches eps * e^-2 * sum|f| / N_max^p
@@ -228,7 +228,7 @@ def integrate_orthant_log(
     box = _node_box(profile, sum_abs, (n - 1) * 2 ** (max_level - min_level) + 1)
     floor = 4.0 * _EPS * sum_abs
     shifts = sorted(itertools.product((0, 1), repeat=p), key=sum)[1:]   # one-axis first
-    for level in range(min_level, max_level):
+    for level in range(min_level, max_level + 1):
         scale = 2 ** (level - min_level)
         level_box = [(lo * scale, hi * scale) for lo, hi in box]
         cosets = []
@@ -240,10 +240,13 @@ def integrate_orthant_log(
                 err = max(math.fsum(abs(c - value) for c in cosets), floor)
                 if err <= rel_tol * abs(value):
                     return value, err, evals
-        finer = _fsum([value, *cosets]) / 2 ** p
-        err = max(abs(finer - value), floor)
-        if err <= rel_tol * abs(finer):
-            return finer, err, evals
-        value = finer
+                if level == max_level:      # the finest level is probed, never completed
+                    break
+        else:
+            finer = _fsum([value, *cosets]) / 2 ** p
+            err = max(abs(finer - value), floor)
+            if err <= rel_tol * abs(finer):
+                return finer, err, evals
+            value = finer
     raise QuadratureError(
         f"orthant quadrature did not reach rel_tol={rel_tol:g} by level {max_level}")

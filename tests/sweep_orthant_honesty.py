@@ -9,8 +9,10 @@ at p = 1), and runs each through `dirichlet_integral` or
 `integrate_orthant_log` are recorded on the way.  Prints per suite and p:
 the points summed by the draws that return, the `verify` misses (relative
 gap to the library's gamma form above --tol, or a QuadratureError, each
-such draw listed), and the draws whose error exceeds the estimate, with the
-worst ratio of error over estimate.  The error is taken against the gamma
+such draw listed), the draws whose error exceeds the estimate, with the
+worst ratio of error over estimate, and the seconds taken by the slowest
+draw (its check alone, the mpmath reference not counted), which shows the
+cost of draws that reach the depth cap.  The error is taken against the gamma
 form in 30-digit mpmath, since the library's own form is good to about
 1e-14; errors and estimates both below 1e-14 of it are not counted against
 the estimate.  Not collected by pytest; about a minute at --draws 800.
@@ -21,6 +23,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import time
 from pathlib import Path
 
 import mpmath as mp
@@ -66,18 +69,22 @@ def sweep(module, draw, check, exact, rng, draws, tol):
         seen.append(out)
         return out
 
-    stats = {"points": 0, "misses": 0, "raised": [], "over": 0, "worst": 0.0, "worst_at": None}
+    stats = {"points": 0, "misses": 0, "raised": [], "over": 0, "worst": 0.0, "worst_at": None,
+             "slowest": 0.0}
     module.integrate_orthant_log = recorded
     try:
         for _ in range(draws):
             instance = draw(rng)
             seen.clear()
+            t0 = time.perf_counter()
             try:
                 lhs, rhs = check(*instance, tol=tol)
             except QuadratureError:
                 stats["raised"].append(instance)
                 stats["misses"] += 1
                 continue
+            finally:
+                stats["slowest"] = max(stats["slowest"], time.perf_counter() - t0)
             _, est, points = seen[-1]
             stats["points"] += points
             if not abs(lhs - rhs) <= tol * abs(rhs):
@@ -102,13 +109,14 @@ def main(argv=None):
     ap.add_argument("--tol", type=float, default=1e-6)
     args = ap.parse_args(argv)
     print(f"{'suite':10}{'p':>2}{'draws':>7}{'points':>15}{'misses':>8}{'errors':>8}"
-          f"{'err>est':>9}{'worst err/est':>15}")
+          f"{'err>est':>9}{'worst err/est':>15}{'slowest s':>11}")
     for index, (name, p, module, draw, check, exact) in enumerate(SUITES):
         draws = args.draws // 2 if (name, p) == ("dirichlet", 1) else args.draws
         rng = np.random.default_rng((args.seed, index))
         st = sweep(module, lambda g: draw(g, p), check, exact, rng, draws, args.tol)
         print(f"{name:10}{p:>2}{draws:>7}{st['points']:>15,}{st['misses']:>8}"
-              f"{len(st['raised']):>8}{st['over']:>9}{st['worst']:>15.3g}", flush=True)
+              f"{len(st['raised']):>8}{st['over']:>9}{st['worst']:>15.3g}{st['slowest']:>11.3f}",
+              flush=True)
         if st["worst_at"] is not None:
             print(f"{'':12}worst at {st['worst_at']}")
         for instance in st["raised"]:

@@ -100,6 +100,14 @@ def test_verify_all_passes(capsys):
             "epsilon"} <= names
 
 
+def test_verify_mellin_seed_23_passes(capsys):
+    # draw 6, (5, (3, 1)) with kernel Re u = 0.085, is certified only by
+    # probing the depth cap's level; it was a NaN miss
+    code, report = _run_json(capsys, ["verify", "--suite", "mellin", "--seed", "23"])
+    assert code == 0
+    assert [r["name"] for r in report["results"]] == ["mellin"]
+
+
 def test_verify_failure_exit_1_with_replay(capsys):
     code, report = _run_json(
         capsys, ["verify", "--suite", "jacobian", "--count", "3",
@@ -342,18 +350,23 @@ def test_jacobian_failures_carry_their_own_instance(capsys):
 
 
 def test_verify_nan_measure_is_a_miss(capsys, monkeypatch):
-    measures = iter([1e-13, float("nan"), 1e-13])
-    monkeypatch.setattr("mellinroots.cli.check_functional_equation",
-                        lambda *args: next(measures))
-    code, report = _run_json(capsys, ["verify", "--suite", "funceq", "--count", "3"])
-    assert code == 1
-    misses = [r for r in report["results"] if r["name"].startswith("funceq[")]
-    assert [r["name"] for r in misses] == ["funceq[1]"]
-    assert math.isnan(misses[0]["value"]) and misses[0]["passed"] is False
-    assert "instance" in misses[0] and "replay" in misses[0]
-    summary = report["results"][-1]
-    assert summary["name"] == "funceq" and summary["passed"] is False
-    assert math.isnan(summary["value"])
+    for values, missed in [
+        ([1e-13, math.nan, 1e-13], [1]),
+        ([math.nan, 0.5, 1e-13], [0, 1]),       # a larger measure after the NaN
+    ]:
+        measures = iter(values)
+        monkeypatch.setattr("mellinroots.cli.check_functional_equation",
+                            lambda *args: next(measures))
+        code, report = _run_json(capsys, ["verify", "--suite", "funceq", "--count", "3"])
+        assert code == 1
+        misses = [r for r in report["results"] if r["name"].startswith("funceq[")]
+        assert [r["name"] for r in misses] == [f"funceq[{i}]" for i in missed]
+        assert all(r["passed"] is False for r in misses)
+        assert math.isnan(misses[0]["value"])
+        assert "instance" in misses[0] and "replay" in misses[0]
+        summary = report["results"][-1]
+        assert summary["name"] == "funceq" and summary["passed"] is False
+        assert math.isnan(summary["value"])
 
 
 def test_verify_numerical_error_is_a_miss(capsys):
@@ -444,6 +457,7 @@ def test_vacuous_counts_exit_2(argv, message, capsys):
 def test_match_multisets_keeps_nan():
     assert math.isnan(_match_multisets([math.nan], [1.0]))
     assert math.isnan(_match_multisets([math.nan, 2.0], [1.0, 2.0]))
+    assert math.isnan(_match_multisets([math.nan, 5.0], [1.0, 2.0]))   # a larger distance after
 
 
 @pytest.mark.parametrize("method", ["mb", "param"])

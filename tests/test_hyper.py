@@ -9,7 +9,8 @@ import pytest
 from mellinroots import (GammaOverflowError, Problem, StepTooSmallError,
                          check_functional_equation, pde_residual, principal_root,
                          series_coefficients, shift_ratio_factors)
-from mellinroots.hyper import fd_weights
+from mellinroots import hyper
+from mellinroots.hyper import _worst, fd_weights
 from mellinroots.mellin import kernel_value
 from mellinroots.param import psi_inverse
 
@@ -82,6 +83,9 @@ def test_functional_equation_samples():
 def test_functional_equation_nan_alpha_is_nan():
     with np.errstate(all="ignore"):
         assert math.isnan(check_functional_equation((3, (2, 1)), math.nan, [0.5, 0.8]))
+    # a NaN on the first line stays over a larger finite error on the second
+    kernel = lambda u: math.nan if u[0].real > 3.0 else 1.0
+    assert math.isnan(check_functional_equation((3, (2, 1)), 2.0, [0.5, 0.8], kernel))
 
 
 def test_functional_equation_scale_invariant():
@@ -186,6 +190,21 @@ def test_pde_requires_positive_coeffs():
 def test_pde_residual_nonfinite_alpha_is_nan(alpha):
     with np.errstate(all="ignore"):
         assert math.isnan(pde_residual(Problem(3, [2], [0.5]), alpha))
+
+
+def test_pde_residual_keeps_a_nan_line(monkeypatch):
+    # line 0's residual is NaN, line 1's a larger finite 2.5: the worst is NaN
+    applied = iter([(math.nan, 1.0), (0.0, 1.0), (5.0, 1.0), (0.0, 1.0)])
+    monkeypatch.setattr(hyper, "_apply_theta_poly", lambda poly, grid, h: next(applied))
+    assert math.isnan(hyper._pde_residual_at(Problem(3, [2, 1], [0.5, 0.5]), 1.0, 1e-2))
+
+
+@pytest.mark.parametrize("values, worst", [
+    ([], 0.0), ([1.0, 3.0, 2.0], 3.0), ([math.nan, 5.0], math.nan), ([2.0, math.nan, 7.0], math.nan),
+])
+def test_worst_is_the_largest_or_nan(values, worst):
+    got = _worst(iter(values))
+    assert got == worst or math.isnan(got) and math.isnan(worst)
 
 
 @pytest.mark.parametrize("h", [0.0, math.nan])

@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from mellinroots import (ContinuationError, Problem, all_roots, epsilon_family,
-                         principal_root)
+from mellinroots import (ContinuationError, ParamPoint, Problem, all_roots, epsilon_family,
+                         kernel_value, principal_root, psi_forward, shift_ratio_factors)
+from mellinroots.oracle import _checked_shape
 
 GOLDEN_CONJ = 0.6180339887498948482045868343656381177203  # (-1+sqrt(5))/2
 
@@ -43,6 +44,47 @@ def test_problem_accepts_integral_floats_and_numpy_integers():
     problem = Problem(np.int64(4), [3.0, np.int32(1)], [0.5, 0.5])
     assert problem.shape == (4, (3, 1))
     assert all(type(v) is int for v in (problem.n, *problem.exps))
+
+
+# every place a shape enters: Problem, the rule itself, and three functions
+# that take a bare shape (n, exps), each given one entry per exponent
+SHAPE_TAKERS = {
+    "Problem": lambda n, exps: Problem(n, exps, [0.5] * len(exps)).shape,
+    "_checked_shape": lambda n, exps: _checked_shape((n, exps)),
+    "psi_forward": lambda n, exps: psi_forward(ParamPoint([0.5] * len(exps)), (n, exps)),
+    "kernel_value": lambda n, exps: kernel_value((n, exps), 2.0, [0.3] * len(exps)),
+    "shift_ratio_factors": lambda n, exps: shift_ratio_factors((n, exps), 2.0),
+}
+ORDER = "exponents must satisfy 0 < n_p < ... < n_1 < n, got n={}, exps={}"
+
+
+@pytest.mark.parametrize("taker", SHAPE_TAKERS)
+@pytest.mark.parametrize("n, exps, message", [
+    (3.0, (2.0, 1), None),                                   # integral floats
+    (np.int64(4), (np.int32(3), np.int64(1)), None),         # numpy integers
+    (2.9, (1,), "degree n must be an integer, got 2.9"),
+    (0, (1,), "degree n must be positive, got 0"),
+    (3, (), "at least one lower-order term is required"),
+    (4, (1, 2), ORDER.format(4, (1, 2))),                    # unordered
+    (4, (2, 2), ORDER.format(4, (2, 2))),                    # repeated
+    (3, (3, 1), ORDER.format(3, (3, 1))),                    # n_1 = n
+    (3, (4,), ORDER.format(3, (4,))),                        # n_1 > n
+    (3, (2, 0), ORDER.format(3, (2, 0))),                    # n_p = 0
+    (3, (2, -1), ORDER.format(3, (2, -1))),                  # n_p < 0
+])
+def test_one_shape_rule(taker, n, exps, message):
+    # Problem and every shape-taking function accept and refuse the same
+    # shapes, with the same error
+    call = SHAPE_TAKERS[taker]
+    if message is None:
+        call(n, exps)
+        shape = _checked_shape((n, exps))
+        assert shape == (int(n), tuple(map(int, exps)))
+        assert all(type(v) is int for v in (shape[0], *shape[1]))
+    else:
+        with pytest.raises(ValueError) as info:
+            call(n, exps)
+        assert type(info.value) is ValueError and str(info.value) == message
 
 
 def test_principal_root_at_zero_coeffs():

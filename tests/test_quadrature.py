@@ -78,11 +78,12 @@ def _dense_orthant_sum(s, log_f, level):
 
 
 def _walked_level(s, log_f, level, finer=1):
-    """Level + finer as the walk builds it from cosets, and the points it summed.
+    """Level + finer as the walk builds it from cosets, and the points that built it.
 
     With rel_tol = 0 no level is certified, so the walk sums every coset up to
-    max_level = level + finer and raises there; a spy on _level_sum keeps each
-    sum: level in full, then the 2^p - 1 cosets of each level in turn.
+    max_level = level + finer, probes that level and raises; a spy on
+    _level_sum keeps each sum: level in full, then the 2^p - 1 cosets of each
+    level in turn, then the p one-axis cosets that probe the last level.
     """
     sums = []
 
@@ -93,10 +94,12 @@ def _walked_level(s, log_f, level, finer=1):
     with mock.patch.object(quadrature, "_level_sum", spy), pytest.raises(QuadratureError):
         integrate_orthant_log(s, log_f, rel_tol=0.0, min_level=level, max_level=level + finer)
     value, per_level = sums[0][0], 2 ** len(s) - 1
+    built = 1 + finer * per_level
+    assert len(sums) == built + len(s)
     for k in range(finer):
         cosets = [v for v, _, _ in sums[1 + k * per_level:1 + (k + 1) * per_level]]
         value = _fsum([value, *cosets]) / 2 ** len(s)
-    return value, sum(n for _, n, _ in sums)
+    return value, sum(n for _, n, _ in sums[:built])
 
 
 def _rule_axes(s, level, ranges=None):
@@ -227,7 +230,8 @@ def test_unreachable_tolerance_raises():
 @pytest.mark.parametrize("p, level", [(1, 7), (2, 6)])
 def test_default_depth_is_eight_minus_p(p, level):
     # complex exponents, so two levels never agree to the last bit; the last
-    # level at p = 2 is 1537^2 points, about 3 M summed in all
+    # level at p = 2 is 1537^2 points, and with the probe of its two one-axis
+    # cosets 2.9 M points are summed in all
     with pytest.raises(QuadratureError, match=f"by level {level}$"):
         integrate_orthant_log(
             [0.4 + 0.1j, 0.6 - 0.2j][:p], lambda L: -2.5 * log_one_plus_sum_exp(L),
@@ -277,6 +281,10 @@ def test_estimate_bounds_the_error_on_verify_draws():
     rng = np.random.default_rng(29)
     draws = [(dirichlet_integral, random_dirichlet_tuple(rng, p)) for p in [2] * 80 + [3] * 24]
     draws += [(forward_mellin_check, random_forward_tuple(rng, 2)) for _ in range(80)]
+    # verify --suite mellin --seed 23, draw 6: kernel Re u is 0.085, and only
+    # the probe of the depth cap's level (6) certifies it
+    draws.append((forward_mellin_check,
+                  ((5, (3, 1)), 4.7199808339433496, (1.0513410130861882, 1.1390292458960185))))
     with mock.patch.object(identities, "integrate_orthant_log", spy), \
             mock.patch.object(mellin, "integrate_orthant_log", spy):
         for check, draw in draws:
