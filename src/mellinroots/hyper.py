@@ -148,6 +148,15 @@ def _stencil_halfwidth(order: int) -> int:
     return (order + 1) // 2 + 1 if order > 0 else 0
 
 
+@functools.lru_cache(maxsize=None)
+def _central_weights(order: int) -> np.ndarray:
+    """fd_weights of the minimal 4th-order symmetric stencil for ``order``, read-only."""
+    w = _stencil_halfwidth(order)
+    weights = fd_weights(order, np.arange(-w, w + 1))
+    weights.flags.writeable = False
+    return weights
+
+
 def _expand_factors(factors: Sequence[LinearFactor], p: int) -> dict[tuple[int, ...], float]:
     """Multiply linear factors into monomial coefficients over theta indices."""
     poly = {(0,) * p: 1.0}
@@ -175,7 +184,7 @@ def _mixed_derivative(grid: np.ndarray, beta: tuple[int, ...], h: float) -> floa
             out = out[k]
             continue
         w = _stencil_halfwidth(mu)
-        wts = fd_weights(mu, np.arange(-w, w + 1)) / h ** mu
+        wts = _central_weights(mu) / h ** mu
         out = np.tensordot(wts, out[k - w: k + w + 1], axes=(0, 0))
     return float(out)
 

@@ -29,8 +29,9 @@ Shape = tuple[int, tuple[int, ...]]
 
 
 def _integer(value, what: str) -> int:
-    """value as an int; ints, numpy integers and integral floats (3.0) pass."""
-    if isinstance(value, numbers.Integral) or isinstance(value, float) and value.is_integer():
+    """value as an int; ints, numpy integers and integral floats (3.0) pass, bools do not."""
+    integral = isinstance(value, numbers.Integral) or isinstance(value, float) and value.is_integer()
+    if integral and not isinstance(value, bool):
         return int(value)
     raise ValueError(f"{what} must be an integer, got {value!r}")
 

@@ -29,13 +29,16 @@ one-axis cosets, summed first, probe level k's own error.  When the probe
 meets the tolerance level k is returned, having summed only part of level
 k+1; otherwise the other cosets complete level k+1, so no probe is wasted.
 
-Most of a level's nodes carry terms far below the rounding floor of its sum.
-The first level therefore records, per axis and node, the largest term on
-that node's slice, and the sum of the terms' magnitudes; each axis keeps the
-tau interval whose nodes reach eps * e^-2 * sum|f| / N^p (N the node count
-per axis of the deepest level), widened by one node.  The cosets walk only
-the product of those intervals, so every dropped node is worth less than
-e^-2 / N^p of the level's rounding floor.
+Most of a level's nodes carry terms far below what the tolerance can see.
+The first level therefore records, per axis and node, the sum of the terms'
+magnitudes on that node's slice.  From each end of each axis the box drops
+the longest run of nodes whose slice sums add up to at most budget / 2p,
+and is widened by one node, so by the union bound the first level's dropped
+terms sum to at most the budget; a finer level's are a finer Riemann sum of
+the same tails.  The budget is e^-2 * max(eps * sum|f|, rel_tol * |S_1| / 8)
+(S_1 the first level's sum, rel_tol capped at 1); when the tolerance's
+branch is the larger, it is added to every estimate returned.  The cosets
+walk only the box.
 """
 
 from __future__ import annotations
@@ -59,6 +62,9 @@ _SLAB_POINTS = 2 ** 16
 # M * 1e-304 in absolute terms.
 _LOG_FLOOR = -700.0
 _EPS = float(np.finfo(float).eps)
+# The node box may leave out terms summing to e^-2 * _TAIL_SHARE * rel_tol *
+# |S_1| (S_1 the first level's sum); the estimate carries that on top.
+_TAIL_SHARE = 1.0 / 8.0
 
 
 def halfline_rule(level: int, shift: int = 0) -> tuple[np.ndarray, np.ndarray]:
@@ -101,16 +107,16 @@ def _level_sum(axes, log_f, profile=None):
     ``axes`` holds per axis (L, log_mod, phase) over its kept nodes.  Returns
     (value, points, sum_abs).  The slabs' partial sums are added exactly
     (math.fsum), so how the box is cut into slabs moves the value by no more
-    than the slabs' own rounding.  With ``profile``, one array per axis, it
-    also raises each node's entry to the largest slab log-magnitude seen
-    there and sums the terms' magnitudes into sum_abs (0 otherwise).
+    than the slabs' own rounding.  With ``profile``, one zeroed array per
+    axis, it also adds to each node's entry the magnitudes of the terms on
+    that node's slice, and sum_abs is the total of one profile (0 without).
     """
     sizes = [a[0].size for a in axes]
     phase_last = axes[-1][2]
     last = np.stack([phase_last.real, phase_last.imag], axis=1)
     heads = math.prod(sizes[:-1])
     step = max(1, _SLAB_POINTS // sizes[-1])
-    parts, sum_abs = [], 0.0
+    parts = []
     for start in range(0, heads, step):
         rest = np.arange(start, min(start + step, heads))
         head_log_mod = np.zeros(rest.size)
@@ -126,16 +132,15 @@ def _level_sum(axes, log_f, profile=None):
         slab = np.add(log_f(coords), head_log_mod[:, None])
         slab += axes[-1][1]
         np.maximum(slab, _LOG_FLOOR, out=slab)
-        if profile is not None:
-            np.maximum(profile[-1], slab.max(axis=0), out=profile[-1])
-            row_max = slab.max(axis=1)
-            for prof, j in zip(profile, head_nodes):
-                np.maximum.at(prof, j, row_max)
         np.exp(slab, out=slab)
         if profile is not None:
-            sum_abs += float(slab.sum())
+            profile[-1] += slab.sum(axis=0)
+            row_sum = slab.sum(axis=1)
+            for prof, j in zip(profile, head_nodes):
+                prof += np.bincount(j, row_sum, prof.size)
         re_im = slab @ last
         parts.append(complex(np.dot(head_phase, re_im[:, 0] + 1j * re_im[:, 1])))
+    sum_abs = float(profile[-1].sum()) if profile is not None else 0.0
     return _fsum(parts), math.prod(sizes), sum_abs
 
 
@@ -144,22 +149,24 @@ def _fsum(values):
     return complex(math.fsum(v.real for v in values), math.fsum(v.imag for v in values))
 
 
-def _node_box(profile, sum_abs, n_max):
+def _node_box(profile, budget):
     """Per axis, the index range (lo, hi) about the centre node worth keeping.
 
-    A node stays if some term on its slice reaches
-    sum_abs * eps * e^-2 / n_max^p; the range runs from the first such node
-    to the last, one node wider on each side.  A sum that is not finite
-    keeps every node.
+    From each end of each axis the longest run of nodes whose slice sums
+    (``profile``) add up to at most budget / 2p is dropped, and the range is
+    then widened by one node on each side, so by the union bound the dropped
+    terms sum to at most ``budget``.  A sum that is not finite keeps every
+    node.
     """
     mid = profile[0].size // 2
-    if not 0.0 < sum_abs < math.inf:
+    if not math.isfinite(profile[0].sum()):
         return [(-mid, mid)] * len(profile)
-    floor = math.log(sum_abs) + math.log(_EPS) - len(profile) * math.log(n_max) - 2.0
+    share = budget / (2 * len(profile))
     box = []
     for prof in profile:
-        kept = np.flatnonzero(prof >= floor)
-        box.append((max(int(kept[0]) - 1 - mid, -mid), min(int(kept[-1]) + 1 - mid, mid)))
+        lo, hi = (int(np.searchsorted(np.cumsum(run), share, side="right"))
+                  for run in (prof, prof[::-1]))
+        box.append((max(lo - 1, 0) - mid, mid - max(hi - 1, 0)))
     return box
 
 
@@ -210,11 +217,14 @@ def integrate_orthant_log(
     otherwise level k+1 is probed in turn.  ``max_level`` (default 8 - p)
     is the finest level returned; its probe missing rel_tol raises QuadratureError.
 
-    The first level sums every node.  It also yields, per axis, the tau
-    interval outside which no term reaches eps * e^-2 * sum|f| / N_max^p
-    (N_max = N_max_level), widened by one node on each side; the cosets sum
-    only the product of those intervals, so the dropped nodes together stay
-    below a level's own rounding floor.
+    The first level sums every node and yields the box the cosets sum: per
+    axis, the nodes left once each end's longest run of slices with |f|
+    summing to at most budget / 2p is dropped, widened by one node on each
+    side, so the dropped terms sum to at most the budget (union bound).
+    The budget is e^-2 * max(eps * sum|f|, min(rel_tol, 1) * |S_1| / 8).
+    Its tolerance branch, ``trim`` (0 when the rounding branch is larger, as
+    at rel_tol = 0), is added to the estimate before it is held against
+    rel_tol, so the estimate covers what the box leaves out.
     """
     if not rel_tol >= 0.0:
         raise ValueError(f"rel_tol must be a nonnegative number, got {rel_tol!r}")
@@ -223,9 +233,12 @@ def integrate_orthant_log(
     if max_level is None:
         max_level = 8 - p
     n = halfline_rule(min_level)[0].size
-    profile = [np.full(n, -np.inf) for _ in s]
+    profile = [np.zeros(n) for _ in s]
     value, evals, sum_abs = _level_sum(_axes(s, min_level), log_f, profile)
-    box = _node_box(profile, sum_abs, (n - 1) * 2 ** (max_level - min_level) + 1)
+    rounding = math.exp(-2.0) * _EPS * sum_abs
+    tail = math.exp(-2.0) * _TAIL_SHARE * min(rel_tol, 1.0) * abs(value)
+    trim = tail if tail > rounding else 0.0
+    box = _node_box(profile, trim or rounding)
     floor = 4.0 * _EPS * sum_abs
     shifts = sorted(itertools.product((0, 1), repeat=p), key=sum)[1:]   # one-axis first
     for level in range(min_level, max_level + 1):
@@ -237,14 +250,14 @@ def integrate_orthant_log(
             cosets.append(coset)
             evals += points
             if len(cosets) == p:
-                err = max(math.fsum(abs(c - value) for c in cosets), floor)
+                err = max(math.fsum(abs(c - value) for c in cosets), floor) + trim
                 if err <= rel_tol * abs(value):
                     return value, err, evals
                 if level == max_level:      # the finest level is probed, never completed
                     break
         else:
             finer = _fsum([value, *cosets]) / 2 ** p
-            err = max(abs(finer - value), floor)
+            err = max(abs(finer - value), floor) + trim
             if err <= rel_tol * abs(finer):
                 return finer, err, evals
             value = finer

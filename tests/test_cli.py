@@ -142,7 +142,7 @@ def test_verify_deterministic_reports():
 VERIFY_SEED0_COUNT3 = {
     "det": (0.0, True),
     "jacobian": (4.1059121077382134e-11, True),
-    "mellin": (2.4041734080710707e-09, True),
+    "mellin": (2.374010505894191e-09, True),
     "dirichlet": (8.226645456513023e-08, True),
     "funceq": (1.0019745616368849e-14, True),
     "pde": (3.531833047103461e-08, True),
@@ -315,6 +315,7 @@ def test_numerical_errors_exit_3(exc, capsys, monkeypatch):
     {"n": 2, "exps": [1], "coeffs": [1.0]},   # not a list
     [[2, [1], [1.0]]],                        # entry not an object
     [{"n": 2, "exps": 1, "coeffs": [1.0]}],   # exps not a list
+    [{"n": 3, "exps": [True], "coeffs": [0.5]}],  # a JSON true used to pass as 1
 ])
 def test_root_spec_malformed_exit_2(spec, tmp_path, capsys):
     path = tmp_path / "bad.json"

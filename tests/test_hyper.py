@@ -22,6 +22,16 @@ def test_fd_weights_classic_stencils():
         [-1 / 12, 4 / 3, -5 / 2, 4 / 3, -1 / 12])
 
 
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_central_weights_are_built_once_and_read_only(order):
+    w = hyper._stencil_halfwidth(order)
+    weights = hyper._central_weights(order)
+    assert np.array_equal(weights, fd_weights(order, np.arange(-w, w + 1)))
+    assert hyper._central_weights(order) is weights
+    with pytest.raises(ValueError):
+        weights[0] = 0.0
+
+
 def test_factor_structure_quadratic():
     pairs = shift_ratio_factors((2, (1,)), 1.0)
     assert len(pairs) == 1

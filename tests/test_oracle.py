@@ -63,6 +63,8 @@ ORDER = "exponents must satisfy 0 < n_p < ... < n_1 < n, got n={}, exps={}"
     (3.0, (2.0, 1), None),                                   # integral floats
     (np.int64(4), (np.int32(3), np.int64(1)), None),         # numpy integers
     (2.9, (1,), "degree n must be an integer, got 2.9"),
+    (3, (True,), "exponent must be an integer, got True"),     # JSON true
+    (False, (1,), "degree n must be an integer, got False"),
     (0, (1,), "degree n must be positive, got 0"),
     (3, (), "at least one lower-order term is required"),
     (4, (1, 2), ORDER.format(4, (1, 2))),                    # unordered

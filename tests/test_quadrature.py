@@ -1,5 +1,6 @@
 """Direct tests of the half-line double-exponential rule."""
 
+import itertools
 import math
 import tracemalloc
 from unittest import mock
@@ -11,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from mellinroots import (QuadratureError, dirichlet_integral, forward_mellin_check, identities,
                          log_gamma, mellin, quadrature)
 from mellinroots.gamma import gamma_ratio
-from mellinroots.quadrature import (_fsum, _level_sum, _node_box, halfline_rule,
+from mellinroots.quadrature import (_axes, _fsum, _level_sum, _node_box, halfline_rule,
                                     integrate_orthant_log, log_one_plus_sum_exp)
 from mellinroots.sampling import random_dirichlet_tuple, random_forward_tuple
 
@@ -111,7 +112,7 @@ def _rule_axes(s, level, ranges=None):
 
 # points summed: every coarse node, then the 2^p - 1 cosets over the coarse
 # level's box (the full fine levels have 385^2 and 97^3 nodes)
-TRIMMED_EVALS = {2: 77_440, 3: 314_626}
+TRIMMED_EVALS = {2: 73_378, 3: 284_110}
 
 
 @pytest.mark.parametrize("s, omega, level", [
@@ -142,10 +143,11 @@ def test_slab_contraction_matches_dense_sum(s, omega, level):
 @example(p=3, real=False, re=[1.3653899290000076, 0.6839990998669195, 0.99999],
          im=[0.0, 0.0, 1.0], gap=0.05078125)
 @example(p=3, real=True, re=[1.0, 1.0, 1.0], im=[0.0, 0.0, 0.0], gap=0.0625)
+@example(p=3, real=False, re=[1.5, 1.25, 1.0], im=[0.0, 0.0, 0.0], gap=0.0546875)
 def test_trimmed_sum_matches_untrimmed_sum(p, real, re, im, gap):
-    # the second level sums only the first level's box; the nodes it drops
-    # are each below eps e^-2 sum|f| / N^p, so the value stays within a few
-    # eps sum|f| of the same level's sum over every node
+    # the second level sums only the first level's box; at rel_tol = 0 the
+    # nodes it drops add up to about e^-2 eps sum|f|, so the value stays
+    # within a few eps sum|f| of the same cosets summed over every node
     s = [complex(a, 0.0 if real else b) for a, b in zip(re[:p], im[:p])]
     omega = sum(re[:p]) + gap
 
@@ -154,7 +156,9 @@ def test_trimmed_sum_matches_untrimmed_sum(p, real, re, im, gap):
 
     level = 5 - p       # 385, 193 and 97 nodes per axis at the trimmed level
     value, _ = _walked_level(s, log_f, level - 1)
-    untrimmed, _, _ = _level_sum(_rule_axes(s, level), log_f)
+    # combined as the walk combines its cosets, so only the trimming separates the two
+    untrimmed = _fsum([_level_sum(_axes(s, level - 1, shift), log_f)[0]
+                       for shift in itertools.product((0, 1), repeat=p)]) / 2 ** p
     L, logw = halfline_rule(level)
     terms = _dense_terms(s, log_f, level)
     abs_terms = np.abs(terms)
@@ -183,13 +187,14 @@ def test_coset_walk_sums_the_same_level(s, omega, level, finer):
         return -omega * log_one_plus_sum_exp(L)
 
     n = halfline_rule(level)[0].size
-    profile = [np.full(n, -np.inf) for _ in s]
+    profile = [np.zeros(n) for _ in s]
     _, _, sum_abs = _level_sum(_rule_axes(s, level), log_f, profile)
-    box = _node_box(profile, sum_abs, (n - 1) * 2 ** finer + 1)
+    # at rel_tol = 0 the box may drop e^-2 eps sum|f|, the rounding floor's share
+    box = _node_box(profile, math.exp(-2.0) * np.finfo(float).eps * sum_abs)
     mid, scale = (n - 1) * 2 ** (finer - 1), 2 ** finer
     ranges = [slice(mid + lo * scale, mid + hi * scale + 1) for lo, hi in box]
     direct, points, sum_abs = _level_sum(_rule_axes(s, level + finer, ranges), log_f,
-                                         [np.full(r.stop - r.start, -np.inf) for r in ranges])
+                                         [np.zeros(r.stop - r.start) for r in ranges])
     walked, _ = _walked_level(s, log_f, level, finer)
     assert abs(walked - direct) <= 16 * np.finfo(float).eps * sum_abs
     assert points < ((n - 1) * scale - 1) ** len(s)     # the box leaves nodes out
@@ -201,8 +206,40 @@ def test_dirichlet_instance_sums_a_trimmed_box():
     value, _, evals = integrate_orthant_log(
         [0.3, 0.5 + 0.2j, 0.8], lambda L: -2.5 * log_one_plus_sum_exp(L),
         rel_tol=1e-6 / 3)
-    assert evals == 1_370_267
+    assert evals == 681_779
     assert abs(value - gamma_ratio([0.3, 0.5 + 0.2j, 0.8, 2.5 - 1.6 - 0.2j], [2.5])) <= 1e-6
+
+
+def test_box_drops_at_most_its_budget():
+    # a p = 3 Dirichlet instance with complex u at the verify suites'
+    # tolerance: the tolerance's branch sets the budget, so it is the trim the
+    # estimate carries; the terms outside the box sum to at most the budget on
+    # the first level (49^3 nodes) and on the next (97^3), whose tails are a
+    # finer Riemann sum of the same integrand
+    s = [0.3, 0.5 + 0.2j, 0.8]
+
+    def log_f(L):
+        return -2.5 * log_one_plus_sum_exp(L)
+
+    seen = []
+
+    def spy(profile, budget):
+        seen.append((_node_box(profile, budget), budget))
+        return seen[-1][0]
+
+    with mock.patch.object(quadrature, "_node_box", spy):
+        _, estimate, _ = integrate_orthant_log(s, log_f, rel_tol=1e-6 / 3)
+    [(box, budget)] = seen
+    eps = np.finfo(float).eps
+    assert budget > math.exp(-2.0) * eps * np.sum(np.abs(_dense_terms(s, log_f, 1)))
+    for level in (1, 2):
+        terms = np.abs(_dense_terms(s, log_f, level))
+        mid, scale = terms.shape[0] // 2, 2 ** (level - 1)
+        kept = np.zeros(terms.shape, dtype=bool)
+        kept[tuple(slice(mid + lo * scale, mid + hi * scale + 1) for lo, hi in box)] = True
+        dropped = math.fsum(terms[~kept])
+        assert 0.0 < dropped <= budget
+    assert estimate >= budget
 
 
 def test_orthant_memory_does_not_scale_with_the_lattice():
