@@ -1,11 +1,10 @@
 """Principal roots of Z^n + x1*Z^n1 + ... + xp*Z^np - 1 = 0 on the positive orthant.
 
-Three independent routes to the same number, cross-checked throughout:
-a Newton oracle on log Z, the parametric substitution that linearizes the
-root to (1 + s)^(-1/n) with its level equation solved by Newton on
-log(1 + s), and a Mellin-Barnes contour integral of the gamma-ratio kernel.
-Both real-axis routes need no bracket and cover the whole orthant in
-double range.
+Three routes to the same number, cross-checked throughout: a Newton oracle
+on log Z, the parametric substitution that linearizes the root to
+(1 + s)^(-1/n) with its level equation solved for log(1 + s), and a
+Mellin-Barnes contour integral of the gamma-ratio kernel.  The two real-axis
+routes run one Newton loop, which needs no bracket in the whole double range.
 """
 
 from .errors import (ConvergenceConditionError, ContinuationError,

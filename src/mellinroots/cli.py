@@ -35,7 +35,8 @@ from .identities import (build_rank_one_matrix, det_cofactor, det_rank_one,
                          dirichlet_integral)
 from .mellin import (_SIZE_TOL, contour_integrand, default_contour, forward_mellin_check,
                      principal_root_mb)
-from .oracle import Problem, all_roots, epsilon_family, principal_root
+from .oracle import (_NOT_NUMBERS, Problem, _finite_nonnegative, all_roots, epsilon_family,
+                     principal_root)
 from .param import ParamPoint, jacobian_det, principal_root_param, psi_forward
 from . import sampling
 
@@ -107,15 +108,14 @@ def _parse_list(text: str, kind: type) -> list:
 
 
 def _resolve_tol(flag: float | None, fallback: float) -> float:
-    """--tol if given, else fallback; finite and >= 0."""
-    tol = flag if flag is not None else fallback
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ValueError(f"tolerance must be finite and nonnegative, got {tol}")
-    return tol
+    """--tol if given, else fallback; finite and >= 0 by the rule for real inputs."""
+    return _finite_nonnegative([flag if flag is not None else fallback], "tolerance")[0]
 
 
-def _finite_alpha(alpha: float) -> float:
-    if not math.isfinite(alpha):
+def _finite_alpha(alpha) -> float:
+    if isinstance(alpha, _NOT_NUMBERS):  # a JSON true or "2"
+        raise ValueError(f"alpha must be a number, got {alpha!r}")
+    if not math.isfinite(alpha := float(alpha)):
         raise ValueError(f"alpha must be finite, got {alpha}")
     return alpha
 
@@ -181,7 +181,7 @@ def _read_spec(path: str, alpha: float) -> list[tuple[Problem, float]]:
         if not (isinstance(d, dict) and {"n", "exps", "coeffs"} <= d.keys()):
             raise ValueError(f"spec entry [{k}] must be an object with keys n, exps, coeffs")
         try:
-            a = _finite_alpha(float(d.get("alpha", alpha)))
+            a = _finite_alpha(d.get("alpha", alpha))
             problems.append((Problem(d["n"], d["exps"], d["coeffs"]), a))
         except (TypeError, ValueError) as exc:
             raise ValueError(f"spec entry [{k}]: {exc}") from exc

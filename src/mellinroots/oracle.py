@@ -6,8 +6,8 @@ bracket and covers every coefficient vector in double range; the full root
 set comes from the companion matrix.  It is the independent referee
 every other solver in the package is checked against.
 
-The shape rule, 0 < n_p < ... < n_1 < n in integers, is stated once, in
-_checked_shape: Problem and every function taking a bare shape share it.
+Stated once here: the shape rule (_checked_shape), the rule for real inputs
+(_finite_nonnegative) and the log-sum-exp Newton loop that param runs too (_lse_newton).
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .errors import ContinuationError, RootConvergenceError
 __all__ = ["Problem", "principal_root", "all_roots", "epsilon_family"]
 
 _MAX_NEWTON = 200
+_NOT_NUMBERS = (bool, np.bool_, str, bytes)
 
 Shape = tuple[int, tuple[int, ...]]
 
@@ -34,6 +35,20 @@ def _integer(value, what: str) -> int:
     if integral and not isinstance(value, bool):
         return int(value)
     raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
+def _finite_nonnegative(values, what: str) -> tuple[float, ...]:
+    """values as floats, each no bool or str and finite and >= 0 by float(); else ValueError."""
+    out = []
+    for v in values:
+        try:
+            c = math.nan if isinstance(v, _NOT_NUMBERS) else float(v)
+        except (TypeError, ValueError):  # float() refuses it
+            c = math.nan
+        if not 0.0 <= c < math.inf:
+            raise ValueError(f"{what} must be finite and nonnegative numbers, got {v!r}")
+        out.append(c)
+    return tuple(out)
 
 
 def _checked_shape(shape) -> Shape:
@@ -68,16 +83,12 @@ class Problem:
 
     def __post_init__(self):
         n, exps = _checked_shape((self.n, self.exps))
-        coeffs = tuple(float(c) for c in self.coeffs)
+        coeffs = tuple(self.coeffs)
         if len(coeffs) != len(exps):
             raise ValueError(f"got {len(coeffs)} coefficients for {len(exps)} exponents")
-        if not all(math.isfinite(c) for c in coeffs):
-            raise ValueError(f"coefficients must be finite, got {coeffs}")
-        if any(c < 0 for c in coeffs):
-            raise ValueError(f"coefficients must be nonnegative, got {coeffs}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "exps", exps)
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "coeffs", _finite_nonnegative(coeffs, "coefficients"))
 
     @property
     def p(self) -> int:
@@ -112,15 +123,21 @@ class Problem:
 def principal_root(problem: Problem) -> float:
     """The unique root in (0, 1] with Z -> 1 as all coefficients -> 0.
 
-    Newton in y = log Z on F(y) = LSE(n y, log x_i + n_i y), the log of
-    Z^n + sum x_i Z^{n_i}: convex, increasing and zero at the root.  At the
-    dominant-balance start y0 = min(0, min_i -log(x_i)/n_i) one term alone
-    is 1, so F(y0) >= 0 and Newton descends monotonically, with no bracket,
-    for every coefficient vector in double range.  Zero coefficients drop out.
+    _lse_newton in y = log Z on F(y) = LSE(n y, log x_i + n_i y) = log(Z^n + sum x_i Z^n_i)
+    from y0 = min(0, min_i -log(x_i)/n_i), where F(y0) >= 0.  Zero coefficients drop out.
     """
     lines = [(0.0, problem.n)]  # (intercept, slope) in y of each term's log
     lines += [(math.log(c), e) for c, e in zip(problem.coeffs, problem.exps) if c > 0.0]
-    y = min(-b / s for b, s in lines)
+    return math.exp(_lse_newton(lines, min(-b / s for b, s in lines)))
+
+
+def _lse_newton(lines, y: float) -> float:
+    """The zero of F(y) = LSE(b_j + s_j y) over lines (b_j, s_j), by Newton from y.
+
+    With every s_j > 0 and F(y) >= 0 at a start y <= 0, Newton descends
+    monotonically, with no bracket, in double range.  It stops once a step is
+    <= 1e-14 max(1, -y); after _MAX_NEWTON steps it raises RootConvergenceError.
+    """
     for _ in range(_MAX_NEWTON):
         a = [b + s * y for b, s in lines]
         top = max(a)
@@ -130,8 +147,8 @@ def principal_root(problem: Problem) -> float:
         step = (top + math.log(total)) * total / sum(s * wj for (_, s), wj in zip(lines, w))
         y -= step
         if step <= 1e-14 * max(1.0, -y):
-            return math.exp(y)
-    raise RootConvergenceError(f"principal root iteration did not converge for {problem}")
+            return y
+    raise RootConvergenceError(f"Newton did not converge in {_MAX_NEWTON} steps on lines {lines}")
 
 
 def _newton(problem: Problem, z: complex, steps: int, tol: float) -> tuple[complex, bool]:

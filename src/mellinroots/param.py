@@ -4,8 +4,8 @@ Under this substitution the principal root is simply Z = W^{-1/n}, so
 inverting the map on the positive orthant solves the equation.  The
 inversion reduces to one scalar level equation in s = sum(xi): on each
 level set the map is linear, so s is the only unknown.  It is solved for
-L = log W = log(1 + s) by Newton, which needs no bracket and covers every
-coefficient vector in double range.
+L = log W = log(1 + s) by oracle._lse_newton, the Newton loop that the
+oracle runs too (a step <= 1e-14 max(1, L) stops it, _MAX_NEWTON caps it).
 
 A ParamPoint is built from xi alone; s and W are derived from it once, so
 they cannot disagree with it.
@@ -18,15 +18,14 @@ import sys
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .errors import GammaOverflowError, RootConvergenceError
-from .oracle import Problem, Shape, _checked_shape
+from .errors import GammaOverflowError
+from .oracle import Problem, Shape, _checked_shape, _finite_nonnegative, _lse_newton
 
 __all__ = [
     "ParamPoint", "psi_forward", "jacobian_det",
     "psi_inverse", "principal_root_param",
 ]
 
-_MAX_NEWTON = 300
 # up to here W = e^L and the xi summing to W - 1 stay finite, rounding of L included
 _LOG_MAX = math.log(sys.float_info.max) - 1e-9
 
@@ -43,9 +42,7 @@ class ParamPoint:
     W: float = field(init=False)
 
     def __post_init__(self):
-        xi = tuple(float(v) for v in self.xi)
-        if not all(0 <= v < math.inf for v in xi):
-            raise ValueError(f"xi must be finite and nonnegative, got {xi}")
+        xi = _finite_nonnegative(self.xi, "xi")
         try:
             s = math.fsum(xi)
         except OverflowError:
@@ -85,26 +82,13 @@ def jacobian_det(point: ParamPoint, shape: Shape) -> float:
 def _log_level(coeffs: Sequence[float], n: int, exps: Sequence[int]) -> float:
     """L = log W on the level set W = 1 + sum x_i W^{1 - n_i/n}.
 
-    Newton from L = 0 on h(L) = LSE(0, log x_i + (1 - n_i/n) L) - L, formed as
-    LSE(-L, log x_i - (n_i/n) L) (the level equation over W) so that no large
-    terms cancel.  h is convex and decreasing with h(0) >= 0, so Newton ascends
-    monotonically, with no bracket, for every coefficient vector in double
-    range.  Zero coefficients drop out.
+    The zero of h(L) = LSE(-L, log x_i - (n_i/n) L), the level equation over
+    W, by _lse_newton in -L on lines (0, 1) and (log x_i, n_i/n) from L = 0,
+    where h(0) >= 0.  Zero coefficients drop out.
     """
-    lines = [(0.0, -1.0)]  # (intercept, slope) in L of each term's log
-    lines += [(math.log(c), -e / n) for c, e in zip(coeffs, exps) if c > 0.0]
-    L = 0.0
-    for _ in range(_MAX_NEWTON):
-        a = [b + s * L for b, s in lines]
-        top = max(a)
-        w = [math.exp(v - top) for v in a]
-        total = sum(w)
-        # h / h' with h = top + log(total) and h' = sum s_j w_j / total < 0
-        step = (top + math.log(total)) * total / sum(s * wj for (_, s), wj in zip(lines, w))
-        L -= step
-        if -step <= 1e-14 * max(1.0, L):
-            return L
-    raise RootConvergenceError(f"level equation did not converge for coeffs={tuple(coeffs)}")
+    lines = [(0.0, 1.0)]  # (intercept, slope) in -L of each term's log
+    lines += [(math.log(c), e / n) for c, e in zip(coeffs, exps) if c > 0.0]
+    return -_lse_newton(lines, 0.0)
 
 
 def psi_inverse(coeffs: Sequence[float], shape: Shape) -> ParamPoint:
@@ -115,10 +99,9 @@ def psi_inverse(coeffs: Sequence[float], shape: Shape) -> ParamPoint:
     the double range; principal_root_param, which never forms W, still
     solves such coefficients.
     """
-    coeffs = tuple(float(c) for c in coeffs)
+    coeffs = tuple(coeffs)
     n, exps = _check_shape(shape, len(coeffs))
-    if not all(0.0 <= c < math.inf for c in coeffs):
-        raise ValueError(f"coefficients must be finite and nonnegative, got {coeffs}")
+    coeffs = _finite_nonnegative(coeffs, "coefficients")
     L = _log_level(coeffs, n, exps)
     if L > _LOG_MAX:
         raise GammaOverflowError(

@@ -316,6 +316,9 @@ def test_numerical_errors_exit_3(exc, capsys, monkeypatch):
     [[2, [1], [1.0]]],                        # entry not an object
     [{"n": 2, "exps": 1, "coeffs": [1.0]}],   # exps not a list
     [{"n": 3, "exps": [True], "coeffs": [0.5]}],  # a JSON true used to pass as 1
+    [{"n": 3, "exps": [1], "coeffs": [True]}],    # ... and as a coefficient 1.0
+    [{"n": 3, "exps": [1], "coeffs": ["0.5"]}],   # a string used to pass through float()
+    [{"n": 3, "exps": [2, 1], "coeffs": "12"}],   # ... and "12" as coefficients (1.0, 2.0)
 ])
 def test_root_spec_malformed_exit_2(spec, tmp_path, capsys):
     path = tmp_path / "bad.json"
@@ -477,6 +480,26 @@ def test_root_spec_nonfinite_alpha_exit_2(tmp_path, capsys):
                     ' {"n": 2, "exps": [1], "coeffs": [1.0], "alpha": NaN}]')
     assert main(["root", "--spec", str(path), "--method", "param"]) == 2
     assert capsys.readouterr().err == "error: spec entry [1]: alpha must be finite, got nan\n"
+
+
+@pytest.mark.parametrize("alpha, shown", [("true", "True"), ('"2"', "'2'")])
+def test_root_spec_alpha_not_a_number_exit_2(alpha, shown, tmp_path, capsys):
+    # a JSON true used to solve at alpha = 1.0, and "2" at 2.0
+    path = tmp_path / "batch.json"
+    path.write_text(f'[{{"n": 3, "exps": [1], "coeffs": [0.5], "alpha": {alpha}}}]')
+    assert main(["root", "--spec", str(path), "--method", "param"]) == 2
+    assert capsys.readouterr().err == f"error: spec entry [0]: alpha must be a number, got {shown}\n"
+
+
+@pytest.mark.parametrize("method", ["oracle", "param"])
+def test_root_newton_step_cap_exit_3(method, capsys, monkeypatch):
+    # the real Newton loop, cut at one step, not an injected raiser
+    monkeypatch.setattr("mellinroots.oracle._MAX_NEWTON", 1)
+    assert main(["root", "--n", "2", "--exps", "1", "--coeffs", "1", "--method", method]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: Newton did not converge in 1 steps")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("alpha", ["0", "-1"])

@@ -2,12 +2,14 @@
 
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from mellinroots import (ContinuationError, ParamPoint, Problem, all_roots, epsilon_family,
-                         kernel_value, principal_root, psi_forward, shift_ratio_factors)
+                         kernel_value, principal_root, psi_forward, psi_inverse,
+                         shift_ratio_factors)
 from mellinroots.oracle import _checked_shape
 
 GOLDEN_CONJ = 0.6180339887498948482045868343656381177203  # (-1+sqrt(5))/2
@@ -87,6 +89,38 @@ def test_one_shape_rule(taker, n, exps, message):
         with pytest.raises(ValueError) as info:
             call(n, exps)
         assert type(info.value) is ValueError and str(info.value) == message
+
+
+# every place a real input enters, with the name its message gives the values;
+# each takes (0.5, value) and returns the floats it stored, or maps back to them
+REAL_TAKERS = {
+    "Problem": ("coefficients", lambda c: Problem(3, (2, 1), c).coeffs),
+    "psi_inverse": ("coefficients", lambda c: psi_forward(psi_inverse(c, (3, (2, 1))), (3, (2, 1)))),
+    "ParamPoint": ("xi", lambda c: ParamPoint(c).xi),
+}
+
+
+@pytest.mark.parametrize("taker", REAL_TAKERS)
+@pytest.mark.parametrize("value, refused", [
+    (3, False), (np.float32(0.25), False), (Fraction(1, 3), False), (0, False),
+    (math.nan, True), (math.inf, True), (-math.inf, True), (-1.0, True),
+    (True, True),              # a JSON true used to pass as 1.0
+    ("0.5", True),             # a JSON string used to pass through float()
+    (np.True_, True), (b"0.5", True), (None, True),
+])
+def test_one_coefficient_rule(taker, value, refused):
+    # Problem, psi_inverse and ParamPoint accept and refuse the same values,
+    # with the same error
+    what, call = REAL_TAKERS[taker]
+    if not refused:
+        got = call((0.5, value))
+        assert all(type(v) is float for v in got)
+        assert got == pytest.approx((0.5, float(value)), rel=1e-14)
+    else:
+        with pytest.raises(ValueError) as info:
+            call((0.5, value))
+        assert type(info.value) is ValueError
+        assert str(info.value) == f"{what} must be finite and nonnegative numbers, got {value!r}"
 
 
 def test_principal_root_at_zero_coeffs():

@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mellinroots import (GammaOverflowError, ParamPoint, Problem, jacobian_det,
-                         principal_root, principal_root_param, psi_forward,
+from mellinroots import (GammaOverflowError, ParamPoint, Problem, RootConvergenceError,
+                         jacobian_det, principal_root, principal_root_param, psi_forward,
                          psi_inverse)
+from mellinroots.sampling import random_shape
 
 
 def test_param_point_invariants():
@@ -240,6 +241,30 @@ def test_real_axis_routes_on_wide_coefficients(n, exps, coeffs):
 def test_real_axis_routes_all_zero_coefficients():
     problem = Problem(12, (11, 5, 1), (0.0, 0.0, 0.0))
     assert principal_root(problem) == principal_root_param(problem) == 1.0
+
+
+def test_real_axis_routes_need_few_newton_steps(monkeypatch):
+    # both routes run oracle._lse_newton; at 12 steps, far under its cap of
+    # 200, none of 2,000 log-uniform draws over 1e+-300 (a tenth of the
+    # coefficients zero) is cut short; over 6,000 draws, half of them uniform
+    # on [0, 10], the oracle took at most 6 steps and param 7
+    monkeypatch.setattr("mellinroots.oracle._MAX_NEWTON", 12)
+    rng = np.random.default_rng(33)
+    for _ in range(2000):
+        p = int(rng.integers(1, 6))
+        n, exps = random_shape(rng, p, n_max=12)
+        coeffs = 10.0 ** rng.uniform(-300.0, 300.0, size=p)
+        coeffs[rng.random(p) < 0.1] = 0.0
+        problem = Problem(n, exps, coeffs)
+        principal_root(problem)
+        principal_root_param(problem)
+
+
+@pytest.mark.parametrize("route", [principal_root, principal_root_param])
+def test_real_axis_routes_raise_at_the_step_cap(route, monkeypatch):
+    monkeypatch.setattr("mellinroots.oracle._MAX_NEWTON", 1)
+    with pytest.raises(RootConvergenceError, match="Newton did not converge in 1 steps"):
+        route(Problem(2, (1,), (1.0,)))
 
 
 def test_psi_inverse_past_double_range():
