@@ -1,9 +1,9 @@
 """Complex log-gamma and overflow-safe gamma ratios.
 
-Everything downstream (transform kernels, residue series, Dirichlet-type
-integrals) is a ratio of gamma factors evaluated far up a vertical line,
-where the individual |Gamma| values underflow or overflow long before the
-ratio does.  All ratios are therefore formed in log space.
+Everything downstream (transform kernels, Dirichlet-type integrals; the p = 1
+series takes finite products instead) is a ratio of gamma factors evaluated far
+up a vertical line, where the individual |Gamma| values underflow or overflow
+long before the ratio does.  All ratios are therefore formed in log space.
 
 ``log_gamma`` is the principal branch: analytic on C minus (-inf, 0] and
 real on the positive real axis.  The pole rule (is_pole) is applied to

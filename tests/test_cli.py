@@ -248,12 +248,29 @@ def test_series_json(capsys):
 
 
 def test_series_overflow_exit_3(capsys):
-    # c_400 at alpha = 1e6 is a gamma ratio of about exp(710)
+    # c_73 at alpha = 1e6 is about (alpha/2)^73/73!, some 1e311
     code = main(["series", "--n", "2", "--exps", "1", "--alpha", "1e6", "--kmax", "400"])
     captured = capsys.readouterr()
     assert code == 3
-    assert captured.err.startswith("error: gamma ratio magnitude")
+    assert captured.err.startswith("error: series coefficient c[73] exceeds double range")
     assert len(captured.err.splitlines()) == 1
+    assert "Traceback" not in captured.err
+
+
+def test_series_alpha_minus_one_exit_0(capsys):
+    # Gamma(a_1) at a_1 = 0 used to exit 3 with a PoleError
+    assert main(["series", "--n", "3", "--exps", "1", "--alpha", "-1", "--kmax", "4"]) == 0
+    got = [float(v) for v in capsys.readouterr().out.split()]
+    assert got == [1.0, 1 / 3, 1 / 9, 2 / 81, 0.0]
+
+
+def test_series_past_double_range_exit_3(capsys):
+    # this call used to print inf and -inf and exit 0
+    code = main(["series", "--n", "7", "--exps", "1", "--alpha", "7868.813925972945",
+                 "--kmax", "353"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == "error: series coefficient c[348] exceeds double range\n"
     assert "Traceback" not in captured.err
 
 
@@ -587,7 +604,9 @@ def test_overflowing_log_gamma_exit_3(argv, tmp_path, capsys):
     out = tmp_path / "trace.csv"
     assert main([a.format(out=out) for a in argv] + ["--alpha", "1e308"]) == 3
     captured = capsys.readouterr()
-    assert captured.err == "error: log-gamma of a finite argument exceeds double range\n"
+    # series takes no log-gamma: its c_2 = alpha^2/8 is the first past double range
+    what = "series coefficient c[2]" if argv[0] == "series" else "log-gamma of a finite argument"
+    assert captured.err == f"error: {what} exceeds double range\n"
     assert captured.out == ""
     assert not out.exists()
 

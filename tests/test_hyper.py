@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -284,21 +285,98 @@ def test_series_rejects_p2():
     (-1, "kmax must be nonnegative, got -1"),
     (2 ** 16 + 1, "kmax must be at most 65536, got 65537"),
 ])
-def test_series_rejects_kmax_out_of_range(k_max, message, monkeypatch):
-    def no_ratio(*args):
-        raise AssertionError("gamma_ratio called")
-
-    monkeypatch.setattr("mellinroots.hyper.gamma_ratio", no_ratio)
+def test_series_rejects_kmax_out_of_range(k_max, message):
     with pytest.raises(ValueError, match=message):
         series_coefficients((2, (1,)), 1.0, k_max)
 
 
 @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
-def test_series_rejects_nonfinite_alpha(alpha, monkeypatch):
+def test_series_rejects_nonfinite_alpha(alpha):
     # it used to return NaN coefficients
-    def no_ratio(*args):
-        raise AssertionError("gamma_ratio called")
-
-    monkeypatch.setattr("mellinroots.hyper.gamma_ratio", no_ratio)
     with pytest.raises(ValueError, match=f"alpha must be finite, got {alpha}"):
         series_coefficients((2, (1,)), alpha, 3)
+
+
+def _is_plus_zero(value):
+    return value == 0.0 and math.copysign(1.0, value) == 1.0
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_series_at_alpha_minus_one(n):
+    # Gamma(a_k) at a_k = 0 used to raise PoleError; the finite product has no pole
+    assert all(math.isfinite(v) for v in series_coefficients((n, (1,)), -1.0, 12))
+
+
+def test_series_at_alpha_minus_one_is_exact():
+    got = series_coefficients((3, (1,)), -1.0, 4)
+    assert got == [1.0, 1 / 3, 1 / 9, 2 / 81, 0.0] and _is_plus_zero(got[4])
+
+
+@pytest.mark.parametrize("shape", [(2, (1,)), (3, (2,)), (7, (3,))])
+def test_series_at_alpha_zero(shape):
+    c = series_coefficients(shape, 0.0, 15)
+    assert c[0] == 1.0 and all(_is_plus_zero(v) for v in c[1:])
+
+
+@pytest.mark.parametrize("shape, alpha", [((3, (1,)), 2.5), ((2, (1,)), 1e-3),
+                                          ((12, (7,)), -7.5), ((5, (2,)), 1e4)])
+def test_series_first_coefficient_is_exactly_one(shape, alpha):
+    # the log-gamma form gave 1.000000000000004 on (3, (1,)) at alpha = 2.5
+    assert series_coefficients(shape, alpha, 3)[0] == 1.0
+
+
+def test_series_past_double_range_raises():
+    # this call used to return inf and -inf without an error
+    with pytest.raises(GammaOverflowError,
+                       match=r"series coefficient c\[348\] exceeds double range"):
+        series_coefficients((7, (1,)), 7868.813925972945, 353)
+
+
+def _exact_series(n, n1, alpha, k_max):
+    """c_k = (-1)^k/k! (alpha/n) prod_{j=1}^{k-1} (a_k - j) in exact rationals."""
+    out = [Fraction(1)]
+    for k in range(1, k_max + 1):
+        a = (alpha + n1 * k) / n
+        prod = math.prod((a - j for j in range(1, k)), start=Fraction(1))
+        out.append((-1) ** k * alpha / n * prod / math.factorial(k))
+    return out
+
+
+@pytest.mark.parametrize("n, n1", [(2, 1), (3, 1), (3, 2), (4, 1), (5, 2), (5, 3), (7, 2),
+                                   (8, 5), (12, 7)])
+def test_series_matches_exact_rationals(n, n1):
+    # against the exact value at the double alpha itself, so only the arithmetic is measured
+    eps = np.finfo(float).eps
+    for alpha in [5 / 2, 1.0, 3.0, 7 / 3, -1 / 2, -1.0, -7 / 2, 1 / 10]:
+        c = series_coefficients((n, (n1,)), alpha, 120)
+        exact = _exact_series(n, n1, Fraction(alpha), 120)
+        for k, (got, want) in enumerate(zip(c, exact, strict=True)):
+            if want == 0:
+                assert _is_plus_zero(got), (alpha, k, got)
+            else:
+                bound = 8 * (k + 1) * Fraction(eps) * abs(want)
+                assert abs(Fraction(got) - want) <= bound, (alpha, k)
+
+
+def test_series_sum_at_large_alpha_matches_mpmath():
+    # the log-gamma form's 31-term sum was 6.0e-12 off here
+    with mpmath.workdps(50):
+        x = mpmath.mpf(1e-5)
+        want = mpmath.findroot(lambda z: z ** 3 + x * z - 1, 1) ** 10000
+        c = series_coefficients((3, (1,)), 1e4, 30)
+        got = math.fsum(ck * 1e-5 ** k for k, ck in enumerate(c))
+        assert abs(got - want) <= 4 * np.finfo(float).eps * want
+
+
+def test_series_partial_products_stay_in_range_at_large_n():
+    # taken j = 1, 2, ... over j, the product for c_k (k < n) peaks near 2^{a_k}: past k of about
+    # 1050 it left double range here although every |c_k| <= 1
+    n, n1, alpha = 1200, 1199, 0.5
+    c = series_coefficients((n, (n1,)), alpha, n - 1)
+    assert max(abs(v) for v in c) <= 1.0
+    with mpmath.workdps(50):
+        for k in (1053, 1199):
+            a = mpmath.mpf(alpha + n1 * k) / n
+            want = ((-1) ** k * alpha / n * mpmath.gamma(a) * mpmath.rgamma(a - k + 1)
+                    / mpmath.factorial(k))
+            assert abs(c[k] - want) <= 8 * (k + 1) * np.finfo(float).eps * abs(want)
