@@ -1,15 +1,13 @@
 """Shift structure of the gamma-ratio kernel and the PDE system it induces.
 
-Shifting one kernel argument by n multiplies the kernel by a ratio of
-polynomials f_s/g_s that factors completely into linear forms
-c_1 u_1 + ... + c_p u_p + a with rational c_i (built from the gamma
-recurrence); shift_ratio_factors returns them as plain (f_s, g_s) tuples
-of LinearFactor, line s at position s.  Because monomials x^{-u} are
-eigenfunctions of the Euler operators theta_i = -x_i d/dx_i, those shift
-relations turn into a system of finite-order PDEs for y = Z^alpha, which
-this module verifies by finite differences in log coordinates (where
-theta_i = -d/dt_i).  Both checks report their worst value over the lines
-by _worst, NaN if any line gives NaN.
+Shifting one kernel argument by n multiplies the kernel by a ratio of polynomials f_s/g_s that
+factors completely into linear forms c_1 u_1 + ... + c_p u_p + a with rational c_i (built from
+the gamma recurrence); shift_ratio_factors returns them as plain (f_s, g_s) tuples of
+LinearFactor, line s at position s.  Because monomials x^{-u} are eigenfunctions of the Euler
+operators theta_i = -x_i d/dx_i, those shift relations turn into a system of finite-order PDEs
+for y = Z^alpha, which this module verifies by finite differences in log coordinates (where
+theta_i = -d/dt_i).  Both checks report their worst value over the lines by _worst, NaN if any
+line gives NaN.
 
 For p = 1, series_coefficients gives Mellin's coefficients as finite products.
 """
@@ -35,7 +33,7 @@ __all__ = [
     "fd_weights",
 ]
 
-# largest k_max series_coefficients takes; O(min(n, k_max)^2 + n k_max), at most 3.6 s on a Xeon
+# largest k_max series_coefficients takes; O(min(n, k_max)^2 + n k_max), at most 4 s on a Xeon
 _KMAX = 2 ** 16
 
 
@@ -71,10 +69,8 @@ def shift_ratio_factors(
     """
     n, exps = _checked_shape(shape)
     p = len(exps)
-    u_form = LinearFactor(
-        coeffs=tuple(Fraction(-e, n) for e in exps), offset=alpha / n)
-    sum_form = LinearFactor(
-        coeffs=tuple(Fraction(n - e, n) for e in exps), offset=alpha / n)
+    u_form = LinearFactor(tuple(Fraction(-e, n) for e in exps), alpha / n)
+    sum_form = LinearFactor(tuple(Fraction(n - e, n) for e in exps), alpha / n)
 
     pairs = []
     for s, ns in enumerate(exps):
@@ -163,9 +159,7 @@ def _expand_factors(factors: Sequence[LinearFactor], p: int) -> dict[tuple[int, 
                 new[beta] = new.get(beta, 0.0) + coef * fac.offset
             for i, c in enumerate(fac.coeffs):
                 if c != 0:
-                    b = list(beta)
-                    b[i] += 1
-                    b = tuple(b)
+                    b = (*beta[:i], beta[i] + 1, *beta[i + 1:])
                     new[b] = new.get(b, 0.0) + coef * float(c)
         poly = new
     return poly
@@ -187,8 +181,7 @@ def _mixed_derivative(grid: np.ndarray, beta: tuple[int, ...], h: float) -> floa
 
 def _apply_theta_poly(poly, grid, h) -> tuple[float, float]:
     """(value, magnitude scale) of poly(theta) applied to grid data at center."""
-    total = 0.0
-    scale = 0.0
+    total = scale = 0.0
     for beta, coef in poly.items():
         term = coef * (-1.0) ** sum(beta) * _mixed_derivative(grid, beta, h)
         total += term
@@ -197,13 +190,10 @@ def _apply_theta_poly(poly, grid, h) -> tuple[float, float]:
 
 
 def _root_power_grid(problem: Problem, alpha: float, h: float, H: int) -> np.ndarray:
-    p = problem.p
     t0 = np.log(problem.coeffs)
-    size = 2 * H + 1
-    grid = np.empty((size,) * p)
+    grid = np.empty((2 * H + 1,) * problem.p)
     for idx in np.ndindex(*grid.shape):
-        offs = np.array(idx) - H
-        coeffs = np.exp(t0 + h * offs)
+        coeffs = np.exp(t0 + h * (np.array(idx) - H))
         point = psi_inverse(coeffs, problem.shape)
         grid[idx] = point.W ** (-alpha / problem.n)
     return grid
@@ -213,21 +203,13 @@ def _pde_residual_at(problem: Problem, alpha: float, h: float) -> float:
     n, p = problem.n, problem.p
     H = _stencil_halfwidth(n)
     y = _root_power_grid(problem, alpha, h, H)
-    pairs = shift_ratio_factors(problem.shape, alpha)
-
     offs = np.arange(-H, H + 1)
     residuals = []
-    for s, (f, g) in enumerate(pairs):
-        # x_s^n * y on the same grid
+    for s, (f, g) in enumerate(shift_ratio_factors(problem.shape, alpha)):
         xs = problem.coeffs[s] * np.exp(h * offs)
-        shape_vec = [1] * p
-        shape_vec[s] = offs.size
-        w = y * (xs ** n).reshape(shape_vec)
-
-        poly_f = _expand_factors(f, p)
-        poly_g = _expand_factors(g, p)
-        lhs, sc1 = _apply_theta_poly(poly_f, y, h)
-        rhs, sc2 = _apply_theta_poly(poly_g, w, h)
+        w = y * (xs ** n).reshape((-1,) + (1,) * (p - 1 - s))  # x_s^n * y, x_s along axis s
+        lhs, sc1 = _apply_theta_poly(_expand_factors(f, p), y, h)
+        rhs, sc2 = _apply_theta_poly(_expand_factors(g, p), w, h)
         residuals.append(abs(lhs - rhs) / max(sc1 + sc2, 1e-300))
     return _worst(residuals)
 
@@ -235,10 +217,9 @@ def _pde_residual_at(problem: Problem, alpha: float, h: float) -> float:
 def pde_residual(problem: Problem, alpha: float, h: float = 1e-2) -> float:
     """Max normalized residual of f_s(theta) y = g_s(theta)(x_s^n y) over s, NaN if any is.
 
-    theta_i = -x_i d/dx_i is applied by 4th-order central differences in
-    log coordinates with step h, which must satisfy 0 < h < inf.  Raises
-    StepTooSmallError when halving the step makes the residual worse
-    (roundoff domination).
+    theta_i = -x_i d/dx_i is applied by 4th-order central differences in log coordinates with
+    step h, which must satisfy 0 < h < inf.  Raises StepTooSmallError when halving the step makes
+    the residual worse (roundoff domination).
     """
     if not 0.0 < h < math.inf:
         raise ValueError(f"step h must be positive and finite, got {h}")
@@ -260,8 +241,10 @@ def series_coefficients(shape: Shape, alpha: float, k_max: int) -> list[float]:
     With a_k = (alpha + n_1 k)/n, c_k = (-1)^k/k! (alpha/n) prod_{j=1}^{k-1} (a_k - j), which is
     Gamma(a_k)/Gamma(a_k - k + 1) at integer k (DLMF 5.2.5): c_0 = 1 and no pole.  c_k for k < n
     is that product; c_{k+n} is c_k times the exact n-step ratio (-1)^n prod_{i<n_1} (a_k + i)/
-    (k+1+i) prod_{i<n-n_1} (a_k - k - i)/(k+n_1+1+i), so an exact zero stays exact.  alpha is
-    finite, 0 <= k_max <= 2^16; a coefficient past double range raises GammaOverflowError.
+    (k+1+i) prod_{i<n-n_1} (a_k - k - i)/(k+n_1+1+i), so an exact zero stays exact.  Each ratio
+    and each running product down a class of k mod n is a mantissa in [1/2, 1) times a separate
+    power of two (frexp, exact), so only a c_k itself can leave double range.  alpha is finite,
+    0 <= k_max <= 2^16; a c_k past double range raises GammaOverflowError.
     """
     if not math.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha}")
@@ -279,11 +262,27 @@ def series_coefficients(shape: Shape, alpha: float, k_max: int) -> list[float]:
     for j, lo in enumerate(np.searchsorted(s, k[1:head.size - 1]), 1):  # O(min(n, k_max)^2)
         head[j + 1:lo] *= (alpha + (n1 * k[j + 1:lo] - n * j)) * (1.0 / (n * j))
         head[lo:] *= (alpha + (n1 * k[lo:n] - n * (s[lo:] + 1 - j))) * (1.0 / (n * j))
-    kk, inv, step = k[:-n], 1.0 / (n * k[1:]), np.full(max(k.size - n, 0), (-1.0) ** n)
-    for i in range(n if step.size else 0):  # step = c_{k+n}/c_k; i >= n_1: a_k - k - i + n_1
-        step *= (alpha + (n1 * kk + n * (i if i < n1 else n1 - i - kk))) * inv[i:i + kk.size]
-    rows = np.concatenate([head, step, np.ones(-k.size % n)]).reshape(-1, n)
-    c = np.cumprod(rows, axis=0).ravel()[:k.size] + 0.0  # down each class of k mod n; no -0.0
-    if not (finite := np.isfinite(c)).all():
-        raise GammaOverflowError(f"series coefficient c[{finite.argmin()}] exceeds double range")
+    kk = k[:-n]  # the k that have a c_{k+n}: none when k_max < n
+    inv = 1.0 / (n * k[1:])
+    m = np.full(kk.size, (-1.0) ** n)  # c_{k+n}/c_k, kept as m 2^e with m in [1/2, 1) or 0
+    e = np.zeros(kk.size, np.int64)
+    up = n1 * kk
+    for i in range(n1 if kk.size else 0):  # prod_{i<n_1} (a_k + i)/(k+1+i)
+        m *= (alpha + (up + n * i)) * inv[i:i + kk.size]
+        e += np.frexp(m, out=(m, None))[1]  # m back to [1/2, 1), m 2^e unchanged
+    down = (n1 - n) * kk
+    for i in range(n - n1 if kk.size else 0):  # prod_{i<n-n_1} (a_k - k - i)/(k+n_1+1+i)
+        m *= (alpha + (down - n * i)) * inv[n1 + i:n1 + i + kk.size]
+        e += np.frexp(m, out=(m, None))[1]
+    head_m, head_e = np.frexp(head)  # one row per k // n, one column per class of k mod n
+    m = np.concatenate([head_m, m, np.ones(-m.size % head.size)]).reshape(-1, head.size)
+    e = np.concatenate([head_e, e, np.zeros(-e.size % head.size, np.int64)]).reshape(m.shape)
+    for lo in range(0, len(m), 512):  # c_{k+n} = c_k * c_{k+n}/c_k down each class, in blocks
+        rows = slice(max(lo - 1, 0), lo + 512)  # from row lo - 1, which is done and carries over
+        m[rows], de = np.frexp(np.cumprod(m[rows], axis=0))  # 513 factors >= 1/2: no underflow
+        e[rows] = np.cumsum(e[rows], axis=0) + de
+    c = np.ldexp(m, e).ravel()[:k.size] + 0.0  # no -0.0
+    overflow = np.flatnonzero(~np.isfinite(c))
+    if overflow.size:
+        raise GammaOverflowError(f"series coefficient c[{overflow[0]}] exceeds double range")
     return c.tolist()

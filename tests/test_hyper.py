@@ -1,6 +1,7 @@
 """Tests for shift factors, the Euler-operator PDE system, and residue series."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -368,15 +369,51 @@ def test_series_sum_at_large_alpha_matches_mpmath():
         assert abs(got - want) <= 4 * np.finfo(float).eps * want
 
 
+def _mp_coefficient(n, n1, alpha, k):
+    """c_k = (-1)^k/k! (alpha/n) prod_{j=1}^{k-1} (a_k - j) in 60-digit mpmath."""
+    with mpmath.workdps(60):
+        a = (mpmath.mpf(alpha) + n1 * k) / n
+        return (-1) ** k * mpmath.mpf(alpha) / n * mpmath.rf(a - k + 1, k - 1) / mpmath.factorial(k)
+
+
 def test_series_partial_products_stay_in_range_at_large_n():
     # taken j = 1, 2, ... over j, the product for c_k (k < n) peaks near 2^{a_k}: past k of about
     # 1050 it left double range here although every |c_k| <= 1
     n, n1, alpha = 1200, 1199, 0.5
     c = series_coefficients((n, (n1,)), alpha, n - 1)
     assert max(abs(v) for v in c) <= 1.0
-    with mpmath.workdps(50):
-        for k in (1053, 1199):
-            a = mpmath.mpf(alpha + n1 * k) / n
-            want = ((-1) ** k * alpha / n * mpmath.gamma(a) * mpmath.rgamma(a - k + 1)
-                    / mpmath.factorial(k))
-            assert abs(c[k] - want) <= 8 * (k + 1) * np.finfo(float).eps * abs(want)
+    for k in (1053, 1199):
+        want = _mp_coefficient(n, n1, alpha, k)
+        assert abs(c[k] - want) <= 8 * (k + 1) * np.finfo(float).eps * abs(want)
+
+
+@pytest.mark.parametrize("shape, alpha, k_max, ks", [
+    ((526, (1,)), 404607.3782375817, 1110, [835, 836, 1000, 1110]),  # ratios near 1e-472
+    ((1557, (288,)), -99676.14091740303, 4245, [1597]),  # ratio 3e-317, a subnormal double
+    ((1500, (1000,)), 7.4e5, 1600, [1499, 1500, 1501]),  # its first n_1 factors overflow
+    ((1500, (1000,)), 748500.0, 1600, [1499, 1500, 1501]),  # c_1500 = 0: was 0 * inf = NaN
+])
+def test_series_n_step_ratio_past_double_range(shape, alpha, k_max, ks):
+    # c_{k+n}/c_k leaves double range although c_k and c_{k+n} do not: as one double product
+    # it gave 0.0 from k = 836 on, 1.6e-7 off, and GammaOverflowError at c[1500] twice
+    c = series_coefficients(shape, alpha, k_max)
+    for k in ks:
+        want = _mp_coefficient(shape[0], shape[1][0], alpha, k)
+        if want == 0:
+            assert _is_plus_zero(c[k]), k
+        else:
+            assert abs(c[k] - want) <= 8 * (k + 1) * np.finfo(float).eps * abs(want), k
+
+
+def test_series_memory_follows_kmax_not_n():
+    # padding the classes of k mod n to n columns took 8 n bytes: 80 GB at n = 1e10
+    tracemalloc.start()
+    try:
+        c = series_coefficients((10 ** 7, (1,)), 1.0, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+    exact = _exact_series(10 ** 7, 1, Fraction(1), 3)
+    assert all(abs(Fraction(v) - w) <= 4 * Fraction(np.finfo(float).eps) * abs(w)
+               for v, w in zip(c, exact, strict=True))
