@@ -18,7 +18,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -86,20 +86,17 @@ def check_functional_equation(
     shape: Shape,
     alpha: float,
     u_sample: Sequence[complex],
-    kernel_fn: Callable[[Sequence[complex]], complex] | None = None,
 ) -> float:
     """Worst relative error of the shift relation over all lines at u_sample (NaN if any is)."""
     n, exps = shape
-    if kernel_fn is None:
-        kernel_fn = lambda ul: kernel_value(shape, alpha, ul)
     pairs = shift_ratio_factors(shape, alpha)
     u = [complex(v) for v in u_sample]
-    base = kernel_fn(u)
+    base = kernel_value(shape, alpha, u)
     errors = []
     for s, (f, g) in enumerate(pairs):
         shifted = list(u)
         shifted[s] += n
-        lhs = kernel_fn(shifted)
+        lhs = kernel_value(shape, alpha, shifted)
         ratio = (math.prod((fac(u) for fac in f), start=1 + 0j)
                  / math.prod((fac(u) for fac in g), start=1 + 0j))
         errors.append(abs(lhs - ratio * base) / abs(lhs))

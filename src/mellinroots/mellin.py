@@ -17,13 +17,10 @@ truncation height comes from the Stirling decay of the kernel: the count of
 gamma factors upstairs exceeds downstairs by p, giving exponential decay at
 rate at least pi*n_s/n per line (minus |arg x_s| for complex coefficients,
 whence the validity sector |arg x_s| < pi*n_s/n, where that rate is positive).
-The step is sized for the value returned, the finest of three nested grids
-(steps h_f, 2 h_f and 4 h_f, summed in one pass).  The trapezoid error falls
-like C exp(-beta/h), so each halving of the step squares it, and the three
-levels' differences give the finest level's error.  err_estimate adds to that
-fit the tail beyond the height, the rounding floor 4 eps (h_f/2 pi)^p sum |f|,
-and a bound on the points the Stirling mask dropped, whose cut is set from
-the same tolerance as the step.
+The step is sized for the value returned: one pass sums the contour's grid
+refined once, step h_f = T/(m - 1), and its levels 2 h_f and 4 h_f, whose
+differences give the finest level's error (_fine_error).  err_estimate adds
+the tail, a rounding floor and a bound on what the Stirling mask dropped.
 
 On the trapezoid grid u_s = a_s + i k_s h the derived arguments are lattice
 values too: Im u = -(sum n_s k_s) h/n and Im omega = (sum (n-n_s) k_s) h/n.
@@ -46,7 +43,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConvergenceConditionError, QuadratureError
+from .errors import ConvergenceConditionError, GammaOverflowError, QuadratureError
 from .gamma import gamma_ratio, log_gamma_array
 from .oracle import Problem, Shape, _checked_shape
 from .quadrature import integrate_orthant_log, log_one_plus_sum_exp
@@ -79,8 +76,8 @@ _MASK_SPREAD = 4.0
 _ROUNDING = 4.0 * float(np.finfo(float).eps)
 
 # points of the rectangles one contour solve sums (at most 0.52 M on
-# criterion-02, 2.6 M on (5, (4, 1)) at tol 1e-12), checked before any is
-# evaluated; memory is fixed per rectangle, so it bounds time (~20 ns a point)
+# criterion-02, 2.6 M on (5, (4, 1)) at tol 1e-12), checked before the box is
+# cut into rectangles; memory is fixed per rectangle, so it bounds time (~20 ns a point)
 _MAX_SOLVE_POINTS = 2 ** 25
 
 # points of one trace, which holds every point at once: about 73 B a point at
@@ -90,9 +87,8 @@ _MAX_SOLVE_POINTS = 2 ** 25
 _MAX_TRACE_POINTS = 2 ** 20
 
 # nodes per line of the grid one solve sums (7,129 at most over 3,000
-# random_mb_problem draws, 262,369 for (8, (1,)) at x = 1e+-300); the line's
-# nodes, the rows scanned for kept spans (at p = 2) and the lattice tables all
-# grow with it, so it is checked before any of them is allocated
+# random_mb_problem draws, 262,369 for (8, (1,)) at x = 1e+-300), checked before
+# the lattice tables and the cover's bands (2^16 at most) that grow with it
 _MAX_LINE_NODES = 2 ** 20
 
 # points and rows of one rectangle of the contour sum, whose buffers stay in
@@ -293,12 +289,6 @@ def default_contour(
     return _setup(problem, alpha, tol, coeffs).contour
 
 
-def _line_nodes(T: float, m: int) -> tuple[np.ndarray, float]:
-    """Symmetric trapezoid nodes and step: t_j = j*h is exactly antisymmetric."""
-    h = 2.0 * T / (m - 1)
-    return (np.arange(m) - (m - 1) // 2) * h, h
-
-
 def _lattice_tables(shape: Shape, alpha: float, x: Sequence[complex], a: Sequence[float],
                     h: float, ends: Sequence[np.ndarray]) -> list[tuple]:
     """Tables of the integrand's factors over the lattice values the grid spans.
@@ -356,12 +346,11 @@ def _rect_integrand(tables: list[tuple], k1: int, kp: int, mag: np.ndarray,
     return np.exp(mag, out=mag), phase
 
 
-def _polygon(setup, t, cut):
-    """Vertices (k_1, k_p) of the polygon E <= cut, in offsets of the grid t, clipped to
-    its columns |k_p| <= c (Sutherland-Hodgman, one side at a time): d cut/E(d) for the
+def _polygon(setup, h, c, cut):
+    """Vertices (k_1, k_p) of the polygon E <= cut, in offsets of the grid of step h, clipped
+    to its columns |k_p| <= c (Sutherland-Hodgman, one side at a time): d cut/E(d) for the
     ring points d (_ring_exponent), as E is positively homogeneous and linear between them."""
-    c = (len(t) - 1) // 2
-    scale = cut / t[c + 1]
+    scale = cut / h
     poly = [(d1 * scale / e, dp * scale / e) for (d1, dp), e in zip(*setup.ring)]
     for side in (1, -1):  # keep side k_p <= c
         clipped = []
@@ -374,21 +363,21 @@ def _polygon(setup, t, cut):
     return np.array(poly)
 
 
-def _cover(setup, t, fold, cut):
+def _cover(setup, h, c, fold, cut):
     """(k_1, k_p, rows, columns) of rectangles holding every point with E <= cut.
 
-    The whole box when T max E on the ring is at most the cut; else the rows the
-    polygon E <= cut (_polygon) reaches, in bands of min(_BLOCK_ROWS, _BLOCK_POINTS)
-    rows, each over the polygon's columns in its rows, cut into pieces of at most
-    _BLOCK_POINTS points.  At p = 1 the one row has k_1 = 0; under the fold the
-    rows are k_1 >= 0, row 0 a band of its own from k_p = 0.
+    Over offsets |k_s| <= c at step h: the whole box when c h max E on the ring is at
+    most the cut; else the rows the polygon E <= cut (_polygon) reaches, in bands of
+    min(_BLOCK_ROWS, _BLOCK_POINTS) rows, each over the polygon's columns in its rows
+    and, unless their points pass _MAX_SOLVE_POINTS (QuadratureError), cut into pieces
+    of at most _BLOCK_POINTS points.  At p = 1 the one row has k_1 = 0; under the fold
+    the rows are k_1 >= 0, row 0 a band of its own from k_p = 0.
     """
-    c = (len(t) - 1) // 2
     last = c * (len(setup.x) - 1)
     first = 0 if fold else -last
-    whole = t[-1] * max(setup.ring[1]) <= cut
+    whole = c * h * max(setup.ring[1]) <= cut
     if not whole:
-        rows, cols = _polygon(setup, t, cut).T
+        rows, cols = _polygon(setup, h, c, cut).T
         # E rounds by a few ulps: 1e-6 of an offset of slack either side
         first = max(first, math.ceil(rows.min() - 1e-6))
         last = min(last, math.floor(rows.max() + 1e-6))
@@ -406,6 +395,9 @@ def _cover(setup, t, fold, cut):
         # a band the polygon misses gets an empty range
         j0 = np.clip(np.ceil(np.where(on, at, np.inf).min(axis=1) - 1e-6), j0, c + 1)
         j1 = np.clip(np.floor(np.where(on, at, -np.inf).max(axis=1) + 1e-6), -c - 1, c)
+    count = int(np.dot(np.subtract(r1, r0) + 1, np.maximum(np.subtract(j1, j0) + 1, 0)))
+    if count > _MAX_SOLVE_POINTS:
+        raise QuadratureError(f"contour grid of {count} points exceeds {_MAX_SOLVE_POINTS}")
     rects = []
     for r, e, lo, hi in zip(r0, r1, j0, j1):
         k, w = e + 1 - r, _BLOCK_POINTS // (e + 1 - r)
@@ -413,37 +405,36 @@ def _cover(setup, t, fold, cut):
     return np.array(rects, dtype=np.int64).reshape(-1, 4)
 
 
-def _grid_sum(setup, T, m, tol, full_grid=False):
+def _grid_sum(setup, tol, full_grid=False):
     """Stirling-masked trapezoid sums over the p-fold grid, from one pass.
 
-    Returns (v_f, v_b, v_c, ring, total, masked, points summed): (step/2 pi)^p
-    times the sums at steps h, 2h and 4h (every node, every second and every
-    fourth from t = 0); (h/2 pi)^p times the sums of |f| on the ring
-    max_s |t_s| = T and over every point summed; and a bound on the
-    (h/2 pi)^p-weighted |f| of the points left out: those outside the
-    rectangles (_cover) over the polygon of points whose Stirling exponent E
-    is at most min(50, log(10 N/tol)), N the points of the (folded) box, where
-    |f| <= _MASK_SPREAD e^-E |f(0)|.  Each rectangle (_rect_integrand) gives
-    its sums, at 2h and 4h from [i::2, j::2] and [i::4, j::4] slices.  For
-    real positive x, f(-t) = conj f(t): the rows k_1 >= 0 are summed, row 0
-    from k_p = 0 with weight 1/2 at the center, only Re f is formed, and the
+    The grid is offsets |k_s| <= c = m - 1 at step h = T/c, for the contour's height T
+    and m nodes per line.  Returns (v_f, v_b, v_c, ring, total, masked, points summed):
+    (step/2 pi)^p times the sums at steps h, 2h and 4h (every node, every second and
+    every fourth from t = 0); (h/2 pi)^p times the sums of |f| on the ring
+    max_s |t_s| = T and over every point summed; and a bound on the (h/2 pi)^p-weighted
+    |f| of the points left out: those outside the rectangles (_cover) over the polygon
+    of points whose Stirling exponent E is at most min(50, log(10 N/tol)), N the points
+    of the (folded) box, where |f| <= _MASK_SPREAD e^-E |f(0)|.  Each rectangle
+    (_rect_integrand) gives its sums, at 2h and 4h from [i::2, j::2] and [i::4, j::4]
+    slices.  For real positive x, f(-t) = conj f(t): the rows k_1 >= 0 are summed,
+    row 0 from k_p = 0 with weight 1/2 at the center, only Re f is formed, and the
     sums and the bound are doubled.
     """
     x = setup.x
     p = len(x)
+    c = setup.contour.nodes_per_line - 1
+    m = 2 * c + 1
     if m > _MAX_LINE_NODES:
         raise QuadratureError(f"contour grid of {m} nodes per line exceeds {_MAX_LINE_NODES}")
-    t, h = _line_nodes(T, m)
-    c = (m - 1) // 2
+    h = setup.contour.height / c
     fold = not full_grid and all(v.imag == 0.0 and v.real > 0.0 for v in x)
     n_box = (m ** p + 1) // 2 if fold else m ** p
     # the points left out hold at most _MASK_SPREAD tol/10 |f(0)| (h/2 pi)^p
     mask_cut = min(_MASK_CUT, max(0.0, math.log(10.0 * n_box / tol)))
-    rects = _cover(setup, t, fold, mask_cut).tolist()
+    rects = _cover(setup, h, c, fold, mask_cut).tolist()
     sizes = [r * j for _, _, r, j in rects]
     count = sum(sizes)
-    if count > _MAX_SOLVE_POINTS:
-        raise QuadratureError(f"contour grid of {count} points exceeds {_MAX_SOLVE_POINTS}")
     # (k_1, k_p) of each rectangle's first and last point
     corners = ([(k1, kp) for k1, kp, _, _ in rects]
                + [(k1 + r - 1, kp + j - 1) for k1, kp, r, j in rects])
@@ -472,7 +463,8 @@ def _grid_sum(setup, T, m, tol, full_grid=False):
     # |f(0)|: each table's log-magnitude at K = 0 (the center, at E = 0, is kept)
     f0 = math.exp(sum(log_mag[-k0] for _, k0, log_mag, _ in tables))
     sums.append(_MASK_SPREAD * (n_box - count) * math.exp(-mask_cut) * f0)
-    w = (h / (2.0 * math.pi)) ** p
+    # ** raises past double range, where no sum is finite: such a weight is inf
+    w = (h / (2.0 * math.pi)) ** p if p * math.log2(h) < 1023 else math.inf
     v_f, v_b, v_c, ring, total, masked = (
         (2.0 * v.real if fold else v) * (w * q) for v, q in zip(sums, (1, 2 ** p, 4 ** p, 1, 1, 1)))
     return complex(v_f), complex(v_b), complex(v_c), ring.real, total.real, masked, count
@@ -503,28 +495,31 @@ def principal_root_mb(
 ) -> QuadResult:
     """Z(x)^alpha by the p-fold vertical-line integral of the kernel.
 
-    One pass over 2m-1 nodes per line (step h/2 for the contour's m) gives
-    the value v_f and the sub-sums v_b (step h) and v_c (2h).  err_estimate
-    is the sum of four terms: the fine level's discretisation error fitted
-    to the three levels (_fine_error); the boundary ring's |f| sum continued
-    geometrically at the sector decay rate; the rounding floor
-    4 eps (h/2 pi)^p sum |f|; and the bound on what the Stirling mask dropped.
-    Above ``tol`` it raises QuadratureError.  ``tol`` (1e-7 when None) also
-    sizes the default contour and the mask's cut.  For real positive
-    coefficients the imaginary part is bounded by the estimate too.
-    ``coeffs`` overrides the problem's coefficients, for complex points
-    inside the validity sector |arg x_s| < pi*n_s/n.
+    One pass (_grid_sum) over 2m - 1 nodes per line at step T/(m - 1), for the
+    contour's height T and m, gives the value v_f and the sub-sums v_b and v_c
+    at twice and four times that step.  err_estimate is the sum of four terms:
+    the fine level's discretisation error fitted to the three levels
+    (_fine_error); the boundary ring's |f| sum continued geometrically at the
+    sector decay rate; the rounding floor 4 eps (h/2 pi)^p sum |f|; and the
+    bound on what the Stirling mask dropped.  It raises QuadratureError above
+    ``tol`` and, whatever ``tol``, where the value or the estimate is not
+    finite.  ``tol`` (1e-7 when None) also sizes the default contour and the
+    mask's cut.  For real positive coefficients the imaginary part is bounded
+    by the estimate too.  ``coeffs`` overrides the problem's coefficients, for
+    complex points inside the validity sector |arg x_s| < pi*n_s/n.
     """
     size_tol = tol if tol is not None else _SIZE_TOL
     setup = _setup(problem, alpha, size_tol, coeffs, contour)
     T, m = setup.contour.height, setup.contour.nodes_per_line
-    v_f, v_b, v_c, ring, total, masked, count = _grid_sum(setup, T, 2 * m - 1, size_tol)
+    v_f, v_b, v_c, ring, total, masked, count = _grid_sum(setup, size_tol)
     tail = ring / -math.expm1(-setup.rate * T / (m - 1))
     rho = math.exp(-math.pi * setup.strip * (m - 1) / T)
     err = _fine_error(abs(v_f - v_b), abs(v_b - v_c), rho) + tail + _ROUNDING * total + masked
     if tol is not None and not err <= tol:  # a NaN estimate is refused too
         raise QuadratureError(
             f"contour integral error estimate {err:g} exceeds requested {tol:g}")
+    if not (cmath.isfinite(v_f) and math.isfinite(err)):
+        raise QuadratureError(f"contour integral {v_f} with error estimate {err:g} is not finite")
     return QuadResult(value=v_f, err_estimate=err, evaluations=count)
 
 
@@ -536,19 +531,23 @@ def contour_integrand(
     """Raw integrand samples along the contour, for tracing.
 
     Returns (points, values): for p = 1, points has shape (m, 1) holding
-    Im u_1; for p = 2, shape (m*m, 2) over the tensor grid in row-major
-    order.  Values are kernel * prod x_s^{-u_s} without the (2 pi i)^-p.
+    Im u_1 = k T/c, |k| <= c = (m - 1)/2; for p = 2, shape (m*m, 2) over the
+    tensor grid in row-major order.  Values are kernel * prod x_s^{-u_s}
+    without the (2 pi i)^-p, all finite: else GammaOverflowError.
     """
-    p = problem.p
-    _setup(problem, alpha, contour=contour)
-    m = contour.nodes_per_line
+    setup = _setup(problem, alpha, contour=contour)
+    p, m = len(setup.x), contour.nodes_per_line
     if m ** p > _MAX_TRACE_POINTS:
         raise QuadratureError(f"contour trace of {m ** p} points exceeds {_MAX_TRACE_POINTS}")
-    t, h = _line_nodes(contour.height, m)
     c = (m - 1) // 2
-    tables = _lattice_tables(problem.shape, alpha, problem.coeffs, contour.abscissas, h,
-                             [np.array([-c, c])] * p)
-    mag, phase = _rect_integrand(tables, -c * (p - 1), -c,  # one row at p = 1
-                                 *(np.empty((m ** (p - 1), m), dtype=d) for d in (float, complex)))
+    h = contour.height / c
+    with np.errstate(all="ignore"):  # a tall contour's Im u can pass double range
+        tables = _lattice_tables(setup.shape, setup.alpha, setup.x, contour.abscissas, h,
+                                 [np.array([-c, c])] * p)
+        mag, phase = _rect_integrand(tables, -c * (p - 1), -c, *(  # one row at p = 1
+            np.empty((m ** (p - 1), m), dtype=d) for d in (float, complex)))
+        values = (mag * phase).ravel()
+    if not (c * h < math.inf and np.isfinite(values).all()):  # c h: the last node
+        raise GammaOverflowError("contour integrand exceeds double range on this contour")
     idx = np.indices((m,) * p).reshape(p, -1)
-    return t[idx].T, (mag * phase).ravel()
+    return (np.arange(-c, c + 1) * h)[idx].T, values

@@ -222,6 +222,26 @@ def test_contour_trace_bad_grid_exit_2(flags, message, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("problem, points", [
+    (["--n", "2", "--exps", "1", "--coeffs", "1"], 9),
+    (["--n", "3", "--exps", "2,1", "--coeffs", "1,1"], 81),
+])
+@pytest.mark.parametrize("height", ["1e155", "1e308", repr(sys.float_info.max)])
+def test_contour_trace_tall_contour_finite_or_exit_3(problem, points, height, tmp_path, capsys):
+    # a step past double range: only finite rows, or exit 3 with one error line
+    out = tmp_path / "trace.csv"
+    code = main(["contour-trace", *problem, "--nodes", "9", "--height", height, "--out", str(out)])
+    err = capsys.readouterr().err
+    if code == 3:
+        assert err.startswith("error: ") and err.count("\n") == 1 and not out.exists()
+    else:
+        assert code == 0 and err == ""
+        with open(out) as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert len(rows) == points
+        assert all(math.isfinite(float(v)) for row in rows for v in row)
+
+
 def test_contour_trace_unwritable_out_exit_2(tmp_path, capsys):
     out = tmp_path / "missing" / "trace.csv"
     code = main(["contour-trace", "--n", "2", "--exps", "1", "--coeffs", "1",

@@ -4,7 +4,9 @@ import cmath
 import functools
 import itertools
 import math
+import sys
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,8 +18,8 @@ from mellinroots import (ConvergenceConditionError, NumericalError, Problem,
                          principal_root_mb, principal_root_param)
 from mellinroots import mellin, sampling
 from mellinroots.hyper import shift_ratio_factors
-from mellinroots.mellin import (Contour, _kernel_args, _lattice_tables, _line_nodes,
-                                _rect_integrand, contour_integrand)
+from mellinroots.mellin import (Contour, _kernel_args, _lattice_tables, _rect_integrand,
+                                contour_integrand)
 
 # frozen 40-digit reference values
 KERNEL_A1_U05 = 3.496076739056159747286452786521492551577   # (1/2)G(.25)G(.5)/G(1.75)
@@ -224,7 +226,8 @@ def test_lattice_integrand_matches_kernel(problem, alpha, height, nodes):
 def test_lattice_integrand_matches_kernel_complex_coefficient():
     shape, alpha, a = (3, (2,)), 1.0, [0.25]
     x = [0.9 * cmath.exp(0.5j * 2 * math.pi / 6)]  # inside |arg x| < pi n_1/n
-    t, h = _line_nodes(10.0, 21)
+    h = 10.0 / 10
+    t = np.arange(-10, 11) * h
     tables = _lattice_tables(shape, alpha, x, a, h, [np.array([-10, 10])])
     # the one row, k_1 = 0 at p = 1
     mag, phase = _rect_integrand(tables, 0, -10, np.empty((1, 21)), np.empty((1, 21), complex))
@@ -243,10 +246,17 @@ def test_mb_grid_pinned(problem, alpha, evaluations):
     assert principal_root_mb(problem, alpha=alpha).evaluations == evaluations
 
 
+def _on_grid(setup, T, m):
+    """``setup`` with a contour whose solve sums m nodes per line up to height T."""
+    return SimpleNamespace(**{**vars(setup), "contour": Contour(
+        setup.contour.abscissas, T, (m + 1) // 2)})
+
+
 def _stirling_grid(shape, x, T, m):
     """The Stirling exponent point by point over the full m^p tensor."""
     n, exps = shape
-    t, _ = _line_nodes(T, m)
+    c = (m - 1) // 2
+    t = np.arange(-c, c + 1) * (T / c)
     ts = [t[ix] for ix in np.ix_(*[np.arange(m)] * len(x))]
     im_u = -sum(e * tv for e, tv in zip(exps, ts)) / n
     im_om = sum(ts, im_u)
@@ -302,7 +312,7 @@ def test_grid_sum_keeps_reference_mask(monkeypatch, shape, x, full_grid):
                                                [mellin._BLOCK_POINTS, 23]):
         monkeypatch.setattr(mellin, "_BLOCK_POINTS", block)
         T = scale * contour.height
-        *sums, _, count = mellin._grid_sum(setup, T, m, 1e-7, full_grid=full_grid)
+        *sums, _, count = mellin._grid_sum(_on_grid(setup, T, m), 1e-7, full_grid=full_grid)
         cut, rects = covers[-1]
         c = (m - 1) // 2
         hits = np.zeros((m,) * p, dtype=int)
@@ -317,7 +327,7 @@ def test_grid_sum_keeps_reference_mask(monkeypatch, shape, x, full_grid):
         if fold:
             assert (np.where(covered[:, 0] != 0, covered[:, 0], covered[:, -1]) >= 0).all()
         # the sums against direct sums of f over the rectangles' points
-        h = _line_nodes(T, m)[1]
+        h = T / c
         tables = _lattice_tables(shape, 1.0, x, contour.abscissas, h, [np.array([-c, c])] * p)
         size = (m ** (p - 1), m)
         mag, phase = _rect_integrand(tables, -c * (p - 1), -c, np.empty(size),
@@ -356,7 +366,7 @@ def test_grid_sum_block_boundaries(monkeypatch, shape, x, full_grid):
     for rows, block in caps:
         monkeypatch.setattr(mellin, "_BLOCK_ROWS", rows)
         monkeypatch.setattr(mellin, "_BLOCK_POINTS", block)
-        sums.append(mellin._grid_sum(setup, setup.contour.height, 201, 1e-7,
+        sums.append(mellin._grid_sum(_on_grid(setup, setup.contour.height, 201), 1e-7,
                                      full_grid=full_grid))
     (*ref, masked_ref, count_ref) = sums[0]
     for cap, (*other, masked, count) in zip(caps[1:], sums[1:]):
@@ -383,11 +393,10 @@ def test_whole_box_rule(monkeypatch, shape, x):
     scans = []
     polygon = mellin._polygon
     monkeypatch.setattr(mellin, "_polygon", lambda *args: scans.append(args) or polygon(*args))
-    m = 41
+    m, c = 41, 20
     for T, cut in itertools.product([0.5, 2.0, 8.0], [2.0, 10.0, 30.0]):
-        t, _ = _line_nodes(T, m)
         scans.clear()
-        rects = mellin._cover(setup, t, False, cut)
+        rects = mellin._cover(setup, T / c, c, False, cut)
         whole = len(_stirling_kept(shape, x, T, m, False, cut)) == m ** len(x)
         assert (not scans) == whole, (T, cut)
         if whole:
@@ -403,10 +412,9 @@ def _check_cover(shape, x, fold, T, m, cut):
     """
     p = len(x)
     setup = mellin._setup(Problem(shape[0], list(shape[1]), [abs(v) for v in x]), 1.0, coeffs=x)
-    t, _ = _line_nodes(T, m)
     c = (m - 1) // 2
     hits = np.zeros((m,) * p, dtype=int)
-    for k1, kp, rows, cols in mellin._cover(setup, t, fold, cut).tolist():
+    for k1, kp, rows, cols in mellin._cover(setup, T / c, c, fold, cut).tolist():
         assert 1 <= rows <= mellin._BLOCK_ROWS and 1 <= cols and rows * cols <= mellin._BLOCK_POINTS
         assert -c <= kp and kp + cols - 1 <= c
         assert (k1, rows) == (0, 1) if p == 1 else -c <= k1 and k1 + rows - 1 <= c
@@ -456,8 +464,7 @@ def test_view_past_its_table_raises(shape, x):
     # the tables span offsets -10..10 on each axis: a rectangle reaching past
     # them raises, where a gather past a table would read other memory
     p = len(x)
-    _, h = _line_nodes(10.0, 21)
-    tables = _lattice_tables(shape, 1.0, x, [0.25] * p, h, [np.array([-10, 10])] * p)
+    tables = _lattice_tables(shape, 1.0, x, [0.25] * p, 10.0 / 10, [np.array([-10, 10])] * p)
     k1 = -10 if p == 2 else 0
 
     def rect(k1, kp, size):
@@ -628,6 +635,50 @@ def test_mb_refuses_too_many_rows():
     contour = Contour(abscissas=(0.25, 0.25), height=1e9, nodes_per_line=2 ** 20 + 1)
     with pytest.raises(QuadratureError, match="of 2097153 nodes per line exceeds 1048576"):
         principal_root_mb(Problem(3, [2, 1], [0.5, 1.0]), contour=contour)
+
+
+def test_mb_point_cap_comes_before_the_rectangles(monkeypatch):
+    # the whole folded box, 32,769 rows of 65,537 nodes, would be 67,586 rectangles:
+    # its bands' points are refused before any band is cut into them
+    calls, returned = [], []
+    cover = mellin._cover
+
+    def spy(*args):
+        calls.append(args)
+        returned.append(cover(*args))
+        return returned[-1]
+
+    monkeypatch.setattr(mellin, "_cover", spy)
+    contour = Contour(abscissas=(0.25, 0.25), height=1e-3, nodes_per_line=32769)
+    tracemalloc.start()
+    try:
+        with pytest.raises(QuadratureError, match="of 2147549185 points exceeds 33554432"):
+            principal_root_mb(Problem(3, [2, 1], [1.0, 1.0]), contour=contour)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(calls) == 1 and not returned
+    assert peak < 2 ** 20
+
+
+@pytest.mark.parametrize("problem, a", [(Problem(2, [1], [1.0]), (0.25,)),
+                                        (Problem(3, [2, 1], [1.0, 1.0]), (0.25, 0.25))])
+@pytest.mark.parametrize("height", [1e155, 1e156, 1e308, sys.float_info.max])
+def test_mb_tall_contour_is_finite_or_refused(problem, a, height):
+    # a step past double range: finite numbers or a NumericalError, never a silent
+    # inf or NaN, nor a bare OverflowError from the weight (h/2 pi)^p
+    contour = Contour(abscissas=a, height=height, nodes_per_line=9)
+    for tol in [None, 1e-7]:
+        try:
+            res = principal_root_mb(problem, contour=contour, tol=tol)
+        except NumericalError:
+            continue
+        assert cmath.isfinite(res.value) and math.isfinite(res.err_estimate)
+    try:
+        pts, vals = contour_integrand(problem, 1.0, contour)
+    except NumericalError:
+        return
+    assert np.isfinite(pts).all() and np.isfinite(vals).all()
 
 
 def test_mb_memory_does_not_scale_with_the_grid():
