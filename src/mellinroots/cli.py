@@ -35,8 +35,8 @@ from .identities import (build_rank_one_matrix, det_cofactor, det_rank_one,
                          dirichlet_integral)
 from .mellin import (_SIZE_TOL, contour_integrand, default_contour, forward_mellin_check,
                      principal_root_mb)
-from .oracle import (_NOT_NUMBERS, Problem, _finite_nonnegative, all_roots, epsilon_family,
-                     principal_root)
+from .oracle import (_LSE_ESTIMATE, Problem, _checked_alpha, _checked_shape,
+                     _finite_nonnegative, all_roots, epsilon_family, principal_root)
 from .param import ParamPoint, jacobian_det, principal_root_param, psi_forward
 from . import sampling
 
@@ -103,8 +103,14 @@ def _emit(report: dict, args) -> None:
     print(f"total {report['timing']['total']:.3f} s")
 
 
-def _parse_list(text: str, kind: type) -> list:
-    return [kind(tok) for tok in text.split(",") if tok.strip() != ""]
+def _number(token: str):
+    """An argv token as a spec entry holds it: an int, else a float, else the text itself."""
+    for kind in (int, float):
+        try:
+            return kind(token)
+        except ValueError:
+            pass
+    return token
 
 
 def _resolve_tol(flag: float | None, fallback: float) -> float:
@@ -112,16 +118,12 @@ def _resolve_tol(flag: float | None, fallback: float) -> float:
     return _finite_nonnegative([flag if flag is not None else fallback], "tolerance")[0]
 
 
-def _finite_alpha(alpha) -> float:
-    if isinstance(alpha, _NOT_NUMBERS):  # a JSON true or "2"
-        raise ValueError(f"alpha must be a number, got {alpha!r}")
-    if not math.isfinite(alpha := float(alpha)):
-        raise ValueError(f"alpha must be finite, got {alpha}")
-    return alpha
-
-
-def _problem_from_args(args) -> Problem:
-    return Problem(args.n, _parse_list(args.exps, int), _parse_list(args.coeffs, float))
+def _instance(entry, alpha=None) -> tuple[Problem, float]:
+    """(problem, alpha) of a spec entry or of argv's values; ``alpha`` if the entry has none."""
+    if not isinstance(entry, dict) or any(entry.get(k) is None for k in ("n", "exps", "coeffs")):
+        raise ValueError("an instance needs n, exps and coeffs")
+    alpha = _checked_alpha(entry.get("alpha", alpha))
+    return Problem(entry["n"], entry["exps"], entry["coeffs"]), alpha
 
 
 # ----------------------------- root -----------------------------------------
@@ -135,7 +137,7 @@ def _root_power(problem: Problem, method: str, alpha: float,
     # looked up per call, so a solver rebound on this module is the one run
     z = {"param": principal_root_param, "oracle": principal_root}[method](problem)
     try:
-        return z ** alpha, 1e-13  # accuracy bound of Newton in log space
+        return z ** alpha, _LSE_ESTIMATE
     except OverflowError as exc:
         raise GammaOverflowError(
             f"{method}: root {z!r} to the power alpha = {alpha!r} overflows") from exc
@@ -178,11 +180,8 @@ def _read_spec(path: str, alpha: float) -> list[tuple[Problem, float]]:
         raise ValueError(f"spec {path} must hold a JSON list of instances")
     problems = []
     for k, d in enumerate(instances):
-        if not (isinstance(d, dict) and {"n", "exps", "coeffs"} <= d.keys()):
-            raise ValueError(f"spec entry [{k}] must be an object with keys n, exps, coeffs")
         try:
-            a = _finite_alpha(d.get("alpha", alpha))
-            problems.append((Problem(d["n"], d["exps"], d["coeffs"]), a))
+            problems.append(_instance(d, alpha))
         except (TypeError, ValueError) as exc:
             raise ValueError(f"spec entry [{k}]: {exc}") from exc
     return problems
@@ -192,15 +191,13 @@ def cmd_root(args) -> int:
     tol = _resolve_tol(args.tol, 1e-9)
     # the contour is sized for, and its estimate bounded by, --tol or its own default
     mb_tol = args.tol if args.tol is not None else _SIZE_TOL
-    alpha = _finite_alpha(args.alpha)
     if args.spec:
-        problems = _read_spec(args.spec, alpha)
-        inputs = {"spec": args.spec, "method": args.method, "tol": tol}
+        problems = _read_spec(args.spec, _checked_alpha(args.alpha))
+        inputs = {"spec": args.spec}
     else:
-        problems = [(_problem_from_args(args), alpha)]
-        inputs = {**dataclasses.asdict(problems[0][0]),
-                  "alpha": alpha, "method": args.method, "tol": tol}
-    report = _Report("root", inputs)
+        problems = [_instance(vars(args))]
+        inputs = {**dataclasses.asdict(problems[0][0]), "alpha": problems[0][1]}
+    report = _Report("root", {**inputs, "method": args.method, "tol": tol})
 
     errors, solved = [], False
     for k, (problem, a) in enumerate(problems):
@@ -356,12 +353,12 @@ def cmd_verify(args) -> int:
 # ----------------------------- contour-trace --------------------------------
 
 def cmd_contour_trace(args) -> int:
-    problem = _problem_from_args(args)
-    base = default_contour(problem, _finite_alpha(args.alpha))
+    problem, alpha = _instance(vars(args))
+    base = default_contour(problem, alpha)
     contour = dataclasses.replace(
         base, height=args.height if args.height is not None else base.height,
         nodes_per_line=args.nodes if args.nodes is not None else base.nodes_per_line)
-    pts, vals = contour_integrand(problem, args.alpha, contour)
+    pts, vals = contour_integrand(problem, alpha, contour)
     try:
         fh = open(args.out, "w", newline="")
     except OSError as exc:
@@ -380,11 +377,11 @@ def cmd_contour_trace(args) -> int:
 # ----------------------------- series ---------------------------------------
 
 def cmd_series(args) -> int:
-    exps = _parse_list(args.exps, int)
-    coeffs = series_coefficients((args.n, tuple(exps)), args.alpha, args.kmax)
+    coeffs = series_coefficients((args.n, args.exps), args.alpha, args.kmax)
     if args.json or args.out:
-        report = _Report("series", {"n": args.n, "exps": exps,
-                                    "alpha": args.alpha, "kmax": args.kmax})
+        n, exps = _checked_shape((args.n, args.exps))  # as series_coefficients read them
+        report = _Report("series", {"n": n, "exps": exps, "alpha": float(args.alpha),
+                                    "kmax": args.kmax})
         for k, c in enumerate(coeffs):
             report.add(_entry(f"c[{k}]", "residue", c))
         _emit(report.finish(), args)
@@ -408,12 +405,19 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--json", action="store_true", help="emit a JSON report")
         sp.add_argument("--out", default=None, help="write output to this path")
 
+    def numbers(text):  # each token of a comma-separated list, an empty one too
+        return [_number(token) for token in text.split(",")]
+
+    def instance(sp, coeffs=True, **kw):
+        sp.add_argument("--n", type=_number, **kw)
+        sp.add_argument("--exps", type=numbers, help="comma-separated exponents", **kw)
+        if coeffs:
+            sp.add_argument("--coeffs", type=numbers, help="comma-separated coefficients", **kw)
+        sp.add_argument("--alpha", type=_number, default=1.0)
+
     sp = sub.add_parser("root", help="solve one instance")
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--exps", type=str, help="comma-separated exponents")
-    sp.add_argument("--coeffs", type=str, help="comma-separated coefficients")
+    instance(sp)
     sp.add_argument("--method", choices=["param", "mb", "oracle", "all"], default="all")
-    sp.add_argument("--alpha", type=float, default=1.0)
     sp.add_argument("--tol", type=float, default=None)
     sp.add_argument("--spec", default=None, help="JSON file with a batch of instances")
     common(sp)
@@ -428,19 +432,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_verify)
 
     sp = sub.add_parser("contour-trace", help="dump contour integrand samples to CSV")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--exps", type=str, required=True)
-    sp.add_argument("--coeffs", type=str, required=True)
-    sp.add_argument("--alpha", type=float, default=1.0)
+    instance(sp, required=True)
     sp.add_argument("--height", type=float, default=None)
     sp.add_argument("--nodes", type=int, default=None)
     sp.add_argument("--out", required=True)
     sp.set_defaults(fn=cmd_contour_trace)
 
     sp = sub.add_parser("series", help="print p = 1 series coefficients")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--exps", type=str, required=True)
-    sp.add_argument("--alpha", type=float, default=1.0)
+    instance(sp, coeffs=False, required=True)
     sp.add_argument("--kmax", type=int, default=10)
     common(sp)
     sp.set_defaults(fn=cmd_series)
@@ -452,9 +451,6 @@ _PARSER = _build_parser()
 
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
-    if args.cmd == "root" and not args.spec:
-        if args.n is None or args.exps is None or args.coeffs is None:
-            _PARSER.error("root requires --n, --exps and --coeffs (or --spec)")
     try:
         return args.fn(args)
     except (NumericalError, ArithmeticError, ValueError, OSError) as exc:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import GammaOverflowError, StepTooSmallError
 from .mellin import kernel_value
-from .oracle import Problem, Shape, _checked_shape
+from .oracle import Problem, Shape, _checked_alpha, _checked_shape
 from .param import psi_inverse
 
 __all__ = [
@@ -240,11 +240,10 @@ def series_coefficients(shape: Shape, alpha: float, k_max: int) -> list[float]:
     is that product; c_{k+n} is c_k times the exact n-step ratio (-1)^n prod_{i<n_1} (a_k + i)/
     (k+1+i) prod_{i<n-n_1} (a_k - k - i)/(k+n_1+1+i), so an exact zero stays exact.  Each ratio
     and each running product down a class of k mod n is a mantissa in [1/2, 1) times a separate
-    power of two (frexp, exact), so only a c_k itself can leave double range.  alpha is finite,
-    0 <= k_max <= 2^16; a c_k past double range raises GammaOverflowError.
+    power of two (frexp, exact), so only a c_k itself can leave double range.  alpha obeys
+    _checked_alpha, 0 <= k_max <= 2^16; a c_k past double range raises GammaOverflowError.
     """
-    if not math.isfinite(alpha):
-        raise ValueError(f"alpha must be finite, got {alpha}")
+    alpha = _checked_alpha(alpha)
     if len(shape[1]) != 1:
         raise ValueError("residue series is implemented for p = 1 only")
     n, (n1,) = _checked_shape(shape)

@@ -105,9 +105,7 @@ def _check_alpha(alpha: float) -> None:
 
 def _kernel_args(shape: Shape, alpha: float, u_list: Sequence[complex]) -> tuple[complex, complex]:
     """The kernel's derived arguments u = alpha/n - sum (n_s/n) u_s and omega = u + sum u_s + 1."""
-    n, exps = shape
-    if len(u_list) != len(exps):
-        raise ValueError(f"{len(u_list)} arguments for {len(exps)} exponents")
+    n, exps = _checked_shape(shape, u_list, "arguments")
     u = alpha / n - sum((e / n) * uv for e, uv in zip(exps, u_list))
     return u, u + sum(u_list) + 1.0
 
@@ -224,8 +222,7 @@ def _setup(problem: Problem, alpha: float, tol: float = _SIZE_TOL,
     Returns the shape, alpha, x, the ring (_ring_exponent), the decay rate per
     line, the contour and the half-width of its pole-free strip.
     """
-    shape = problem.shape
-    n, exps = shape
+    n, exps = shape = problem.shape
     _check_alpha(alpha)
     if len(exps) > 2:
         raise ValueError("contour evaluation is implemented for p <= 2 "
@@ -233,8 +230,7 @@ def _setup(problem: Problem, alpha: float, tol: float = _SIZE_TOL,
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
     x = [complex(c) for c in (coeffs if coeffs is not None else problem.coeffs)]
-    if len(x) != len(exps):
-        raise ValueError(f"{len(x)} coefficients for p = {len(exps)}")
+    _checked_shape(shape, x, "coefficients")
     if any(xv == 0 for xv in x):
         raise ConvergenceConditionError(
             "contour evaluation needs strictly positive |x_s| (x^-u undefined at 0)")

@@ -6,8 +6,9 @@ bracket and covers every coefficient vector in double range; the full root
 set comes from the companion matrix.  It is the independent referee
 every other solver in the package is checked against.
 
-Stated once here: the shape rule (_checked_shape), the rule for real inputs
-(_finite_nonnegative) and the log-sum-exp Newton loop that param runs too (_lse_newton).
+Stated once here: the shape rule and the count rule (_checked_shape), the rule for real inputs
+(_finite_nonnegative) and the one for alpha (_checked_alpha), which share one conversion
+(_as_float), and the log-sum-exp Newton loop that param runs too (_lse_newton).
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from .errors import ContinuationError, RootConvergenceError
 
 __all__ = ["Problem", "principal_root", "all_roots", "epsilon_family"]
 
-_MAX_NEWTON = 200
-_NOT_NUMBERS = (bool, np.bool_, str, bytes)
+_MAX_NEWTON = 200  # _lse_newton's step cap
+_LSE_ESTIMATE = 1e-13  # the error both real-axis routes report for Z^alpha from _lse_newton's root
 
 Shape = tuple[int, tuple[int, ...]]
 
@@ -37,25 +38,39 @@ def _integer(value, what: str) -> int:
     raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
+def _as_float(value) -> float | None:
+    """float(value), or None for a bool, a str or a value float() refuses or cannot hold."""
+    try:
+        return None if isinstance(value, (bool, np.bool_, str, bytes)) else float(value)
+    except (TypeError, ValueError, OverflowError):
+        return None
+
+
 def _finite_nonnegative(values, what: str) -> tuple[float, ...]:
-    """values as floats, each no bool or str and finite and >= 0 by float(); else ValueError."""
+    """values as floats, each converted by _as_float and finite and >= 0; else ValueError."""
     out = []
     for v in values:
-        try:
-            c = math.nan if isinstance(v, _NOT_NUMBERS) else float(v)
-        except (TypeError, ValueError):  # float() refuses it
-            c = math.nan
-        if not 0.0 <= c < math.inf:
+        c = _as_float(v)
+        if c is None or not 0.0 <= c < math.inf:
             raise ValueError(f"{what} must be finite and nonnegative numbers, got {v!r}")
         out.append(c)
     return tuple(out)
 
 
-def _checked_shape(shape) -> Shape:
-    """shape = (n, exps) with int entries if it obeys the shape rule; ValueError otherwise.
+def _checked_alpha(alpha) -> float:
+    """alpha as a float, converted by _as_float and finite, of any sign; else ValueError."""
+    if (a := _as_float(alpha)) is None:  # a JSON true or "2"
+        raise ValueError(f"alpha must be a number, got {alpha!r}")
+    if not math.isfinite(a):
+        raise ValueError(f"alpha must be finite, got {a}")
+    return a
 
-    The rule: n and each exponent are integers (see _integer), n >= 1, p >= 1
-    and 0 < n_p < ... < n_1 < n.
+
+def _checked_shape(shape, values=None, what: str = "") -> Shape:
+    """shape = (n, exps) with int entries if it and ``values`` obey the rules; else ValueError.
+
+    The shape rule: n and each exponent are integers (see _integer), n >= 1, p >= 1 and
+    0 < n_p < ... < n_1 < n.  The count rule: one of ``values``, if given, per exponent.
     """
     n, exps = shape
     n, exps = _integer(n, "degree n"), tuple(_integer(e, "exponent") for e in exps)
@@ -66,6 +81,8 @@ def _checked_shape(shape) -> Shape:
     if not all(a > b for a, b in zip((n, *exps), (*exps, 0))):
         raise ValueError(
             f"exponents must satisfy 0 < n_p < ... < n_1 < n, got n={n}, exps={exps}")
+    if values is not None and len(values) != len(exps):
+        raise ValueError(f"got {len(values)} {what} for {len(exps)} exponents")
     return n, exps
 
 
@@ -82,10 +99,8 @@ class Problem:
     coeffs: tuple[float, ...]
 
     def __post_init__(self):
-        n, exps = _checked_shape((self.n, self.exps))
         coeffs = tuple(self.coeffs)
-        if len(coeffs) != len(exps):
-            raise ValueError(f"got {len(coeffs)} coefficients for {len(exps)} exponents")
+        n, exps = _checked_shape((self.n, self.exps), coeffs, "coefficients")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "exps", exps)
         object.__setattr__(self, "coeffs", _finite_nonnegative(coeffs, "coefficients"))

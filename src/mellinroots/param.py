@@ -52,15 +52,9 @@ class ParamPoint:
         object.__setattr__(self, "W", 1.0 + s)
 
 
-def _check_shape(shape: Shape, p: int) -> Shape:
-    if len(shape[1]) != p:
-        raise ValueError(f"shape has {len(shape[1])} exponents but point has {p} components")
-    return _checked_shape(shape)
-
-
 def psi_forward(point: ParamPoint, shape: Shape) -> tuple[float, ...]:
     """Map xi to coefficients: x_i = xi_i * (1+s)^{n_i/n - 1}."""
-    n, exps = _check_shape(shape, len(point.xi))
+    n, exps = _checked_shape(shape, point.xi, "components of xi")
     W = point.W
     return tuple(v * W ** (e / n - 1.0) for v, e in zip(point.xi, exps))
 
@@ -73,7 +67,7 @@ def jacobian_det(point: ParamPoint, shape: Shape) -> float:
     (corr / W): both factors lie in (0, 1] since 1 <= corr <= W, so nothing
     overflows, and it underflows only where the determinant does.
     """
-    n, exps = _check_shape(shape, len(point.xi))
+    n, exps = _checked_shape(shape, point.xi, "components of xi")
     W = point.W
     corr = 1.0 + math.fsum(e * v for e, v in zip(exps, point.xi)) / n
     return W ** (sum(exps) / n - len(exps)) * (corr / W)
@@ -94,14 +88,13 @@ def _log_level(coeffs: Sequence[float], n: int, exps: Sequence[int]) -> float:
 def psi_inverse(coeffs: Sequence[float], shape: Shape) -> ParamPoint:
     """Unique xi >= 0 with psi_forward(xi) = coeffs.
 
-    Solves the level equation for L = log W, then back-substitutes
-    xi_i = x_i W^{1-n_i/n}.  Raises GammaOverflowError when W = e^L exceeds
-    the double range; principal_root_param, which never forms W, still
-    solves such coefficients.
+    The shape and coeffs are read as a Problem, by its rules.  Solves the level
+    equation for L = log W, then back-substitutes xi_i = x_i W^{1-n_i/n}.  Raises
+    GammaOverflowError when W = e^L exceeds the double range; principal_root_param,
+    which never forms W, still solves such coefficients.
     """
-    coeffs = tuple(coeffs)
-    n, exps = _check_shape(shape, len(coeffs))
-    coeffs = _finite_nonnegative(coeffs, "coefficients")
+    problem = Problem(*shape, coeffs)
+    n, exps, coeffs = problem.n, problem.exps, problem.coeffs
     L = _log_level(coeffs, n, exps)
     if L > _LOG_MAX:
         raise GammaOverflowError(

@@ -559,6 +559,111 @@ def test_root_spec_nonintegral_degree_exit_2(tmp_path, capsys):
     assert main(["root", "--spec", str(path), "--method", "oracle"]) == 0
 
 
+def _root_by_spec(tmp_path, capsys, entry, method):
+    """(exit code, stdout, stderr) of root --spec on a one-entry spec file."""
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps([entry]))
+    code = main(["root", "--spec", str(path), "--method", method, "--json"])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _spellings(rng, value):
+    """One argv spelling of a number, chosen at random among those naming the same value."""
+    if isinstance(value, int):
+        forms = [str(value), f"{value}.0", f"{value}e0", f" {value}", f"+{value}"]
+    else:
+        forms = [repr(value), f"{value!r}".upper(), f"{value:.17e}"]
+    return forms[rng.integers(len(forms))]
+
+
+def test_argv_reads_like_a_spec_entry(tmp_path, capsys):
+    # root --n ... and a one-entry --spec give the same results, whatever the
+    # spelling of each number on argv (3, 3.0, 3e0, +3; 0.5, 5E-01)
+    rng = np.random.default_rng(2024)
+    for _ in range(20):
+        p = int(rng.integers(1, 4))
+        n = int(rng.integers(p + 1, 9))
+        exps = sorted(rng.choice(np.arange(1, n), size=p, replace=False).tolist(), reverse=True)
+        coeffs = [float(c) for c in rng.uniform(0.05, 2.0, size=p)]
+        if rng.random() < 0.3:
+            coeffs[0] = 1  # an integer coefficient, as JSON and argv may spell it
+        alpha = float(rng.choice([1.0, 2.0, 0.5, 3.25]))
+        method = "all" if p == 1 else str(rng.choice(["param", "oracle", "all"]))
+        entry = {"n": n, "exps": exps, "coeffs": coeffs, "alpha": alpha}
+        spec_code, spec_out, _ = _root_by_spec(tmp_path, capsys, entry, method)
+        argv = ["root", "--n", _spellings(rng, n),
+                "--exps", ",".join(_spellings(rng, e) for e in exps),
+                "--coeffs", ",".join(_spellings(rng, c) for c in coeffs),
+                "--alpha", _spellings(rng, alpha), "--method", method, "--json"]
+        code = main(argv)
+        out = capsys.readouterr().out
+        assert code == spec_code == 0, argv
+        report, spec_report = json.loads(out), json.loads(spec_out)
+        assert report["results"] == spec_report["results"], argv
+        assert report["inputs"] == {**entry, "coeffs": [float(c) for c in coeffs],
+                                    "alpha": alpha, "method": method, "tol": 1e-9}
+
+
+def test_integral_float_spellings_on_argv(capsys):
+    # 3.0 used to exit 2 on argv, though the same spec entry solved
+    argv = ["root", "--exps", "1.0", "--coeffs", "0.5", "--method", "all", "--json"]
+    assert main(["root", "--n", "3.0", *argv[1:]]) == 0
+    spelled = json.loads(capsys.readouterr().out)
+    assert main(["root", "--n", "3", "--exps", "1", *argv[3:]]) == 0
+    plain = json.loads(capsys.readouterr().out)
+    assert spelled["results"] == plain["results"]
+    assert spelled["inputs"] == plain["inputs"]
+
+
+# (argv options, the spec entry naming the same values): a token float() refuses,
+# the empty one too, is kept as text, so its spec twin is that text
+BAD_INSTANCES = [
+    (["--n", "3", "--exps", "2.9", "--coeffs", "0.5"], {"n": 3, "exps": [2.9], "coeffs": [0.5]}),
+    (["--n", "2.9", "--exps", "1", "--coeffs", "0.5"], {"n": 2.9, "exps": [1], "coeffs": [0.5]}),
+    (["--n", "true", "--exps", "1", "--coeffs", "0.5"],
+     {"n": "true", "exps": [1], "coeffs": [0.5]}),
+    (["--n", "3", "--exps", "true", "--coeffs", "0.5"],
+     {"n": 3, "exps": ["true"], "coeffs": [0.5]}),
+    (["--n", "3", "--exps", "1", "--coeffs", "true"], {"n": 3, "exps": [1], "coeffs": ["true"]}),
+    (["--n", "3", "--exps", "1", "--coeffs", "nan"],
+     {"n": 3, "exps": [1], "coeffs": [math.nan]}),
+    (["--n", "3", "--exps", "nan", "--coeffs", "0.5"],
+     {"n": 3, "exps": [math.nan], "coeffs": [0.5]}),
+    (["--n", "3", "--exps", "2,1", "--coeffs", "0.5"], {"n": 3, "exps": [2, 1], "coeffs": [0.5]}),
+    (["--n", "3", "--exps", "1", "--coeffs", "0.5,0.5"],
+     {"n": 3, "exps": [1], "coeffs": [0.5, 0.5]}),
+    (["--n", "4", "--exps", "3,,1", "--coeffs", "0.5,,0.3"],
+     {"n": 4, "exps": [3, "", 1], "coeffs": [0.5, "", 0.3]}),
+    (["--n", "3", "--exps", "1", "--coeffs", ""], {"n": 3, "exps": [1], "coeffs": [""]}),
+    # an instance without coeffs used to be argparse's usage error on argv
+    (["--n", "3", "--exps", "1"], {"n": 3, "exps": [1], "coeffs": None}),
+    (["--n", "3", "--exps", "1", "--coeffs", "0.5", "--alpha", "nan"],
+     {"n": 3, "exps": [1], "coeffs": [0.5], "alpha": math.nan}),
+    (["--n", "3", "--exps", "1", "--coeffs", "0.5", "--alpha", "true"],
+     {"n": 3, "exps": [1], "coeffs": [0.5], "alpha": "true"}),
+    (["--n", "3", "--exps", "1", "--coeffs", "1e400"],
+     {"n": 3, "exps": [1], "coeffs": [math.inf]}),
+    # float() of an int past double range raises OverflowError: the spec exited 3, now both exit 2
+    (["--n", "3", "--exps", "1", "--coeffs", str(10 ** 400)],
+     {"n": 3, "exps": [1], "coeffs": [10 ** 400]}),
+    (["--n", "3", "--exps", "1", "--coeffs", "0.5", "--alpha", str(-10 ** 400)],
+     {"n": 3, "exps": [1], "coeffs": [0.5], "alpha": -10 ** 400}),
+]
+
+
+@pytest.mark.parametrize("options, entry", BAD_INSTANCES)
+def test_argv_and_spec_refuse_alike(options, entry, tmp_path, capsys):
+    # the argv error line is the spec entry's, without its "spec entry [0]: "
+    code, out, spec_err = _root_by_spec(tmp_path, capsys, entry, "oracle")
+    assert code == 2 and out == ""
+    assert spec_err.startswith("error: spec entry [0]: ")
+    assert main(["root", *options, "--method", "oracle"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == spec_err.replace("spec entry [0]: ", "", 1)
+
+
 @pytest.mark.parametrize("argv", [
     ["contour-trace", "--n", "2", "--exps", "1", "--coeffs", "1", "--out", "{out}"],
     ["series", "--n", "2", "--exps", "1"],
@@ -738,8 +843,21 @@ def test_contour_trace_above_the_trace_cap_exit_3(tmp_path, capsys):
     assert not out.exists()
 
 
+# argv spellings of n, an exponent or a coefficient that the fuzz mixes in
+_ODD_TOKENS = ("3.0", "2.9", "1e3", "true", "")
+
+
+def _wide(rng):
+    """A magnitude from the least subnormal up to DBL_MAX: either end, or log-uniform between."""
+    return float(rng.choice([5e-324, sys.float_info.max, 10.0 ** rng.uniform(-323, 308)]))
+
+
 def _fuzz_argv(rng, out):
-    """A random single-method root, series or contour-trace call; a field is bad 1 in 10 times."""
+    """A random single-method root, series or contour-trace call; a field is bad 1 in 10 times.
+
+    One call in five also takes --alpha, and one in three --height or --tol, from the
+    whole double range (_wide), and 1 in 10 spells one n, exponent or coefficient oddly.
+    """
     def pick(*values):
         return str(values[rng.integers(len(values))])
 
@@ -763,31 +881,84 @@ def _fuzz_argv(rng, out):
     alpha = pick("0", "-1", "-1000", "nan", "inf") if bad() else pick("1", "2", "0.5", "3.7")
     if alpha == "-1000":
         coeffs[0] = "1e300"
-    argv = [cmd, f"--n={pick(0, -1) if bad() else n}", f"--exps={','.join(map(str, exps))}",
-            f"--alpha={alpha}"]
+    if rng.random() < 0.2:
+        alpha = repr(float(rng.choice([-1.0, 1.0])) * _wide(rng))
+    n = pick(0, -1) if bad() else n
+    if bad():
+        tokens = [[n], exps, coeffs][rng.integers(2 if cmd == "series" else 3)]
+        tokens[rng.integers(len(tokens))] = pick(*_ODD_TOKENS)
+        n = tokens[0] if len(tokens) == 1 else n
+    argv = [cmd, f"--n={n}", f"--exps={','.join(map(str, exps))}", f"--alpha={alpha}"]
     if cmd == "root":
-        return argv + [f"--coeffs={','.join(coeffs)}", "--method", method]
+        if rng.random() < 0.3:
+            argv.append(f"--tol={_wide(rng)!r}")
+        return argv + [f"--coeffs={','.join(coeffs)}", "--method", method, "--json"]
     if cmd == "series":
-        return argv + [f"--kmax={-1 if bad() else pick(0, 5, 20)}"]
+        return argv + [f"--kmax={-1 if bad() else pick(0, 5, 20)}", "--json"]
     nodes = pick(-1, 0, 8, 10) if bad() else pick(9, 21, 41, 101 if p == 1 else 9)
     argv += [f"--coeffs={','.join(coeffs)}", "--out", out, f"--nodes={nodes}"]
     if rng.random() < 0.5:
-        argv.append(f"--height={pick('nan', 'inf', '0', '-1') if bad() else pick(3, 10)}")
+        wide = rng.random() < 0.3
+        height = _wide(rng) if wide else pick('nan', 'inf', '0', '-1') if bad() else pick(3, 10)
+        argv.append(f"--height={height}")
     return argv
+
+
+def _finite_outside_refusals(value):
+    """Whether every number in a report is finite, but in a refused method's entry."""
+    if isinstance(value, dict):
+        return "error" in value or all(map(_finite_outside_refusals, value.values()))
+    if isinstance(value, list):
+        return all(map(_finite_outside_refusals, value))
+    return not isinstance(value, float) or math.isfinite(value)
 
 
 def test_cli_fuzz_exit_codes(tmp_path, capsys):
     # every call ends in 0, 2 (bad input) or 3 (numerical failure), and a
-    # failure prints one error line and no traceback
+    # failure prints one error line and no traceback; a success prints no
+    # non-finite number, in its report or in its trace
     rng = np.random.default_rng(13)
-    for _ in range(200):
-        argv = _fuzz_argv(rng, str(tmp_path / "trace.csv"))
+    trace = tmp_path / "trace.csv"
+    for _ in range(400):
+        argv = _fuzz_argv(rng, str(trace))
+        trace.unlink(missing_ok=True)
         try:
             code = main(argv)
         except SystemExit as exc:   # argparse's own usage error
             code = exc.code
-        err = capsys.readouterr().err
+        captured = capsys.readouterr()
+        err = captured.err
         assert code in (0, 2, 3), argv
         if code:
             assert len([ln for ln in err.splitlines() if "error:" in ln]) == 1, (argv, err)
             assert "Traceback" not in err, argv
+        elif argv[0] == "contour-trace":
+            with open(trace) as fh:
+                rows = list(csv.reader(fh))[1:]
+            assert rows and all(math.isfinite(float(v)) for row in rows for v in row), argv
+        else:
+            assert _finite_outside_refusals(json.loads(captured.out)), argv
+
+
+def _readme_cli_lines():
+    """Every mellinroots command of the README's CLI section's sh block, as argv."""
+    readme = open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")).read()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("mellinroots ")]
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
+    lines = _readme_cli_lines()
+    assert len(lines) >= 6 and any("--spec" in argv for argv in lines)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "batch.json").write_text(json.dumps([
+        {"n": 2, "exps": [1], "coeffs": [1.0]},
+        {"n": 5, "exps": [3, 1], "coeffs": [0.5, 2], "alpha": 2.5},
+    ]))
+    for argv in lines:
+        assert main(argv) == 0, argv
+        captured = capsys.readouterr()
+        assert captured.err == "", argv
+

@@ -292,11 +292,17 @@ def test_series_rejects_kmax_out_of_range(k_max, message):
         series_coefficients((2, (1,)), 1.0, k_max)
 
 
-@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf, True, "2"])
 def test_series_rejects_nonfinite_alpha(alpha):
-    # it used to return NaN coefficients
-    with pytest.raises(ValueError, match=f"alpha must be finite, got {alpha}"):
-        series_coefficients((2, (1,)), alpha, 3)
+    # it used to return NaN coefficients, and to compute at 1.0 for True
+    if isinstance(alpha, float):
+        with pytest.raises(ValueError, match=f"alpha must be finite, got {alpha}"):
+            series_coefficients((2, (1,)), alpha, 3)
+    else:  # the CLI's rule for alpha, with its message
+        with pytest.raises(ValueError) as info:
+            series_coefficients((3, (1,)), alpha, 3)
+        assert type(info.value) is ValueError
+        assert str(info.value) == f"alpha must be a number, got {alpha!r}"
 
 
 def _is_plus_zero(value):

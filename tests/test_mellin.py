@@ -548,7 +548,7 @@ def test_mb_rejects_zero_coefficient():
 def test_default_contour_rejects_wrong_coefficient_count(coeffs):
     # default_contour makes principal_root_mb's checks, with the same message
     problem = Problem(3, [2, 1], [0.5, 0.5])
-    message = f"{len(coeffs)} coefficients for p = 2"
+    message = f"got {len(coeffs)} coefficients for 2 exponents"
     with pytest.raises(ValueError, match=message):
         principal_root_mb(problem, coeffs=coeffs)
     with pytest.raises(ValueError, match=message):

@@ -7,10 +7,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mellinroots import (ContinuationError, ParamPoint, Problem, all_roots, epsilon_family,
-                         kernel_value, principal_root, psi_forward, psi_inverse,
-                         shift_ratio_factors)
-from mellinroots.oracle import _checked_shape
+from mellinroots import (ContinuationError, ParamPoint, Problem, all_roots, default_contour,
+                         epsilon_family, jacobian_det, kernel_value, principal_root,
+                         principal_root_mb, psi_forward, psi_inverse, shift_ratio_factors)
+from mellinroots.oracle import _checked_alpha, _checked_shape
 
 GOLDEN_CONJ = 0.6180339887498948482045868343656381177203  # (-1+sqrt(5))/2
 
@@ -107,6 +107,7 @@ REAL_TAKERS = {
     (True, True),              # a JSON true used to pass as 1.0
     ("0.5", True),             # a JSON string used to pass through float()
     (np.True_, True), (b"0.5", True), (None, True),
+    (10 ** 400, True), (Fraction(10 ** 400, 3), True),  # float() raised OverflowError
 ])
 def test_one_coefficient_rule(taker, value, refused):
     # Problem, psi_inverse and ParamPoint accept and refuse the same values,
@@ -121,6 +122,56 @@ def test_one_coefficient_rule(taker, value, refused):
             call((0.5, value))
         assert type(info.value) is ValueError
         assert str(info.value) == f"{what} must be finite and nonnegative numbers, got {value!r}"
+
+
+# every place the count of values per exponent is checked, with the name its
+# message gives the values; each takes k values against the two exponents of (3, (2, 1))
+COUNT_TAKERS = {
+    "Problem": ("coefficients", lambda v: Problem(3, (2, 1), v)),
+    "psi_inverse": ("coefficients", lambda v: psi_inverse(v, (3, (2, 1)))),
+    "psi_forward": ("components of xi", lambda v: psi_forward(ParamPoint(v), (3, (2, 1)))),
+    "jacobian_det": ("components of xi", lambda v: jacobian_det(ParamPoint(v), (3, (2, 1)))),
+    "kernel_value": ("arguments", lambda v: kernel_value((3, (2, 1)), 2.0, v)),
+    "default_contour": ("coefficients",
+                        lambda v: default_contour(Problem(3, (2, 1), (0.5, 0.5)), 1.0, coeffs=v)),
+    "principal_root_mb": ("coefficients",
+                          lambda v: principal_root_mb(Problem(3, (2, 1), (0.5, 0.5)), coeffs=v)),
+}
+
+
+@pytest.mark.parametrize("taker", COUNT_TAKERS)
+@pytest.mark.parametrize("k", [0, 1, 3])
+def test_one_count_rule(taker, k):
+    # one value per exponent, everywhere, with one message
+    what, call = COUNT_TAKERS[taker]
+    if taker != "principal_root_mb":  # a p = 2 solve: accepted by default_contour's checks
+        call((0.5, 0.25))
+    with pytest.raises(ValueError) as info:
+        call((0.5,) * k)
+    assert type(info.value) is ValueError
+    assert str(info.value) == f"got {k} {what} for 2 exponents"
+
+
+@pytest.mark.parametrize("alpha, message", [
+    (2, None), (-1.5, None), (0, None), (np.float32(0.25), None), (Fraction(7, 2), None),
+    (math.nan, "alpha must be finite, got nan"),
+    (-math.inf, "alpha must be finite, got -inf"),
+    pytest.param(10 ** 400, f"alpha must be a number, got {10 ** 400}",  # float() cannot hold it
+                 id="10**400"),
+    (True, "alpha must be a number, got True"),         # a JSON true
+    ("2", "alpha must be a number, got '2'"),           # a JSON string
+    (None, "alpha must be a number, got None"),
+    ([1.0], "alpha must be a number, got [1.0]"),        # float() refuses it
+])
+def test_one_alpha_rule(alpha, message):
+    # the CLI and series_coefficients take alpha by this rule: any sign, finite
+    if message is None:
+        assert _checked_alpha(alpha) == float(alpha)
+        assert type(_checked_alpha(alpha)) is float
+    else:
+        with pytest.raises(ValueError) as info:
+            _checked_alpha(alpha)
+        assert type(info.value) is ValueError and str(info.value) == message
 
 
 def test_principal_root_at_zero_coeffs():
