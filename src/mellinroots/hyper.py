@@ -262,14 +262,10 @@ def series_coefficients(shape: Shape, alpha: float, k_max: int) -> list[float]:
     inv = 1.0 / (n * k[1:])
     m = np.full(kk.size, (-1.0) ** n)  # c_{k+n}/c_k, kept as m 2^e with m in [1/2, 1) or 0
     e = np.zeros(kk.size, np.int64)
-    up = n1 * kk
-    for i in range(n1 if kk.size else 0):  # prod_{i<n_1} (a_k + i)/(k+1+i)
-        m *= (alpha + (up + n * i)) * inv[i:i + kk.size]
+    up, down = n1 * kk, (n1 - n) * kk + n * n1  # n a_k - alpha and n (a_k - k + n_1) - alpha
+    for i in range(n if kk.size else 0):  # (a_k + i or, from i = n_1, a_k - k + n_1 - i)/(k+1+i)
+        m *= (alpha + (up + n * i if i < n1 else down - n * i)) * inv[i:i + kk.size]
         e += np.frexp(m, out=(m, None))[1]  # m back to [1/2, 1), m 2^e unchanged
-    down = (n1 - n) * kk
-    for i in range(n - n1 if kk.size else 0):  # prod_{i<n-n_1} (a_k - k - i)/(k+n_1+1+i)
-        m *= (alpha + (down - n * i)) * inv[n1 + i:n1 + i + kk.size]
-        e += np.frexp(m, out=(m, None))[1]
     head_m, head_e = np.frexp(head)  # one row per k // n, one column per class of k mod n
     m = np.concatenate([head_m, m, np.ones(-m.size % head.size)]).reshape(-1, head.size)
     e = np.concatenate([head_e, e, np.zeros(-e.size % head.size, np.int64)]).reshape(m.shape)

@@ -45,7 +45,7 @@ import numpy as np
 
 from .errors import ConvergenceConditionError, GammaOverflowError, QuadratureError
 from .gamma import gamma_ratio, log_gamma_array
-from .oracle import Problem, Shape, _checked_shape
+from .oracle import Problem, Shape, _as_number, _checked_shape, _integer
 from .quadrature import integrate_orthant_log, log_one_plus_sum_exp
 
 __all__ = [
@@ -105,8 +105,8 @@ def _check_alpha(alpha: float) -> None:
 
 def _kernel_args(shape: Shape, alpha: float, u_list: Sequence[complex]) -> tuple[complex, complex]:
     """The kernel's derived arguments u = alpha/n - sum (n_s/n) u_s and omega = u + sum u_s + 1."""
-    n, exps = _checked_shape(shape, u_list, "arguments")
-    u = alpha / n - sum((e / n) * uv for e, uv in zip(exps, u_list))
+    n, exps = shape
+    u = alpha / n - sum((e / n) * uv for e, uv in zip(exps, u_list, strict=True))
     return u, u + sum(u_list) + 1.0
 
 
@@ -127,7 +127,7 @@ def _strip(shape: Shape, alpha: float, u_list: Sequence[complex]) -> tuple[compl
 
 @dataclass(frozen=True)
 class Contour:
-    """Vertical-line data: abscissas a_s, truncation height T, nodes per line."""
+    """Lines Re u_s = a_s > 0 to height T > 0, each of an odd integer m >= 9 nodes (41.0 is 41)."""
 
     abscissas: tuple[float, ...]
     height: float
@@ -139,6 +139,7 @@ class Contour:
                 f"abscissas must be positive and finite, got {self.abscissas}")
         if not 0 < self.height < math.inf:
             raise ValueError("height must be positive and finite")
+        object.__setattr__(self, "nodes_per_line", _integer(self.nodes_per_line, "nodes_per_line"))
         if self.nodes_per_line < 9 or self.nodes_per_line % 2 == 0:
             raise ValueError("nodes_per_line must be odd and >= 9")
 
@@ -152,7 +153,7 @@ class QuadResult:
 
 def kernel_value(shape: Shape, alpha: float, u_list: Sequence[complex]) -> complex:
     """Gamma-ratio kernel at arbitrary pole-free arguments (no convergence check)."""
-    shape = _checked_shape(shape)
+    shape = _checked_shape(shape, u_list, "arguments")
     u_list = [complex(v) for v in u_list]
     u, omega = _kernel_args(shape, alpha, u_list)
     return (alpha / shape[0]) * gamma_ratio([u, *u_list], [omega])
@@ -172,7 +173,7 @@ def forward_mellin_check(
     kernel.  Returns (lhs, rhs); callers assert |lhs - rhs| <= tol*|rhs|.
     Arguments off the kernel's strip raise ConvergenceConditionError.
     """
-    n, exps = shape = _checked_shape(shape)
+    n, exps = shape = _checked_shape(shape, u_list, "arguments")
     _check_alpha(alpha)
     _, omega = _strip(shape, alpha, u_list)
     if len(exps) > 2:
@@ -216,11 +217,11 @@ def _setup(problem: Problem, alpha: float, tol: float = _SIZE_TOL,
            coeffs: Sequence[complex] | None = None,
            contour: Contour | None = None) -> SimpleNamespace:
     """The one check and sizing of a contour solve, for principal_root_mb,
-    default_contour and contour_integrand: ValueError for p > 2, a bad tol or
-    coefficient count, ConvergenceConditionError off the sector or the strip.
-    Sizes default_contour's contour for ``tol`` unless ``contour`` is given.
-    Returns the shape, alpha, x, the ring (_ring_exponent), the decay rate per
-    line, the contour and the half-width of its pole-free strip.
+    default_contour and contour_integrand: ValueError for p > 2, a bad tol,
+    ``coeffs`` override or abscissa count, ConvergenceConditionError off the
+    sector or the strip.  Sizes default_contour's contour for ``tol`` unless
+    ``contour`` is given.  Returns the shape, alpha, x, the ring (_ring_exponent),
+    the decay rate per line, the contour and the half-width of its pole-free strip.
     """
     n, exps = shape = problem.shape
     _check_alpha(alpha)
@@ -229,8 +230,11 @@ def _setup(problem: Problem, alpha: float, tol: float = _SIZE_TOL,
                          "(use the parametric solver for higher p)")
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
-    x = [complex(c) for c in (coeffs if coeffs is not None else problem.coeffs)]
-    _checked_shape(shape, x, "coefficients")
+    x = [_as_number(v, complex) for v in (coeffs if coeffs is not None else problem.coeffs)]
+    if coeffs is not None:  # the override; a Problem's coefficients obey these rules already
+        _checked_shape(shape, coeffs, "coefficients")
+        if bad := [v for v, xv in zip(coeffs, x) if xv is None or not cmath.isfinite(xv)]:
+            raise ValueError(f"coefficients must be finite numbers, got {bad[0]!r}")
     if any(xv == 0 for xv in x):
         raise ConvergenceConditionError(
             "contour evaluation needs strictly positive |x_s| (x^-u undefined at 0)")
@@ -244,6 +248,8 @@ def _setup(problem: Problem, alpha: float, tol: float = _SIZE_TOL,
         raise ConvergenceConditionError(
             "coefficients outside the validity domain: the contour integrand "
             "does not decay along every direction of the double integral")
+    if contour is not None:
+        _checked_shape(shape, contour.abscissas, "abscissas")
     a = contour.abscissas if contour is not None else (
         min(0.5, alpha / (exps[0] + sum(exps))),) * len(exps)
     # the strip's half-width: the poles of Gamma(u_s) at u_s = 0 and of
@@ -280,7 +286,7 @@ def default_contour(
     from the alias error exp(-strip (2 pi/h_f - 2 osc)) <= tol/30 of the
     trapezoid rule on a strip of half-width ``strip``, where |x^-u| grows like
     exp(strip osc) toward its edges.  m = 1 (mod 4), so the grids of step
-    h/2, h and 2h all end at +-T.  The inputs are checked as principal_root_mb's.
+    h/2, h and 2h all end at +-T.  ``coeffs`` is checked as principal_root_mb's.
     """
     return _setup(problem, alpha, tol, coeffs).contour
 
@@ -502,7 +508,8 @@ def principal_root_mb(
     finite.  ``tol`` (1e-7 when None) also sizes the default contour and the
     mask's cut.  For real positive coefficients the imaginary part is bounded
     by the estimate too.  ``coeffs`` overrides the problem's coefficients, for
-    complex points inside the validity sector |arg x_s| < pi*n_s/n.
+    complex points inside the validity sector |arg x_s| < pi*n_s/n: one finite
+    number (not a bool or a str) per exponent, as ``contour`` needs one abscissa.
     """
     size_tol = tol if tol is not None else _SIZE_TOL
     setup = _setup(problem, alpha, size_tol, coeffs, contour)

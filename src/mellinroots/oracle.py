@@ -7,8 +7,8 @@ set comes from the companion matrix.  It is the independent referee
 every other solver in the package is checked against.
 
 Stated once here: the shape rule and the count rule (_checked_shape), the rule for real inputs
-(_finite_nonnegative) and the one for alpha (_checked_alpha), which share one conversion
-(_as_float), and the log-sum-exp Newton loop that param runs too (_lse_newton).
+(_finite_nonnegative) and the one for alpha (_checked_alpha), sharing one conversion (_as_number,
+complex for mellin's coeffs=), and the log-sum-exp Newton loop that param runs too (_lse_newton).
 """
 
 from __future__ import annotations
@@ -38,19 +38,19 @@ def _integer(value, what: str) -> int:
     raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
-def _as_float(value) -> float | None:
-    """float(value), or None for a bool, a str or a value float() refuses or cannot hold."""
+def _as_number(value, kind=float):
+    """kind(value), or None for a bool, a str or a value kind() refuses or cannot hold."""
     try:
-        return None if isinstance(value, (bool, np.bool_, str, bytes)) else float(value)
+        return None if isinstance(value, (bool, np.bool_, str, bytes)) else kind(value)
     except (TypeError, ValueError, OverflowError):
         return None
 
 
 def _finite_nonnegative(values, what: str) -> tuple[float, ...]:
-    """values as floats, each converted by _as_float and finite and >= 0; else ValueError."""
+    """values as floats, each converted by _as_number and finite and >= 0; else ValueError."""
     out = []
     for v in values:
-        c = _as_float(v)
+        c = _as_number(v)
         if c is None or not 0.0 <= c < math.inf:
             raise ValueError(f"{what} must be finite and nonnegative numbers, got {v!r}")
         out.append(c)
@@ -58,8 +58,8 @@ def _finite_nonnegative(values, what: str) -> tuple[float, ...]:
 
 
 def _checked_alpha(alpha) -> float:
-    """alpha as a float, converted by _as_float and finite, of any sign; else ValueError."""
-    if (a := _as_float(alpha)) is None:  # a JSON true or "2"
+    """alpha as a float, converted by _as_number and finite, of any sign; else ValueError."""
+    if (a := _as_number(alpha)) is None:  # a JSON true or "2"
         raise ValueError(f"alpha must be a number, got {alpha!r}")
     if not math.isfinite(a):
         raise ValueError(f"alpha must be finite, got {a}")

@@ -1,7 +1,7 @@
 """End-to-end tests of the command-line interface and its report formats."""
 
 import csv
-import importlib
+import importlib.util
 import json
 import math
 import os
@@ -11,12 +11,13 @@ import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import mellinroots
-from mellinroots import errors
+from mellinroots import cli, errors
 from mellinroots.cli import _match_multisets, main
 from mellinroots.identities import det_cofactor, det_rank_one
 
@@ -312,6 +313,27 @@ def test_all_exports_resolve():
     for mod in modules:
         for name in getattr(mod, "__all__", []):
             assert hasattr(mod, name), f"{mod.__name__}.__all__ names missing {name}"
+
+
+def test_benchmark_tracer_sees_every_layer(capsys):
+    # perfbench/layertrace.py wraps the functions each module holds under its own
+    # names; a call moved off those bindings would drop out of the per-layer metrics
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "layertrace.py"
+    spec = importlib.util.spec_from_file_location("layertrace", path)
+    trace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(trace)
+    tracer, original = trace.Tracer(), cli.principal_root_mb
+    with tracer.active("layers"):
+        assert main(["root", "--n", "5", "--exps", "3", "--coeffs", "0.7", "--method", "all"]) == 0
+        assert main(["root", "--n", "3", "--exps", "2,1", "--coeffs", "0.4,0.9",
+                     "--method", "all"]) == 0
+        assert main(["verify", "--suite", "dirichlet", "--count", "1"]) == 0
+    capsys.readouterr()
+    assert cli.principal_root_mb is original
+    metrics = trace.per_layer_metrics(tracer.spans)
+    for key in ("param.calls", "oracle.calls", "mellin.solves_p1", "mellin.solves_p2",
+                "gamma.elements", "quadrature.calls"):
+        assert metrics[key] > 0, key
 
 
 def test_series_rejects_two_exponents(capsys):

@@ -16,7 +16,7 @@ from mellinroots import (ConvergenceConditionError, NumericalError, Problem,
                          QuadratureError, check_functional_equation, default_contour,
                          forward_mellin_check, kernel_value, principal_root,
                          principal_root_mb, principal_root_param)
-from mellinroots import mellin, sampling
+from mellinroots import mellin, oracle, sampling
 from mellinroots.hyper import shift_ratio_factors
 from mellinroots.mellin import (Contour, _kernel_args, _lattice_tables, _rect_integrand,
                                 contour_integrand)
@@ -553,6 +553,62 @@ def test_default_contour_rejects_wrong_coefficient_count(coeffs):
         principal_root_mb(problem, coeffs=coeffs)
     with pytest.raises(ValueError, match=message):
         default_contour(problem, 1.0, coeffs=coeffs)
+
+
+OVERRIDE_CALLS = {
+    "principal_root_mb": lambda problem, coeffs: principal_root_mb(problem, coeffs=coeffs),
+    "default_contour": lambda problem, coeffs: default_contour(problem, 1.0, coeffs=coeffs),
+    "principal_root_mb contour": lambda problem, coeffs: principal_root_mb(
+        problem, coeffs=coeffs, contour=Contour((0.25,), 10.0, 41)),
+}
+
+
+@pytest.mark.parametrize("value", [
+    "1", True, pytest.param(np.bool_(True), id="np.True_"), "1+1j", math.nan, math.inf,
+    complex(1, math.nan), None, pytest.param(10 ** 400, id="10**400"),  # complex() cannot hold it
+])
+@pytest.mark.parametrize("call", OVERRIDE_CALLS)
+def test_coefficient_override_rule(call, value):
+    # each coeffs= value is a finite number, not a bool or a str, checked where it enters
+    with pytest.raises(ValueError) as info:
+        OVERRIDE_CALLS[call](Problem(2, [1], [0.5]), [value])
+    assert type(info.value) is ValueError
+    assert str(info.value) == f"coefficients must be finite numbers, got {value!r}"
+
+
+@pytest.mark.parametrize("call", OVERRIDE_CALLS)
+def test_coefficient_override_takes_any_number_type(call):
+    # a complex value in the sector |arg x| < pi/2 still solves, as any number type
+    call, problem, x = OVERRIDE_CALLS[call], Problem(2, [1], [0.5]), 0.5 * cmath.exp(0.7j)
+    assert call(problem, [np.complex128(x)]) == call(problem, [x])
+    assert call(problem, [1]) == call(problem, [np.float32(1.0)]) == call(problem, [1.0])
+
+
+def test_contour_nodes_rule():
+    # nodes_per_line is read by the integer rule: an integral float is that int
+    problem = Problem(3, [2, 1], [0.4, 0.9])
+    integral = Contour((0.25, 0.25), 10.0, 41.0)
+    assert integral == Contour((0.25, 0.25), 10.0, np.int64(41))
+    assert type(integral.nodes_per_line) is int
+    exact = Contour((0.25, 0.25), 10.0, 41)
+    assert principal_root_mb(problem, contour=integral) == principal_root_mb(problem, contour=exact)
+    points, values = contour_integrand(problem, 1.0, integral)
+    assert points.shape == (41 * 41, 2) and np.isfinite(values).all()
+    for m in (41.5, True, "41"):
+        with pytest.raises(ValueError) as info:
+            Contour((0.25, 0.25), 10.0, m)
+        assert str(info.value) == f"nodes_per_line must be an integer, got {m!r}"
+
+
+@pytest.mark.parametrize("problem", [Problem(5, [3], [0.7]), Problem(3, [2, 1], [0.4, 0.9])])
+def test_default_solve_checks_no_shape(monkeypatch, problem):
+    # a Problem's shape and counts are checked once, when it is built, not again per solve
+    calls = []
+    for module in (mellin, oracle):
+        monkeypatch.setattr(module, "_checked_shape",
+                            lambda *args, f=module._checked_shape: calls.append(args) or f(*args))
+    principal_root_mb(problem, 2.0)
+    assert calls == []
 
 
 def test_default_contour_rejects_p3():

@@ -7,9 +7,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mellinroots import (ContinuationError, ParamPoint, Problem, all_roots, default_contour,
-                         epsilon_family, jacobian_det, kernel_value, principal_root,
-                         principal_root_mb, psi_forward, psi_inverse, shift_ratio_factors)
+from mellinroots import (ContinuationError, Contour, ParamPoint, Problem, all_roots,
+                         default_contour, epsilon_family, forward_mellin_check, jacobian_det,
+                         kernel_value, principal_root, principal_root_mb, psi_forward,
+                         psi_inverse, shift_ratio_factors)
+from mellinroots.mellin import contour_integrand
 from mellinroots.oracle import _checked_alpha, _checked_shape
 
 GOLDEN_CONJ = 0.6180339887498948482045868343656381177203  # (-1+sqrt(5))/2
@@ -136,6 +138,12 @@ COUNT_TAKERS = {
                         lambda v: default_contour(Problem(3, (2, 1), (0.5, 0.5)), 1.0, coeffs=v)),
     "principal_root_mb": ("coefficients",
                           lambda v: principal_root_mb(Problem(3, (2, 1), (0.5, 0.5)), coeffs=v)),
+    "forward_mellin_check": ("arguments", lambda v: forward_mellin_check((3, (2, 1)), 2.0, v)),
+    # a contour's abscissas, at an alpha whose strip holds (0.5, 0.25)
+    "principal_root_mb contour": ("abscissas", lambda v: principal_root_mb(
+        Problem(3, (2, 1), (0.5, 0.5)), 3.0, contour=Contour(v, 10.0, 9))),
+    "contour_integrand": ("abscissas", lambda v: contour_integrand(
+        Problem(3, (2, 1), (0.5, 0.5)), 3.0, Contour(v, 10.0, 9))),
 }
 
 
